@@ -1,4 +1,4 @@
-"""The three golden replay scenarios for tracing-parity tests.
+"""The golden replay scenarios for tracing-parity tests.
 
 Each builder constructs a fresh pool + simulator and replays one
 deterministic trace; the parity tests run it untraced and traced and
@@ -13,12 +13,14 @@ and review the golden diff like any other code change.
 
 import pathlib
 
+from repro.cluster import ClusterSimulator
 from repro.ntt.params import STANDARD_PARAMS, NTTParams
 from repro.obs import BurnRateRule, SLOPolicy, SLOTracer
 from repro.serve import (
     BatchPolicy,
     EnginePool,
     PoolConfig,
+    ReplayConfig,
     Request,
     ServingSimulator,
     bursty_trace,
@@ -114,16 +116,48 @@ def overload_replay(tracer=None):
                       tracer=SLOTracer(OVERLOAD_POLICY, inner=tracer))
 
 
+def two_tenant_trace():
+    """The mixed-slo burst without its HE tenant (compiles in seconds)."""
+    trace = bursty_trace("mixed-slo", 6000.0, 0.02, seed=7)
+    return [r for r in trace if r.tenant != "analytics"]
+
+
+def adaptive_replay(tracer=None):
+    """Bursty two-tenant Kyber/Dilithium traffic through adaptive."""
+    sim = ServingSimulator(EnginePool(PoolConfig(size=2)),
+                           BatchPolicy(max_wait_s=2e-3),
+                           scheduler="adaptive")
+    return sim.replay(two_tenant_trace(), tracer=tracer)
+
+
+#: Chip 1 fails mid-burst: its open batches flush and their members
+#: re-enqueue on the survivors.
+CLUSTER_CHIPS = 4
+CLUSTER_CHIP_EVENTS = ((0.006, 1, "fail"),)
+
+
+def cluster_adaptive_replay(tracer=None):
+    """The adaptive trace on four chips through the cluster front door."""
+    front = ClusterSimulator(ReplayConfig(
+        scheduler="adaptive", chips=CLUSTER_CHIPS, pool_size=2,
+        max_wait_ms=2.0))
+    return front.replay(two_tenant_trace(), chip_events=CLUSTER_CHIP_EVENTS,
+                        tracer=tracer)
+
+
 SCENARIO_BUILDERS = {
     "tiny": tiny_replay,
     "kyber": kyber_replay,
     "mixed-slo": mixed_slo_replay,
     "overload": overload_replay,
+    "adaptive": adaptive_replay,
+    "cluster-adaptive": cluster_adaptive_replay,
 }
 
 #: Scenarios whose scheduler draws lanes from a shared global pool
 #: (the conformance checker relaxes per-lane exclusivity for these).
-SHARED_LANE_SCENARIOS = frozenset({"mixed-slo", "overload"})
+SHARED_LANE_SCENARIOS = frozenset({"mixed-slo", "overload", "adaptive",
+                                   "cluster-adaptive"})
 
 
 def golden_path(name: str) -> pathlib.Path:

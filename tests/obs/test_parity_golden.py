@@ -4,14 +4,35 @@ Each golden scenario replays twice — once untraced, once under a
 RecordingTracer — and both serialized reports must be byte-identical
 to each other *and* to the checked-in golden file.  Any code path that
 lets the tracer influence a scheduling or batching decision breaks
-this test before it breaks a user.
+this test before it breaks a user.  The traced replay's full event
+stream is pinned too, by digest: the report does not carry event
+attributes such as ``tenant_waiting`` or ``window_s``, so a slip in
+them would otherwise go unseen.
 """
+
+import hashlib
 
 import pytest
 from scenarios import SCENARIO_BUILDERS, golden_path
 
-from repro.obs import RecordingTracer
+from repro.obs import RecordingTracer, to_jsonl
 from repro.serve import serialize_report
+
+#: sha256 of ``to_jsonl(events)`` for each golden scenario's traced
+#: replay.  Regenerate alongside the report goldens, and only for an
+#: intentional change to what the serving stack emits.
+EVENT_STREAM_SHA256 = {
+    "tiny": "a141e815a7cf2936369eee42b6147a13e96cf76cc43e056339b8d76edeef9254",
+    "kyber": "8042560866f0eec4ed2ef5ab0af01abea002097c638030b86bfe87319ec70ff6",
+    "mixed-slo":
+        "c417b8f8e18ae4a2916cc5c6fbb38d02dd9ca6ea3cd84e679fcc8fc570f59a10",
+    "overload":
+        "fcf936c0b119bfbfaaba2a6cfd2e7cc2f2019dbcb54258fb24f7858684fe8005",
+    "adaptive":
+        "bae9bfae289b6a7f80e826a5ea133a6fcb199bb02c44c9b8dc3648df26f853e2",
+    "cluster-adaptive":
+        "3b9df19745c612524ce9692f326672b5ba5745a4d8639e698221ae19c3726711",
+}
 
 #: Phases every scenario must exercise (``drop`` needs overload and is
 #: covered separately below).
@@ -35,6 +56,14 @@ def test_traced_replay_is_byte_identical_to_untraced(name):
     traced = serialize_report(build(tracer=tracer))
     assert traced == golden, f"{name}: tracing perturbed the replay"
     assert len(tracer) > 0
+    digest = hashlib.sha256(to_jsonl(tracer.events).encode()).hexdigest()
+    assert digest == EVENT_STREAM_SHA256[name], (
+        f"{name}: the traced event stream changed"
+    )
+
+
+def test_every_scenario_pins_an_event_stream_digest():
+    assert sorted(EVENT_STREAM_SHA256) == sorted(SCENARIO_BUILDERS)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
