@@ -181,25 +181,13 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     from repro.errors import ReproError
     from repro.serve import ReplayConfig, format_serve_report
 
-    if args.slo_ms is not None and args.slo_ms <= 0:
-        # A non-positive budget would silently shed 100% of the load as
-        # deadline_unmet; reject it like the scheduler knobs reject
-        # their misconfigurations.
-        print(f"error: --slo-ms must be > 0, got {args.slo_ms:g}",
-              file=sys.stderr)
-        sys.exit(2)
     try:
         config = ReplayConfig.from_args(args)
         trace = config.build_trace()
         if not trace:
             print("trace is empty; raise --rate or --duration")
             sys.exit(1)
-        if config.chips > 1:
-            from repro.cluster import ClusterSimulator
-
-            simulator = ClusterSimulator(config)
-        else:
-            simulator = config.build_simulator()
+        simulator = config.build_simulator()
         tracer = None
         if config.trace_out is not None:
             from repro.obs import RecordingTracer
@@ -419,15 +407,8 @@ def _check_scenario_trace(scenario: str, scheduler: Optional[str],
     """
     import dataclasses
 
-    from repro.check import CheckingTracer, check_cluster_trace, check_trace
-    from repro.serve import (
-        BatchPolicy,
-        EnginePool,
-        PoolConfig,
-        ServingSimulator,
-        bursty_trace,
-        poisson_trace,
-    )
+    from repro.check import CheckingTracer, check_cluster_trace
+    from repro.serve import ReplayConfig
 
     # SLO scenarios get the slo scheduler and bursty arrivals (the
     # traffic they were designed for); everything else replays fifo.
@@ -437,30 +418,19 @@ def _check_scenario_trace(scenario: str, scheduler: Optional[str],
     # the cluster namespace: fifo numbers lanes per parameter set.
     inner = scheduler.partition(":")[2] or scheduler
     shared_lanes = inner != "fifo"
-    make_trace = bursty_trace if slo_flavored else poisson_trace
-    trace = make_trace(scenario, 400.0, 0.05, seed=seed)
-    scheduler_options = {"queue_limit": 64} if inner == "slo" else {}
-    if chips > 1:
-        if not scheduler.startswith("cluster:"):
-            scheduler = f"cluster:{scheduler}"
-        scheduler_options["chips"] = chips
-    simulator = ServingSimulator(
-        EnginePool(PoolConfig(size=2)), BatchPolicy(max_wait_s=2e-3),
-        scheduler=scheduler,
-        scheduler_options=scheduler_options,
+    config = ReplayConfig(
+        scenario=scenario, arrivals="bursty" if slo_flavored else "poisson",
+        rate=400.0, duration=0.05, seed=seed, chips=chips,
+        # The cluster front door adds the cluster: namespace itself.
+        scheduler=inner if chips > 1 else scheduler,
+        queue_limit=64 if inner == "slo" else None,
     )
+    tracer = CheckingTracer(shared_lanes=shared_lanes)
+    config.build_simulator().replay(config.build_trace(), tracer=tracer)
+    findings = tracer.finish()
     if chips > 1:
-        from repro.obs import RecordingTracer
-
-        tracer = RecordingTracer()
-        simulator.replay(trace, tracer=tracer)
-        findings = check_trace(tracer.events, shared_lanes=shared_lanes)
         findings += check_cluster_trace(
             tracer.events, chips=chips, shared_lanes=shared_lanes)
-    else:
-        tracer = CheckingTracer(shared_lanes=shared_lanes)
-        simulator.replay(trace, tracer=tracer)
-        findings = tracer.finish()
     return [
         dataclasses.replace(d, location=f"{scenario}: {d.location}")
         for d in findings

@@ -16,11 +16,12 @@ double the average work.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.errors import ParameterError
 from repro.serve.config import ReplayConfig
 from repro.serve.metrics import ServeReport
+from repro.serve.pool import EnginePool
 from repro.serve.simulator import ServingSimulator
 
 __all__ = ["ClusterSimulator", "annotate_cluster_metrics", "cluster_imbalance"]
@@ -33,13 +34,16 @@ def _per_chip_busy(report: ServeReport, chips: int) -> List[float]:
     return busy
 
 
-def cluster_imbalance(report: ServeReport, chips: int) -> float:
-    """``max / mean`` of per-chip busy seconds (1.0 = perfectly balanced)."""
-    busy = _per_chip_busy(report, chips)
-    mean = sum(busy) / max(1, chips)
+def _imbalance(busy: List[float]) -> float:
+    mean = sum(busy) / max(1, len(busy))
     if mean <= 0.0:
         return 1.0
     return max(busy) / mean
+
+
+def cluster_imbalance(report: ServeReport, chips: int) -> float:
+    """``max / mean`` of per-chip busy seconds (1.0 = perfectly balanced)."""
+    return _imbalance(_per_chip_busy(report, chips))
 
 
 def annotate_cluster_metrics(report: ServeReport, chips: int) -> float:
@@ -50,6 +54,7 @@ def annotate_cluster_metrics(report: ServeReport, chips: int) -> float:
     simulator plumbing.  Returns the imbalance value.
     """
     busy = _per_chip_busy(report, chips)
+    imbalance = _imbalance(busy)
     served = [0] * chips
     dispatched = [0] * chips
     for batch in report.batches:
@@ -63,9 +68,6 @@ def annotate_cluster_metrics(report: ServeReport, chips: int) -> float:
             registry.gauge("cluster.chip_busy_s", labels).set(busy[chip])
             registry.gauge("cluster.chip_requests", labels).set(served[chip])
             registry.gauge("cluster.chip_batches", labels).set(dispatched[chip])
-    mean = sum(busy) / max(1, chips)
-    imbalance = 1.0 if mean <= 0.0 else max(busy) / mean
-    if registry is not None:
         registry.gauge("cluster.chips").set(chips)
         registry.gauge("cluster.imbalance").set(imbalance)
     return imbalance
@@ -74,7 +76,8 @@ def annotate_cluster_metrics(report: ServeReport, chips: int) -> float:
 class ClusterSimulator:
     """N simulated chips behind one front door, driven by one config."""
 
-    def __init__(self, config: ReplayConfig, *, admission_gate=None):
+    def __init__(self, config: ReplayConfig, *,
+                 pool: Optional[EnginePool] = None, admission_gate=None):
         if not isinstance(config, ReplayConfig):
             raise ParameterError(
                 f"ClusterSimulator takes a ReplayConfig, got "
@@ -82,7 +85,7 @@ class ClusterSimulator:
             )
         self.config = config
         self.chips = config.chips
-        self.pool = config.build_pool()
+        self.pool = pool if pool is not None else config.build_pool()
         self._options = config.effective_scheduler_options()
         self._options["chips"] = config.chips
         self._options["router"] = config.router

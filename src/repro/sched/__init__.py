@@ -8,8 +8,9 @@ protocol so overload behavior, multi-tenant contention, and the
 latency/energy trade become policy, not plumbing:
 
 - :mod:`repro.sched.base` — the protocol (:meth:`admit` / :meth:`place`
-  / :meth:`poll` and friends) plus :class:`GlobalLanePool`, which turns
-  lanes into a shared resource any parameter set can borrow.
+  / :meth:`poll` and friends), :class:`BatchingScheduler`, the queue
+  plumbing every built-in inherits, and :class:`GlobalLanePool`, which
+  turns lanes into a shared resource any parameter set can borrow.
 - :mod:`repro.sched.fifo` — PR 1's behavior, extracted: admit all,
   fixed window, per-parameter round-robin lanes.  The regression
   baseline.
@@ -25,11 +26,13 @@ latency/energy trade become policy, not plumbing:
 
 Pick one with ``ServingSimulator(..., scheduler="slo")`` or
 ``repro.cli serve --scheduler adaptive``; write your own by
-implementing the protocol and registering a factory (see the README's
-"write your own scheduler" walkthrough).
+subclassing :class:`BatchingScheduler` (or implementing the protocol)
+and registering a factory (see the README's "write your own
+scheduler" walkthrough).
 """
 
 from repro.sched.base import (
+    BatchingScheduler,
     GlobalLanePool,
     LaneReport,
     Placement,
@@ -44,6 +47,7 @@ from repro.sched.registry import (
 )
 
 __all__ = [
+    "BatchingScheduler",
     "GlobalLanePool",
     "LaneReport",
     "Placement",

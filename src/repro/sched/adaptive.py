@@ -39,17 +39,15 @@ window, p99 cut by roughly a third.
 
 from __future__ import annotations
 
-import itertools
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import SchedulerError
-from repro.obs.tracer import NULL_TRACER, TraceEvent
-from repro.sched.base import GlobalLanePool, LaneReport, Placement
-from repro.serve.batcher import BatchPolicy, CoalescingBatcher, PolyBatch
+from repro.sched.base import BatchingScheduler, LaneReport, Placement
+from repro.serve.batcher import BatchPolicy, PolyBatch
 from repro.serve.request import Request
 
 
-class AdaptiveScheduler:
+class AdaptiveScheduler(BatchingScheduler):
     """Pressure-scaled windows with idle-lane early dispatch."""
 
     name = "adaptive"
@@ -80,28 +78,10 @@ class AdaptiveScheduler:
             raise SchedulerError(f"pressure must be >= 1, got {pressure}")
         if not 0 < idle_fill <= 1:
             raise SchedulerError(f"idle_fill must be in (0, 1], got {idle_fill}")
-        self.pool = pool
-        self.policy = policy
-        self.backend = backend
+        super().__init__(pool, policy, backend=backend, shared_lanes=True)
         self.pressure = pressure
         self.idle_fill = idle_fill
-        self._lanes = GlobalLanePool(pool.lane_count)
-        self._batcher = CoalescingBatcher(
-            policy,
-            lambda key: pool.capacity(key, backend=backend),
-            id_factory=itertools.count().__next__,
-        )
         self._now = 0.0
-        # Per-tenant queue pressure, maintained only under a live
-        # tracer (the untraced hot path never touches it).
-        self._tenant_waiting: Dict[str, int] = {}
-        self.tracer = NULL_TRACER
-
-    def bind_tracer(self, tracer) -> None:
-        """Route this replay's lifecycle events through ``tracer``."""
-        self.tracer = tracer
-        self._batcher.tracer = tracer
-        self._lanes.tracer = tracer
 
     # -- the load-scaled window -------------------------------------------
 
@@ -136,28 +116,16 @@ class AdaptiveScheduler:
     def enqueue(self, request: Request, now_s: float) -> List[PolyBatch]:
         self._now = now_s
         self._lanes.ensure(request.params_name)
-        full = self._batcher.add(request)
-        if self.tracer.enabled:
-            waiting = self._tenant_waiting.get(request.tenant, 0) + 1
-            self._tenant_waiting[request.tenant] = waiting
-            batch = full if full is not None \
-                else self._batcher.open_batch(request.batch_key)
-            self.tracer.emit(TraceEvent(
-                phase="enqueue", t_s=now_s, request_id=request.request_id,
-                batch_id=None if batch is None else batch.batch_id,
-                kind=request.kind, tenant=request.tenant,
-                attrs={"window_s": self.window_s(),
-                       "tenant_waiting": waiting},
-            ))
-            if full is not None:
-                self._note_dispatched(full)
-        if full is not None:
-            return [full]
-        # Early dispatch happens in poll(), never here: arrivals at one
-        # instant must all coalesce before an idle lane may claim the
-        # batch (the event loop gives arrivals priority on time ties,
-        # and next_event_s fires a wake-up at this same instant).
-        return []
+        # Only a filled batch leaves here.  Early dispatch happens in
+        # poll(): arrivals at one instant must all coalesce before an
+        # idle lane may claim the batch (the event loop gives arrivals
+        # priority on time ties, and next_event_s fires a wake-up at
+        # this same instant).
+        return self._add(request, now_s)
+
+    def _enqueue_attrs(self) -> Dict[str, object]:
+        # Read after a filled batch left the queue.
+        return {"window_s": self.window_s()}
 
     def waiting(self) -> int:
         return len(self._batcher)
@@ -206,23 +174,11 @@ class AdaptiveScheduler:
             for group in eligible[:max(0, spare)]:
                 out.append(self._batcher.pop(group))
                 changed = True
-        if self.tracer.enabled:
-            for batch in out:
-                self._note_dispatched(batch)
         return out
 
     def flush(self, now_s: float) -> List[PolyBatch]:
         self._now = now_s
-        out = [self._batcher.pop(group) for group, _ in self._oldest_first()]
-        if self.tracer.enabled:
-            for batch in out:
-                self._note_dispatched(batch)
-        return out
-
-    def _note_dispatched(self, batch: PolyBatch) -> None:
-        for member in batch.requests:
-            self._tenant_waiting[member.tenant] = \
-                self._tenant_waiting.get(member.tenant, 1) - 1
+        return [self._batcher.pop(group) for group, _ in self._oldest_first()]
 
     def _oldest_first(self) -> List[tuple]:
         return sorted(self._batcher.open_items(),
@@ -232,8 +188,8 @@ class AdaptiveScheduler:
     # -- placement ---------------------------------------------------------
 
     def place(self, batch: PolyBatch, now_s: float) -> Placement:
-        latency = self.pool.profile(batch.key, backend=self.backend).latency_s
-        return self._lanes.placement(batch.key[0], now_s, latency,
+        return self._lanes.placement(batch.key[0], now_s,
+                                     self._service_s(batch.key),
                                      batch_id=batch.batch_id)
 
     def lane_report(self) -> LaneReport:

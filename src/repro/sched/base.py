@@ -30,26 +30,33 @@ The protocol decomposes a replay into seven calls:
 - :meth:`Scheduler.lane_report` — total lanes and busy time, for the
   report's utilization number.
 
+The built-ins share their queue plumbing through
+:class:`BatchingScheduler`: it owns the coalescing batcher (per-replay
+batch ids, capacity from the pool), the tracer binding, the service
+time of a batch key and the one ``enqueue`` event, so each policy keeps
+only its own decisions.
+
 Two lane models ship with the built-ins.  The ``fifo`` scheduler keeps
 PR 1's semantics: every parameter set owns ``pool.lane_count`` private
-lanes.  The global schedulers (``slo``, ``adaptive``) instead treat
-lanes as one shared resource via :class:`GlobalLanePool`: the same
-physical subarray gangs, but any of them can be re-targeted to any
-parameter set (engine construction is cheap and compiled programs are
-cached in the pool), so idle Kyber capacity absorbs Dilithium or HE
-bursts.  The pool grows by ``lanes_per_params`` for each distinct
-parameter set a trace touches — hardware identical to the per-parameter
-model, assignment flexible.
+lanes, which the scheduler itself round-robins.  The global schedulers
+(``slo``, ``adaptive``) instead treat lanes as one shared resource via
+:class:`GlobalLanePool`: the same physical subarray gangs, but any of
+them can be re-targeted to any parameter set (engine construction is
+cheap and compiled programs are cached in the pool), so idle Kyber
+capacity absorbs Dilithium or HE bursts.  The pool grows by
+``lanes_per_params`` for each distinct parameter set a trace touches —
+hardware identical to the per-parameter model, assignment flexible.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Set, Tuple, runtime_checkable
+from typing import Callable, Dict, List, Optional, Protocol, Set, Tuple, runtime_checkable
 
 from repro.errors import SchedulerError
 from repro.obs.tracer import NULL_TRACER, TraceEvent
-from repro.serve.batcher import PolyBatch
+from repro.serve.batcher import BatchPolicy, CoalescingBatcher, PolyBatch
 from repro.serve.request import Request
 
 
@@ -151,9 +158,7 @@ class GlobalLanePool:
         self.last_params: Dict[int, Optional[str]] = {}
         self.busy_s = 0.0
         self._known: Set[str] = set()
-        # Bound by the owning scheduler's bind_tracer; lane_start /
-        # lane_finish events are emitted at placement time (the finish
-        # instant is already known on the simulated clock).
+        # Bound by the owning scheduler's bind_tracer.
         self.tracer = NULL_TRACER
 
     def __len__(self) -> int:
@@ -216,18 +221,92 @@ class GlobalLanePool:
         self.free_at[lane] = start + latency_s
         self.last_params[lane] = params_name
         self.busy_s += latency_s
-        if self.tracer.enabled:
-            attrs = {"params": params_name}
-            self.tracer.emit(TraceEvent(
-                phase="lane_start", t_s=start, lane=lane,
-                batch_id=batch_id, attrs=attrs,
-            ))
-            self.tracer.emit(TraceEvent(
-                phase="lane_finish", t_s=start + latency_s, lane=lane,
-                batch_id=batch_id, attrs=attrs,
-            ))
+        emit_lane_span(self.tracer, lane, start, latency_s, params_name,
+                       batch_id)
         return lane, start
 
     def report(self) -> LaneReport:
         return LaneReport(total_lanes=max(1, len(self.free_at)),
                           busy_s=self.busy_s)
+
+
+def emit_lane_span(tracer, lane: int, start_s: float, latency_s: float,
+                   params_name: str, batch_id: Optional[int]) -> None:
+    """Emit the ``lane_start``/``lane_finish`` pair of one placed batch.
+
+    Both are emitted at placement time: the finish instant is already
+    known on the simulated clock.
+    """
+    if not tracer.enabled:
+        return
+    attrs = {"params": params_name}
+    tracer.emit(TraceEvent(phase="lane_start", t_s=start_s, lane=lane,
+                           batch_id=batch_id, attrs=attrs))
+    tracer.emit(TraceEvent(phase="lane_finish", t_s=start_s + latency_s,
+                           lane=lane, batch_id=batch_id, attrs=attrs))
+
+
+class BatchingScheduler:
+    """Queue plumbing the built-in schedulers share; subclass for a policy.
+
+    Owns the :class:`~repro.serve.batcher.CoalescingBatcher` (per-replay
+    batch ids, so two replays of one trace give byte-identical reports;
+    capacity from the pool), optionally a :class:`GlobalLanePool`, the
+    tracer binding, the service time of a batch key and the one
+    ``enqueue`` event.  The batcher keeps the waiting counts, total and
+    per tenant.  A subclass implements the protocol's policy methods on
+    top of ``self._batcher`` and queues through :meth:`_add`.
+    """
+
+    def __init__(self, pool, policy: BatchPolicy, *, backend: str = "model",
+                 group_of: Optional[Callable[[Request], tuple]] = None,
+                 shared_lanes: bool = False):
+        self.pool = pool
+        self.policy = policy
+        self.backend = backend
+        self._batcher = CoalescingBatcher(
+            policy,
+            lambda key: pool.capacity(key, backend=backend),
+            id_factory=itertools.count().__next__,
+            group_of=group_of,
+        )
+        self._lanes = GlobalLanePool(pool.lane_count) if shared_lanes \
+            else None
+        self.tracer = NULL_TRACER
+
+    def bind_tracer(self, tracer) -> None:
+        """Route this replay's lifecycle events through ``tracer``."""
+        self.tracer = tracer
+        self._batcher.tracer = tracer
+        if self._lanes is not None:
+            self._lanes.tracer = tracer
+
+    def _service_s(self, key: tuple) -> float:
+        """Latency of one invocation for ``key`` on this backend."""
+        return self.pool.profile(key, backend=self.backend).latency_s
+
+    def _add(self, request: Request, now_s: float) -> List[PolyBatch]:
+        """Queue ``request``; returns the batch it filled, if any."""
+        full = self._batcher.add(request)
+        if self.tracer.enabled:
+            waiting = self._batcher.tenant_waiting(request.tenant)
+            if full is None:
+                batch = self._batcher.open_batch(
+                    self._batcher.group_of(request))
+            else:
+                # The arrival's own batch counts even though filling it
+                # just took it off the queue.
+                batch = full
+                waiting += sum(1 for member in full.requests
+                               if member.tenant == request.tenant)
+            self.tracer.emit(TraceEvent(
+                phase="enqueue", t_s=now_s, request_id=request.request_id,
+                batch_id=batch.batch_id, kind=request.kind,
+                tenant=request.tenant,
+                attrs={**self._enqueue_attrs(), "tenant_waiting": waiting},
+            ))
+        return [] if full is None else [full]
+
+    def _enqueue_attrs(self) -> Dict[str, object]:
+        """Policy attrs for the enqueue event, read after the add."""
+        return {}

@@ -11,17 +11,15 @@ simulator's numbers exactly — asserted in ``tests/sched``.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SchedulerError
-from repro.obs.tracer import NULL_TRACER, TraceEvent
-from repro.sched.base import LaneReport, Placement
-from repro.serve.batcher import BatchPolicy, CoalescingBatcher, PolyBatch
+from repro.sched.base import BatchingScheduler, LaneReport, Placement, emit_lane_span
+from repro.serve.batcher import BatchPolicy, PolyBatch
 from repro.serve.request import Request
 
 
-class FifoScheduler:
+class FifoScheduler(BatchingScheduler):
     """Admit-all, fixed-window coalescing, per-parameter round-robin."""
 
     name = "fifo"
@@ -32,28 +30,12 @@ class FifoScheduler:
             raise SchedulerError(
                 f"fifo scheduler takes no options, got {sorted(options)}"
             )
-        self.pool = pool
-        self.policy = policy
-        self.backend = backend
-        self._batcher = CoalescingBatcher(
-            policy,
-            lambda key: pool.capacity(key, backend=backend),
-            id_factory=itertools.count().__next__,
-        )
+        super().__init__(pool, policy, backend=backend)
         self._free_at: Dict[Tuple[str, int], float] = {}
         self._busy_s: Dict[Tuple[str, int], float] = {}
-        # Per-replay round-robin state (the pool's own counter would
-        # leak phase between replays and break report determinism).
+        # Per-replay round-robin state, so lane phase never leaks
+        # between replays.
         self._rr: Dict[str, int] = {}
-        # Per-tenant queue pressure, maintained only under a live
-        # tracer (the untraced hot path never touches it).
-        self._tenant_waiting: Dict[str, int] = {}
-        self.tracer = NULL_TRACER
-
-    def bind_tracer(self, tracer) -> None:
-        """Route this replay's lifecycle events through ``tracer``."""
-        self.tracer = tracer
-        self._batcher.tracer = tracer
 
     # -- admission and queueing -------------------------------------------
 
@@ -61,26 +43,7 @@ class FifoScheduler:
         return None  # fifo never drops
 
     def enqueue(self, request: Request, now_s: float) -> List[PolyBatch]:
-        full = self._batcher.add(request)
-        if self.tracer.enabled:
-            waiting = self._tenant_waiting.get(request.tenant, 0) + 1
-            self._tenant_waiting[request.tenant] = waiting
-            batch = full if full is not None \
-                else self._batcher.open_batch(request.batch_key)
-            self.tracer.emit(TraceEvent(
-                phase="enqueue", t_s=now_s, request_id=request.request_id,
-                batch_id=None if batch is None else batch.batch_id,
-                kind=request.kind, tenant=request.tenant,
-                attrs={"tenant_waiting": waiting},
-            ))
-            if full is not None:
-                self._note_dispatched(full)
-        return [full] if full is not None else []
-
-    def _note_dispatched(self, batch: PolyBatch) -> None:
-        for member in batch.requests:
-            self._tenant_waiting[member.tenant] = \
-                self._tenant_waiting.get(member.tenant, 1) - 1
+        return self._add(request, now_s)
 
     def waiting(self) -> int:
         return len(self._batcher)
@@ -91,18 +54,10 @@ class FifoScheduler:
         return self._batcher.next_deadline_s()
 
     def poll(self, now_s: float) -> List[PolyBatch]:
-        batches = self._batcher.take_expired(now_s)
-        if self.tracer.enabled:
-            for batch in batches:
-                self._note_dispatched(batch)
-        return batches
+        return self._batcher.take_expired(now_s)
 
     def flush(self, now_s: float) -> List[PolyBatch]:
-        batches = self._batcher.drain()
-        if self.tracer.enabled:
-            for batch in batches:
-                self._note_dispatched(batch)
-        return batches
+        return self._batcher.drain()
 
     # -- placement ---------------------------------------------------------
 
@@ -112,19 +67,11 @@ class FifoScheduler:
         self._rr[params_name] = (lane + 1) % self.pool.lane_count
         lane_key = (params_name, lane)
         start = max(now_s, self._free_at.get(lane_key, 0.0))
-        latency = self.pool.profile(batch.key, backend=self.backend).latency_s
+        latency = self._service_s(batch.key)
         self._free_at[lane_key] = start + latency
         self._busy_s[lane_key] = self._busy_s.get(lane_key, 0.0) + latency
-        if self.tracer.enabled:
-            attrs = {"params": params_name}
-            self.tracer.emit(TraceEvent(
-                phase="lane_start", t_s=start, lane=lane,
-                batch_id=batch.batch_id, attrs=attrs,
-            ))
-            self.tracer.emit(TraceEvent(
-                phase="lane_finish", t_s=start + latency, lane=lane,
-                batch_id=batch.batch_id, attrs=attrs,
-            ))
+        emit_lane_span(self.tracer, lane, start, latency, params_name,
+                       batch.batch_id)
         return Placement(lane=lane, pool_lane=lane, start_s=start)
 
     def lane_report(self) -> LaneReport:

@@ -33,13 +33,11 @@ tenant's burst.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from repro.errors import SchedulerError
-from repro.obs.tracer import NULL_TRACER, TraceEvent
-from repro.sched.base import GlobalLanePool, LaneReport, Placement
-from repro.serve.batcher import BatchPolicy, CoalescingBatcher, PolyBatch
+from repro.sched.base import BatchingScheduler, LaneReport, Placement
+from repro.serve.batcher import BatchPolicy, PolyBatch
 from repro.serve.request import Request
 
 #: Drop reasons the admission path can return.
@@ -47,7 +45,7 @@ DROP_QUEUE_FULL = "queue_full"
 DROP_DEADLINE_UNMET = "deadline_unmet"
 
 
-class SLOScheduler:
+class SLOScheduler(BatchingScheduler):
     """Bounded queues, per-request deadlines, DRR tenant fairness."""
 
     name = "slo"
@@ -71,28 +69,14 @@ class SLOScheduler:
                 raise SchedulerError(
                     f"tenant {tenant!r} weight must be > 0, got {weight}"
                 )
-        self.pool = pool
-        self.policy = policy
-        self.backend = backend
-        self.queue_limit = queue_limit
-        self.quantum = quantum
-        self._lanes = GlobalLanePool(pool.lane_count)
-        self._batcher = CoalescingBatcher(
-            policy,
-            lambda key: pool.capacity(key, backend=backend),
-            id_factory=itertools.count().__next__,
+        super().__init__(
+            pool, policy, backend=backend, shared_lanes=True,
             group_of=lambda request: (request.tenant, request.batch_key),
         )
-        self._tenant_waiting: Dict[str, int] = {}
+        self.queue_limit = queue_limit
+        self.quantum = quantum
         self._deficit: Dict[str, float] = {}
         self._last_tenant: Optional[str] = None
-        self.tracer = NULL_TRACER
-
-    def bind_tracer(self, tracer) -> None:
-        """Route this replay's lifecycle events through ``tracer``."""
-        self.tracer = tracer
-        self._batcher.tracer = tracer
-        self._lanes.tracer = tracer
 
     # -- weighted shares ---------------------------------------------------
 
@@ -115,9 +99,6 @@ class SLOScheduler:
             total += 1.0
         return max(1, round(self.queue_limit * self.weight(tenant) / total))
 
-    def _service_s(self, key: tuple) -> float:
-        return self.pool.profile(key, backend=self.backend).latency_s
-
     # -- admission and queueing -------------------------------------------
 
     def admit(self, request: Request, now_s: float) -> Optional[str]:
@@ -126,35 +107,13 @@ class SLOScheduler:
                 return DROP_DEADLINE_UNMET
         if len(self._batcher) >= self.queue_limit:
             return DROP_QUEUE_FULL
-        if self._tenant_waiting.get(request.tenant, 0) >= self.share(request.tenant):
+        if self._batcher.tenant_waiting(request.tenant) >= self.share(request.tenant):
             return DROP_QUEUE_FULL
         return None
 
     def enqueue(self, request: Request, now_s: float) -> List[PolyBatch]:
         self._lanes.ensure(request.params_name)
-        self._tenant_waiting[request.tenant] = \
-            self._tenant_waiting.get(request.tenant, 0) + 1
-        full = self._batcher.add(request)
-        if self.tracer.enabled:
-            batch = full if full is not None else self._batcher.open_batch(
-                (request.tenant, request.batch_key)
-            )
-            self.tracer.emit(TraceEvent(
-                phase="enqueue", t_s=now_s, request_id=request.request_id,
-                batch_id=None if batch is None else batch.batch_id,
-                kind=request.kind, tenant=request.tenant,
-                attrs={"tenant_waiting":
-                       self._tenant_waiting[request.tenant]},
-            ))
-        if full is not None:
-            self._tenant_waiting[request.tenant] -= full.size
-            return [full]
-        return []
-
-    def _pop(self, group: Tuple[str, tuple]) -> PolyBatch:
-        batch = self._batcher.pop(group)
-        self._tenant_waiting[group[0]] -= batch.size
-        return batch
+        return self._add(request, now_s)
 
     def waiting(self) -> int:
         return len(self._batcher)
@@ -182,11 +141,10 @@ class SLOScheduler:
             group for group, batch in self._batcher.open_items()
             if self._dispatch_deadline_s(batch) <= now_s
         ]
-        return self._drr_order([self._pop(group) for group in expired])
+        return self._drr_order([self._batcher.pop(group) for group in expired])
 
     def flush(self, now_s: float) -> List[PolyBatch]:
-        groups = [group for group, _ in self._batcher.open_items()]
-        return self._drr_order([self._pop(group) for group in groups])
+        return self._drr_order(self._batcher.drain())
 
     def _drr_order(self, batches: List[PolyBatch]) -> List[PolyBatch]:
         """Deficit-round-robin dispatch order over the batches' tenants.

@@ -127,8 +127,12 @@ class CoalescingBatcher:
         self.policy = policy
         self.capacity_of = capacity_of
         self._id_factory = id_factory or (lambda: next(_batch_ids))
-        self._group_of = group_of or (lambda request: request.batch_key)
+        self.group_of = group_of or (lambda request: request.batch_key)
         self._open: Dict[tuple, PolyBatch] = {}
+        # Running counts of the requests in open batches, kept on every
+        # add and close so readers never rescan the open batches.
+        self._waiting = 0
+        self._tenant_waiting: Dict[str, int] = {}
         # Observability seam: schedulers bind the replay's tracer here
         # (see Scheduler.bind_tracer); batch_open events mark the
         # batch-formation stage of the request lifecycle.  Emission is
@@ -138,11 +142,15 @@ class CoalescingBatcher:
 
     def __len__(self) -> int:
         """Requests currently waiting in open batches."""
-        return sum(b.size for b in self._open.values())
+        return self._waiting
+
+    def tenant_waiting(self, tenant: str) -> int:
+        """Requests of ``tenant`` currently waiting in open batches."""
+        return self._tenant_waiting.get(tenant, 0)
 
     def add(self, request: Request) -> Optional[PolyBatch]:
         """Admit one request; returns the batch if this filled it."""
-        group = self._group_of(request)
+        group = self.group_of(request)
         batch = self._open.get(group)
         if batch is None:
             capacity = self.policy.effective_capacity(
@@ -162,8 +170,11 @@ class CoalescingBatcher:
                            "capacity": capacity},
                 ))
         batch.add(request)
+        self._waiting += 1
+        tenant = request.tenant
+        self._tenant_waiting[tenant] = self._tenant_waiting.get(tenant, 0) + 1
         if batch.full:
-            return self._open.pop(group)
+            return self.pop(group)
         return None
 
     def open_batch(self, group: tuple) -> Optional[PolyBatch]:
@@ -180,7 +191,11 @@ class CoalescingBatcher:
 
     def pop(self, group: tuple) -> PolyBatch:
         """Close and return one open batch by its group."""
-        return self._open.pop(group)
+        batch = self._open.pop(group)
+        self._waiting -= batch.size
+        for request in batch.requests:
+            self._tenant_waiting[request.tenant] -= 1
+        return batch
 
     def next_deadline_s(self) -> float:
         """Earliest max-wait expiry among open batches (inf when idle)."""
@@ -194,10 +209,12 @@ class CoalescingBatcher:
             key for key, b in self._open.items()
             if b.deadline_s(self.policy) <= now_s
         ]
-        return [self._open.pop(key) for key in ready]
+        return [self.pop(key) for key in ready]
 
     def drain(self) -> List[PolyBatch]:
         """Pop all open batches (end of trace)."""
         batches = list(self._open.values())
         self._open.clear()
+        self._waiting = 0
+        self._tenant_waiting.clear()
         return batches

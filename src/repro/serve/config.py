@@ -150,12 +150,18 @@ class ReplayConfig:
 
     def build_simulator(self, pool: Optional[EnginePool] = None, *,
                         admission_gate=None):
-        """A single-chip :class:`~repro.serve.simulator.ServingSimulator`.
+        """The simulator this config describes.
 
-        The cluster front door (``chips > 1``) lives in
-        :class:`repro.cluster.ClusterSimulator`, which consumes the
-        whole config including the chip/router fields.
+        One chip gets a plain
+        :class:`~repro.serve.simulator.ServingSimulator`; ``chips > 1``
+        gets the :class:`repro.cluster.ClusterSimulator` front door,
+        which also consumes the chip and router fields.
         """
+        if self.chips > 1:
+            from repro.cluster import ClusterSimulator
+
+            return ClusterSimulator(self, pool=pool,
+                                    admission_gate=admission_gate)
         from repro.serve.simulator import ServingSimulator
 
         return ServingSimulator(

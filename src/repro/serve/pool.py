@@ -5,7 +5,7 @@ execution backend resolved through the :mod:`repro.backends` registry,
 built on first use and cached for the life of the pool so compiled
 programs are reused across every batch it serves — the CTRL/CMD
 subarray's "store the program once" story lifted to the serving layer.
-Batches round-robin across lanes.
+The scheduler picks the lane of every batch (:mod:`repro.sched`).
 
 Any registered backend can serve a batch (``repro.cli backends`` lists
 them); the built-ins are:
@@ -23,9 +23,8 @@ them); the built-ins are:
   the same cost tables.
 
 Stateful backends (real subarrays) get one private instance per lane;
-pure backends share a single instance across every lane.  The legacy
-module attribute ``EXECUTION_MODES`` is kept for compatibility and now
-derives from :func:`repro.backends.available_backends`.
+pure backends share a single instance across every lane.
+:func:`repro.backends.available_backends` lists the registered names.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.backends import available_backends, get_backend
+from repro.backends import get_backend
 from repro.backends.base import Backend
 from repro.core.engine import BPNTTEngine
 from repro.errors import ParameterError
@@ -42,14 +41,6 @@ from repro.obs.tracer import NULL_TRACER, TraceEvent
 from repro.serve.batcher import PolyBatch
 from repro.sram.cost import CostReport
 from repro.sram.energy import TECH_45NM, TechnologyModel
-
-
-def __getattr__(name: str):
-    # Legacy constant, now derived from the registry so newly registered
-    # backends appear without this module knowing their names.
-    if name == "EXECUTION_MODES":
-        return available_backends()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -108,14 +99,13 @@ class ServiceProfile:
 
 
 class EnginePool:
-    """Cached backends per parameter set, with round-robin lane dispatch."""
+    """Cached backends and service profiles per parameter set."""
 
     def __init__(self, config: PoolConfig = PoolConfig()):
         self.config = config
         self._templates: Dict[str, BPNTTEngine] = {}
         self._lanes: Dict[Tuple[str, str], List[Backend]] = {}
         self._profiles: Dict[Tuple[str, tuple], ServiceProfile] = {}
-        self._rr: Dict[str, int] = {}
         # The simulator binds the replay's tracer here; profile events
         # record each Backend.profile pricing (cache misses only —
         # profiles are cached for the life of the pool).
@@ -177,10 +167,6 @@ class EnginePool:
             self._lanes[key] = lanes
         return self._lanes[key]
 
-    def lanes(self, params_name: str) -> List[Backend]:
-        """Back-compat alias: the interpreter (``sram``) lane engines."""
-        return self.backend_lanes("sram", params_name)
-
     @property
     def lane_count(self) -> int:
         return self.config.size
@@ -199,12 +185,6 @@ class EnginePool:
         lane = self.backend_lanes(backend, key[0])[0]
         return min(base, lane.capabilities().batch)
 
-    def next_lane(self, params_name: str) -> int:
-        """Round-robin lane index for the next batch of a parameter set."""
-        index = self._rr.get(params_name, 0)
-        self._rr[params_name] = (index + 1) % self.config.size
-        return index
-
     # -- pricing -----------------------------------------------------------
 
     def profile(self, key: tuple, *, backend: str = "model") -> ServiceProfile:
@@ -212,8 +192,6 @@ class EnginePool:
 
         Priced through ``Backend.profile`` and cached per (backend,
         key): a backend with its own cost model gets its own numbers.
-        Backends that price identically — the built-ins do, asserted in
-        the tests — share one interned ``ServiceProfile`` object.
         """
         cache_key = (backend, key)
         if cache_key not in self._profiles:
@@ -223,10 +201,6 @@ class EnginePool:
             profile = ServiceProfile.from_cost(
                 key, cost, self.capacity(key, backend=backend)
             )
-            for (_, other_key), existing in self._profiles.items():
-                if other_key == key and existing == profile:
-                    profile = existing
-                    break
             self._profiles[cache_key] = profile
             if self.tracer.enabled:
                 # Pricing has no place on the trace clock; profile
@@ -244,27 +218,16 @@ class EnginePool:
     # -- serving -----------------------------------------------------------
 
     def serve(self, batch: PolyBatch, *, backend: Optional[str] = None,
-              lane: Optional[int] = None,
-              mode: Optional[str] = None) -> Tuple[List[List[int]], ServiceProfile, int]:
-        """Serve one batch; returns (results, profile, lane index).
+              lane: int) -> Tuple[List[List[int]], ServiceProfile, int]:
+        """Serve one batch on ``lane``; returns (results, profile, lane).
 
         ``results`` is one coefficient list per live request, in batch
         order.  ``backend`` names any registered execution backend
         (default ``"model"``).  All backends charge the same profile.
         """
-        if mode is not None:
-            # The alias warned as deprecated for two releases; the
-            # keyword survives only to point migrators at backend=.
-            raise TypeError(
-                "EnginePool.serve() no longer accepts mode=; "
-                "pass backend= (the mode= alias was removed after its "
-                "deprecation window)"
-            )
         name = backend if backend is not None else "model"
         get_backend(name)  # raises BackendError when the name is unknown
         params_name, op, operand = batch.key
-        if lane is None:
-            lane = self.next_lane(params_name)
         if not 0 <= lane < self.config.size:
             raise ParameterError(
                 f"lane {lane} out of range for pool size {self.config.size}"

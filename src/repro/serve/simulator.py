@@ -35,18 +35,10 @@ class ServingSimulator:
     """Replays traces; accumulates nothing between :meth:`replay` calls."""
 
     def __init__(self, pool: EnginePool, policy: BatchPolicy = BatchPolicy(), *,
-                 backend: Optional[str] = None, mode: Optional[str] = None,
+                 backend: Optional[str] = None,
                  scheduler: Union[str, Callable] = "fifo",
                  scheduler_options: Optional[Dict[str, Any]] = None,
                  admission_gate: Optional[Callable[[Request], Optional[str]]] = None):
-        if mode is not None:
-            # The alias warned as deprecated for two releases; the
-            # keyword survives only to point migrators at backend=.
-            raise TypeError(
-                "ServingSimulator no longer accepts mode=; "
-                "pass backend= (the mode= alias was removed after its "
-                "deprecation window)"
-            )
         self.pool = pool
         self.policy = policy
         self.backend = backend if backend is not None else "model"

@@ -24,7 +24,7 @@ class TestCostModelAgreesWithExecutor:
         eng = BPNTTEngine(params, width=8, rows=32, cols=32)
         eng.load([[1] * 8] * eng.batch)
         report = eng.ntt()
-        program = eng._get_program("ntt")
+        program = eng.compiled_program("ntt")
         cost = program_cost(program, TECH_45NM)
         assert cost.cycles == report.cycles
         assert cost.energy_pj == pytest.approx(report.energy_nj * 1000)
@@ -35,7 +35,7 @@ class TestCostModelAgreesWithExecutor:
         eng = BPNTTEngine(params, width=8, rows=16, cols=32)
         eng.load([[2] * 16] * eng.batch)
         report = eng.ntt()
-        cost = program_cost(eng._get_program("ntt"), TECH_45NM)
+        cost = program_cost(eng.compiled_program("ntt"), TECH_45NM)
         assert (cost.cycles, cost.shift_count) == (report.cycles, report.shift_count)
 
 

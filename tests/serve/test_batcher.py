@@ -1,9 +1,13 @@
 """Coalescing, padding, rejection, and max-wait expiry."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CapacityError, ParameterError
+from repro.ntt.params import STANDARD_PARAMS, NTTParams
 from repro.serve.batcher import BatchPolicy, CoalescingBatcher, PolyBatch
+from repro.serve.request import Request
 
 TINY_N = 16
 
@@ -171,3 +175,68 @@ class TestEdgeCases:
         )
         ids = [batcher.add(tiny_request(i)).batch_id for i in range(3)]
         assert ids == [0, 1, 2]
+
+
+# -- generated interleavings: the waiting counters match a recount ------------
+
+PROP_RING = "tiny-batcher-prop"
+TENANTS = ("a", "b", "c")
+OPS = ("ntt", "intt")
+GROUPINGS = {
+    "by-key": None,
+    "by-tenant-and-key": lambda request: (request.tenant, request.batch_key),
+}
+
+steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.sampled_from(TENANTS),
+                  st.sampled_from(OPS)),
+        st.tuples(st.just("pop"), st.integers(min_value=0, max_value=7)),
+        st.tuples(st.just("take_expired"),
+                  st.floats(min_value=0.0, max_value=3e-3)),
+        st.tuples(st.just("drain")),
+    ),
+    max_size=60,
+)
+
+
+@pytest.fixture(scope="module")
+def prop_ring():
+    STANDARD_PARAMS[PROP_RING] = NTTParams(n=TINY_N, q=97,
+                                           name="batcher property ring")
+    yield PROP_RING
+    STANDARD_PARAMS.pop(PROP_RING, None)
+
+
+def assert_counts_match(batcher):
+    members = [request for _, batch in batcher.open_items()
+               for request in batch.requests]
+    assert len(batcher) == len(members)
+    for tenant in TENANTS:
+        assert batcher.tenant_waiting(tenant) == sum(
+            1 for request in members if request.tenant == tenant)
+
+
+@pytest.mark.parametrize("grouping", sorted(GROUPINGS))
+@settings(max_examples=60, deadline=None)
+@given(steps=steps)
+def test_waiting_counts_match_a_recount(prop_ring, grouping, steps):
+    batcher = CoalescingBatcher(BatchPolicy(max_wait_s=1e-3), capacity_of,
+                                group_of=GROUPINGS[grouping])
+    now = 0.0
+    for request_id, (action, *args) in enumerate(steps):
+        now += 1e-4
+        if action == "add":
+            tenant, op = args
+            batcher.add(Request(
+                request_id=request_id, op=op, params_name=prop_ring,
+                payload=tuple(range(TINY_N)), arrival_s=now, tenant=tenant))
+        elif action == "pop":
+            groups = [group for group, _ in batcher.open_items()]
+            if groups:
+                batcher.pop(groups[args[0] % len(groups)])
+        elif action == "take_expired":
+            batcher.take_expired(now + args[0])
+        else:
+            batcher.drain()
+        assert_counts_match(batcher)

@@ -99,6 +99,13 @@ class TestBuildHelpers:
         assert report.count > 0
         assert report.scheduler == "fifo"
 
+    def test_build_simulator_honors_the_cluster_fields(self):
+        config = ReplayConfig(chips=4, scenario="kyber", rate=2000.0,
+                              duration=0.01)
+        report = config.build_simulator().replay(config.build_trace())
+        assert report.scheduler == "cluster:fifo"
+        assert report.registry.gauge("cluster.chips").value == 4
+
     def test_bad_scheduler_options_still_fail_loudly(self):
         config = ReplayConfig(scenario="ntt", rate=400.0, duration=0.05,
                               seed=5, scheduler="adaptive", queue_limit=8)

@@ -197,7 +197,7 @@ class TestCheapCommands:
                   "--duration", "0.05", "--pool-size", "1", "--seed", "5",
                   "--scheduler", "slo", "--slo-ms", "-5"])
         assert excinfo.value.code == 2
-        assert "--slo-ms must be > 0" in capsys.readouterr().err
+        assert "slo_ms must be > 0" in capsys.readouterr().err
 
     def test_queue_limit_rejected_by_non_slo_scheduler(self, capsys):
         # --queue-limit must not be a silent no-op: a scheduler that
