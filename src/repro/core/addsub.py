@@ -41,8 +41,7 @@ def emit_resolve(program: Program, layout: DataLayout) -> None:
     program.begin_section("carry_resolve")
     program.emit(ShiftRow(s.carry, s.carry, ShiftDirection.LEFT))
     program.emit(BinaryPair(s.sum, s.sum, s.carry))
-    for _ in range(layout.width - 1):
-        program.emit(CarryStep(s.sum, s.sum))
+    program.extend([CarryStep(s.sum, s.sum)] * (layout.width - 1))
     program.end_section()
 
 
@@ -59,8 +58,7 @@ def emit_cond_subtract(program: Program, layout: DataLayout, x_row: int) -> None
     program.begin_section("cond_subtract")
     program.emit(Unary(UnaryOp.NOT, s.t0, s.mod, set_lsb=True))
     program.emit(BinaryPair(s.t1, x_row, s.t0))
-    for _ in range(layout.width):
-        program.emit(CarryStep(s.t1, s.t1))
+    program.extend([CarryStep(s.t1, s.t1)] * layout.width)
     program.emit(CheckCarry())
     program.emit(CopyGated(x_row, s.t1))
     program.end_section()
@@ -79,8 +77,7 @@ def emit_mod_add(program: Program, layout: DataLayout, dst: int, a_row: int, b_r
     program.emit(BinaryPair(dst, a_row, b_row))
     # a + b < 2M < 2^w: the value settles within width-1 rounds and no
     # carry leaves the tile.
-    for _ in range(layout.width - 1):
-        program.emit(CarryStep(dst, dst))
+    program.extend([CarryStep(dst, dst)] * (layout.width - 1))
     program.end_section()
     emit_cond_subtract(program, layout, dst)
 
@@ -97,12 +94,10 @@ def emit_mod_sub(program: Program, layout: DataLayout, dst: int, a_row: int, b_r
     program.begin_section("mod_sub")
     program.emit(Unary(UnaryOp.NOT, s.t0, b_row))
     program.emit(BinaryPair(dst, a_row, s.t0, carry_in=True))
-    for _ in range(layout.width):
-        program.emit(CarryStep(dst, dst))
+    program.extend([CarryStep(dst, dst)] * layout.width)
     program.emit(CheckCarry(invert=True))
     program.emit(BinaryPair(dst, dst, s.mod, gate_operand1=True))
-    for _ in range(layout.width - 1):
-        program.emit(CarryStep(dst, dst))
+    program.extend([CarryStep(dst, dst)] * (layout.width - 1))
     program.end_section()
 
 
@@ -119,8 +114,8 @@ def emit_fetch(program: Program, layout: DataLayout, dst: int, src_row: int,
         return src_row
     program.begin_section("spill_fetch")
     program.emit(Unary(UnaryOp.COPY, dst, src_row))
-    for _ in range(tile_offset * layout.width):
-        program.emit(ShiftRow(dst, dst, ShiftDirection.RIGHT, segmented=False))
+    program.extend([ShiftRow(dst, dst, ShiftDirection.RIGHT, segmented=False)]
+                   * (tile_offset * layout.width))
     program.end_section()
     return dst
 
@@ -145,9 +140,8 @@ def emit_store(program: Program, layout: DataLayout, value_row: int, dst_row: in
         source = value_row
     else:
         program.emit(Unary(UnaryOp.COPY, shuttle_row, value_row))
-        for _ in range(tile_offset * layout.width):
-            program.emit(ShiftRow(shuttle_row, shuttle_row, ShiftDirection.LEFT,
-                                  segmented=False))
+        program.extend([ShiftRow(shuttle_row, shuttle_row, ShiftDirection.LEFT,
+                                 segmented=False)] * (tile_offset * layout.width))
         source = shuttle_row
     program.emit(SetFlags(layout.offset_tile_mask(tile_offset)))
     program.emit(CopyGated(dst_row, source))

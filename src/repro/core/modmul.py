@@ -63,34 +63,34 @@ def emit_modmul(program: Program, layout: DataLayout, twiddle: int, b_row: int) 
             f"twiddle {twiddle} does not fit the {layout.width}-bit container"
         )
     s = layout.scratch
+    # Every iteration emits the same two blocks; instructions are
+    # frozen, so each block is built once and shared.
+    conditional_add = [
+        LogicBinary(BinaryOp.AND, s.t1, s.sum, b_row),
+        LogicBinary(BinaryOp.XOR, s.t0, s.sum, b_row),
+        ShiftRow(s.carry, s.carry, ShiftDirection.LEFT),
+        LogicBinary(BinaryOp.XOR, s.sum, s.carry, s.t0),
+        LogicBinary(BinaryOp.AND, s.t0, s.carry, s.t0),
+        LogicBinary(BinaryOp.OR, s.carry, s.t1, s.t0),
+    ]
+    reduction = [
+        Check(s.sum, bit_index=0),
+        LogicBinary(BinaryOp.AND, s.t1, s.sum, s.mod, gate_operand1=True),
+        LogicBinary(BinaryOp.XOR, s.t0, s.sum, s.mod, gate_operand1=True),
+        ShiftRow(s.t0, s.t0, ShiftDirection.RIGHT),
+        LogicBinary(BinaryOp.XOR, s.sum, s.t0, s.t1),
+        LogicBinary(BinaryOp.AND, s.t0, s.t0, s.t1),
+        LogicBinary(BinaryOp.AND, s.t1, s.carry, s.sum),
+        LogicBinary(BinaryOp.XOR, s.sum, s.carry, s.sum),
+        LogicBinary(BinaryOp.OR, s.carry, s.t0, s.t1),
+    ]
     program.begin_section("modmul")
     program.emit(Unary(UnaryOp.ZERO, s.sum))
     program.emit(Unary(UnaryOp.ZERO, s.carry))
     for i in range(layout.width):
         if (twiddle >> i) & 1:
-            program.extend(
-                [
-                    LogicBinary(BinaryOp.AND, s.t1, s.sum, b_row),
-                    LogicBinary(BinaryOp.XOR, s.t0, s.sum, b_row),
-                    ShiftRow(s.carry, s.carry, ShiftDirection.LEFT),
-                    LogicBinary(BinaryOp.XOR, s.sum, s.carry, s.t0),
-                    LogicBinary(BinaryOp.AND, s.t0, s.carry, s.t0),
-                    LogicBinary(BinaryOp.OR, s.carry, s.t1, s.t0),
-                ]
-            )
-        program.extend(
-            [
-                Check(s.sum, bit_index=0),
-                LogicBinary(BinaryOp.AND, s.t1, s.sum, s.mod, gate_operand1=True),
-                LogicBinary(BinaryOp.XOR, s.t0, s.sum, s.mod, gate_operand1=True),
-                ShiftRow(s.t0, s.t0, ShiftDirection.RIGHT),
-                LogicBinary(BinaryOp.XOR, s.sum, s.t0, s.t1),
-                LogicBinary(BinaryOp.AND, s.t0, s.t0, s.t1),
-                LogicBinary(BinaryOp.AND, s.t1, s.carry, s.sum),
-                LogicBinary(BinaryOp.XOR, s.sum, s.carry, s.sum),
-                LogicBinary(BinaryOp.OR, s.carry, s.t0, s.t1),
-            ]
-        )
+            program.extend(conditional_add)
+        program.extend(reduction)
     program.end_section()
 
 

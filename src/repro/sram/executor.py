@@ -21,7 +21,11 @@ Semantics worth calling out (each mirrors a paper mechanism):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate
+from operator import add
 from typing import Dict
 
 from repro.errors import ExecutionError
@@ -262,13 +266,26 @@ def profile_program(program: Program, tech: TechnologyModel = TECH_45NM) -> Exec
     operations per batch.
     """
     stats = ExecutionStats()
-    cycle_at = []
-    for instruction in program.instructions:
-        kind = _instruction_kind(instruction)
-        stats.charge(kind, tech.instruction_cycles(kind), tech.instruction_energy_pj(kind))
-        if isinstance(instruction, ShiftRow):
-            stats.shift_count += 1
-        cycle_at.append(stats.cycles)
+    instructions = program.instructions
+    types = list(map(type, instructions))
+    cycles_of: Dict[type, int] = {}
+    energy_of: Dict[type, float] = {}
+    # Classes in first-seen order, so op_counts keys keep the order
+    # per-instruction charging gives them.
+    for cls, count in Counter(types).items():
+        kind = _instruction_kind(instructions[types.index(cls)])
+        cycles_of[cls] = tech.instruction_cycles(kind)
+        energy_of[cls] = tech.instruction_energy_pj(kind)
+        stats.op_counts[kind] = stats.op_counts.get(kind, 0) + count
+        if issubclass(cls, ShiftRow):
+            stats.shift_count += count
+    # The running sums still add one instruction at a time in program
+    # order, so the float energy total is bit-identical to charging
+    # each instruction through ExecutionStats.charge.
+    cycle_at = list(accumulate(map(cycles_of.__getitem__, types)))
+    stats.cycles = cycle_at[-1] if cycle_at else 0
+    stats.energy_pj = reduce(add, map(energy_of.__getitem__, types), 0.0)
+    stats.instructions = len(types)
     _attribute_sections(program, cycle_at, stats.section_cycles)
     return stats
 

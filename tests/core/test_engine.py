@@ -9,6 +9,7 @@ from repro.core.scheduler import butterfly_count
 from repro.errors import ParameterError, VerificationError
 from repro.ntt.params import NTTParams
 from repro.ntt.transform import ntt_negacyclic, polymul_negacyclic
+from repro.sram.executor import profile_program
 
 SMALL = NTTParams(n=8, q=17)
 MEDIUM = NTTParams(n=16, q=97)
@@ -80,6 +81,19 @@ class TestSpillLayout:
         spill.load(random_batch(spill, 7))
         resident.load(random_batch(resident, 7))
         assert spill.ntt().shift_count > resident.ntt().shift_count
+
+    @pytest.mark.parametrize("op", ["ntt", "intt"])
+    def test_static_profile_equals_execution(self, op):
+        # Spill programs carry the array-wide fetch/store shift runs;
+        # static pricing must match executing them stat for stat,
+        # including the order op_counts first sees each class.
+        eng = BPNTTEngine(MEDIUM, width=8, rows=16, cols=32)
+        program = eng.compiled_program(op)
+        static = profile_program(program, eng.tech)
+        eng.load(random_batch(eng, 9))
+        executed = eng._execute(program)
+        assert static == executed
+        assert list(static.op_counts) == list(executed.op_counts)
 
 
 class TestKernels:
