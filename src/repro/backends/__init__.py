@@ -15,9 +15,11 @@ Built-in backends:
   protocol natively).  Exact, used to pin the others.
 - ``model`` — gold transforms for results, compiled programs for
   pricing; cycle-identical to ``sram`` at a fraction of the host time.
-- ``numpy`` — vectorized negacyclic NTT over the whole batch at once,
-  priced by the same cost tables (registered only when numpy is
-  importable).
+  Results are batched (one vectorized numpy schedule per batch) for
+  rings of ``n >= 64`` with moduli of at most 31 bits when numpy
+  imports, and come from the scalar loop otherwise.
+- ``numpy`` — the ``model`` backend batched on every ring, refusing
+  moduli past 31 bits (registered only when numpy is importable).
 
 Write your own by registering a factory::
 

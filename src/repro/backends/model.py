@@ -7,6 +7,13 @@ profiling the *actual compiled programs* of a template
 fixed per-class costs, the price is cycle- and energy-identical to
 interpreting the subarray — at a tiny fraction of the host time.  This
 is the serving runtime's default substrate.
+
+The result math takes one of two bit-identical paths, picked once at
+construction: the batched numpy schedules (one vectorized transform per
+batch) for rings of ``n >= 64`` with moduli of at most 31 bits when
+numpy imports, and the scalar per-polynomial loop otherwise — tiny rings
+(where it is faster, and importing numpy would add about a fifth to a
+small replay's peak memory), wider moduli, and installs without numpy.
 """
 
 from __future__ import annotations
@@ -17,17 +24,39 @@ from repro.backends.base import BackendCapabilities, CompiledKernel
 from repro.core.engine import BPNTTEngine
 from repro.errors import ParameterError
 from repro.ntt.params import NTTParams
-from repro.ntt.transform import intt_negacyclic, ntt_negacyclic
+from repro.ntt.transform import (
+    BATCH_MAX_MODULUS_BITS,
+    intt_negacyclic,
+    intt_negacyclic_batch,
+    ntt_negacyclic,
+    ntt_negacyclic_batch,
+)
 from repro.sram.cost import CostReport
 from repro.sram.energy import TECH_45NM, TechnologyModel
 
+#: Smallest ring served by the batched schedules.  Below it the scalar
+#: loop is faster per call.
+BATCH_MIN_N = 64
+
+
+def _numpy_importable() -> bool:
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return False
+    return True
+
 
 class ModelBackend:
-    """Pure (stateless) backend: gold math, cycle-accurate pricing."""
+    """Pure (stateless) backend: gold math, cycle-accurate pricing.
+
+    ``batched`` tells which result path this instance runs.
+    """
 
     name = "model"
-    description = ("gold transforms for results, statically priced from the "
-                   "compiled programs (cycle-identical to sram)")
+    description = ("gold transforms for results (batched for n >= 64 and "
+                   "q <= 31 bits), statically priced from the compiled "
+                   "programs (cycle-identical to sram)")
 
     def __init__(
         self,
@@ -48,6 +77,10 @@ class ModelBackend:
             params, width=width, rows=rows, cols=cols, tech=tech
         )
         self.tech = self.template.tech
+        # Short-circuits so a tiny ring never imports numpy.
+        self.batched = (params.n >= BATCH_MIN_N
+                        and params.q.bit_length() <= BATCH_MAX_MODULUS_BITS
+                        and _numpy_importable())
 
     # -- protocol ---------------------------------------------------------
 
@@ -66,7 +99,12 @@ class ModelBackend:
 
     def execute(self, kernel: CompiledKernel,
                 payloads: Sequence[Sequence[int]]) -> List[List[int]]:
-        return [self._transform(kernel, list(payload)) for payload in payloads]
+        if not self.batched:
+            return [self._transform(kernel, list(payload))
+                    for payload in payloads]
+        if not payloads:
+            return []
+        return self._transform_batch(kernel, payloads).tolist()
 
     def profile(self, kernel: CompiledKernel) -> CostReport:
         return self.template.profile(kernel).replicate(self.subarrays)
@@ -85,6 +123,18 @@ class ModelBackend:
         payload_hat = ntt_negacyclic(payload, self.params, table)
         product = [(a * b) % q for a, b in zip(payload_hat, kernel.operand_hat)]
         return intt_negacyclic(product, self.params, table)
+
+    def _transform_batch(self, kernel: CompiledKernel,
+                         payloads: Sequence[Sequence[int]]):
+        table = self.template.twiddle_table
+        if kernel.op == "ntt":
+            return ntt_negacyclic_batch(payloads, self.params, table)
+        if kernel.op == "intt":
+            return intt_negacyclic_batch(payloads, self.params, table)
+        # The inverse reduces the raw pointwise products (< q**2 < 2**62).
+        hat = ntt_negacyclic_batch(payloads, self.params, table)
+        return intt_negacyclic_batch(hat * kernel.operand_hat, self.params,
+                                     table)
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({self.params!r}, "

@@ -1,34 +1,22 @@
-"""The ``numpy`` backend: one vectorized transform per *batch*.
+"""The ``numpy`` backend: the ``model`` backend, always batched.
 
-The scalar gold model walks each polynomial's butterflies in Python;
-this backend runs the identical Cooley–Tukey / Gentleman–Sande
-schedules as stage-wise numpy array operations over the whole batch at
-once — the same twiddle tables, the same consumption order, the same
-arithmetic mod q, so results are bit-identical to the gold model while
-the host cost per polynomial collapses.  Pricing is inherited from
-:class:`~repro.backends.model.ModelBackend`: the compiled programs of
-the template engine, charged from the shared cost tables — which is
-what makes its :class:`~repro.sram.cost.CostReport` byte-identical to
+:class:`~repro.backends.model.ModelBackend` already runs the batched
+numpy schedules of :mod:`repro.ntt.transform` for rings of ``n >= 64``
+with moduli of at most 31 bits, and the scalar loop otherwise.  This
+backend takes the batched path on every ring — one vectorized transform
+per batch, bit-identical to the gold model — and refuses moduli past 31
+bits rather than overflow ``int64`` silently.  Pricing is inherited: the
+compiled programs of the template engine, charged from the shared cost
+tables, so its :class:`~repro.sram.cost.CostReport` is byte-identical to
 the ``model`` and ``sram`` backends'.
-
-Everything stays in ``int64``: coefficients and twiddles are canonical
-(< q), so every intermediate product is bounded by ``(q-1)**2`` and the
-backend refuses moduli past 31 bits rather than overflow silently.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
-import numpy as np
-
-from repro.backends.base import CompiledKernel
 from repro.backends.model import ModelBackend
-from repro.errors import BackendError, ParameterError
+from repro.errors import BackendError
 from repro.ntt.params import NTTParams
-
-#: Largest modulus whose products fit int64: (q-1)^2 < 2^63.
-_MAX_MODULUS_BITS = 31
+from repro.ntt.transform import BATCH_MAX_MODULUS_BITS
 
 
 class NumpyBackend(ModelBackend):
@@ -39,76 +27,11 @@ class NumpyBackend(ModelBackend):
                    "priced by the same cost tables")
 
     def __init__(self, params: NTTParams, **kwargs):
-        super().__init__(params, **kwargs)
-        if params.q.bit_length() > _MAX_MODULUS_BITS:
+        if params.q.bit_length() > BATCH_MAX_MODULUS_BITS:
             raise BackendError(
-                f"numpy backend supports moduli up to {_MAX_MODULUS_BITS} bits "
-                f"(int64 products); q={params.q} has {params.q.bit_length()}"
+                f"numpy backend supports moduli up to {BATCH_MAX_MODULUS_BITS} "
+                f"bits (int64 products); q={params.q} has "
+                f"{params.q.bit_length()}"
             )
-        table = self.template.twiddle_table
-        self._forward = np.asarray(table.forward, dtype=np.int64)
-        self._inverse = np.asarray(table.inverse, dtype=np.int64)
-        self._n_inv = params.n_inv
-
-    def execute(self, kernel: CompiledKernel,
-                payloads: Sequence[Sequence[int]]) -> List[List[int]]:
-        if not payloads:
-            return []
-        n, q = self.params.n, self.params.q
-        for index, payload in enumerate(payloads):
-            if len(payload) != n:
-                raise ParameterError(
-                    f"payload {index} has {len(payload)} coefficients, expected {n}"
-                )
-        batch = np.asarray([list(p) for p in payloads], dtype=np.int64) % q
-        if kernel.op == "ntt":
-            out = self._ntt(batch)
-        elif kernel.op == "intt":
-            out = self._intt(batch)
-        else:
-            hat = np.asarray(kernel.operand_hat, dtype=np.int64)
-            out = self._intt(self._ntt(batch) * hat % q)
-        return out.tolist()
-
-    # -- vectorized schedules ---------------------------------------------
-    #
-    # Both loops mirror repro.ntt.transform exactly, with the inner
-    # per-coefficient loop replaced by a (batch, blocks, 2*length)
-    # reshape: within a stage every block's butterflies run as one
-    # array expression, broadcasting one zeta per block.
-
-    def _ntt(self, batch: np.ndarray) -> np.ndarray:
-        q, n = self.params.q, self.params.n
-        rows = batch.shape[0]
-        k = 0
-        length = n // 2
-        while length > 0:
-            blocks_n = n // (2 * length)
-            # Algorithm 1 consumes zeta[++k] block by block, in order.
-            zetas = self._forward[k + 1:k + 1 + blocks_n].reshape(1, blocks_n, 1)
-            k += blocks_n
-            blocks = batch.reshape(rows, blocks_n, 2 * length)
-            low = blocks[:, :, :length].copy()
-            t = zetas * blocks[:, :, length:] % q
-            blocks[:, :, length:] = (low - t) % q
-            blocks[:, :, :length] = (low + t) % q
-            length //= 2
-        return batch
-
-    def _intt(self, batch: np.ndarray) -> np.ndarray:
-        q, n = self.params.q, self.params.n
-        rows = batch.shape[0]
-        k = n
-        length = 1
-        while length < n:
-            blocks_n = n // (2 * length)
-            # Gentleman–Sande consumes zeta[--k]: descending within a stage.
-            zetas = self._inverse[k - blocks_n:k][::-1].reshape(1, blocks_n, 1)
-            k -= blocks_n
-            blocks = batch.reshape(rows, blocks_n, 2 * length)
-            low = blocks[:, :, :length].copy()
-            high = blocks[:, :, length:].copy()
-            blocks[:, :, :length] = (low + high) % q
-            blocks[:, :, length:] = zetas * ((low - high) % q) % q
-            length *= 2
-        return batch * self._n_inv % q
+        super().__init__(params, **kwargs)
+        self.batched = True

@@ -310,25 +310,38 @@ class BPNTTEngine:
         its NTT baked into the handle, so every later batch skips the
         host transform and reuses the compiled pointwise program.
         """
+        # The operand as given is looked up first, so a warm batch skips
+        # reducing it; a miss canonicalizes and keys the kernel both ways.
+        given_key = (op, None if operand is None else tuple(operand))
+        kernel = self._kernels.get(given_key)
+        if kernel is not None:
+            return kernel
         q = self.params.q
         canonical = None if operand is None else tuple(c % q for c in operand)
         cache_key = (op, canonical)
-        if cache_key in self._kernels:
-            return self._kernels[cache_key]
+        kernel = self._kernels.get(cache_key)
+        if kernel is None:
+            kernel = self._build_kernel(op, canonical)
+            self._kernels[cache_key] = kernel
+        self._kernels[given_key] = kernel
+        return kernel
+
+    def _build_kernel(self, op: str,
+                      canonical: Optional[tuple]) -> CompiledKernel:
         if op in ("ntt", "intt"):
-            if operand is not None:
+            if canonical is not None:
                 raise ParameterError(f"{op} kernels take no second operand")
-            kernel = CompiledKernel(
+            return CompiledKernel(
                 op=op, operand=None, operand_hat=None,
                 programs=(self.compiled_program(op),),
             )
-        elif op == "polymul":
+        if op == "polymul":
             if canonical is None:
                 raise ParameterError("polymul kernels need a second operand")
             from repro.ntt.transform import ntt_negacyclic
 
             hat = tuple(ntt_negacyclic(list(canonical), self.params, self._table))
-            kernel = CompiledKernel(
+            return CompiledKernel(
                 op=op, operand=canonical, operand_hat=hat,
                 programs=(
                     self.compiled_program("ntt"),
@@ -336,10 +349,7 @@ class BPNTTEngine:
                     self.compiled_program("intt"),
                 ),
             )
-        else:
-            raise ParameterError(f"unknown op {op!r}; expected one of {KERNEL_OPS}")
-        self._kernels[cache_key] = kernel
-        return kernel
+        raise ParameterError(f"unknown op {op!r}; expected one of {KERNEL_OPS}")
 
     def execute(self, kernel: CompiledKernel,
                 payloads: Sequence[Sequence[int]]) -> List[List[int]]:

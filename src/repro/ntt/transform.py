@@ -11,17 +11,32 @@ Two ring flavours are provided:
 - **cyclic** (``Z_q[x]/(x^n - 1)``) — the textbook DFT-over-Z_q, kept
   for generality and as an independent cross-check.
 
-All functions are pure: they copy their input and return a new list.
+The negacyclic pair also comes batched (:func:`ntt_negacyclic_batch` /
+:func:`intt_negacyclic_batch`): the same schedules run stage by stage
+as numpy array operations over many polynomials at once, the way a
+bit-parallel subarray runs one butterfly on every row.  They consume the
+same twiddle tables in the same order, so results are bit-identical.
+
+All functions are pure: they copy their input and return a new list
+(the batched pair: a new ``int64`` array).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.errors import ParameterError
 from repro.ntt.params import NTTParams
 from repro.ntt.twiddles import TwiddleTable
 from repro.utils.bitops import bit_reverse_permutation
+
+if TYPE_CHECKING:
+    import numpy
+
+#: Largest modulus the batched schedules take: every intermediate
+#: product is below ``(q-1)**2``, which must fit ``int64``.
+BATCH_MAX_MODULUS_BITS = 31
 
 
 def _validate_input(a: Sequence[int], params: NTTParams) -> List[int]:
@@ -77,6 +92,110 @@ def intt_negacyclic(a: Sequence[int], params: NTTParams, table: TwiddleTable = N
         length *= 2
     n_inv = params.n_inv
     return [(x * n_inv) % q for x in coeffs]
+
+
+@lru_cache(maxsize=16)
+def _twiddle_arrays(table: TwiddleTable):
+    import numpy as np
+
+    return (np.asarray(table.forward, dtype=np.int64),
+            np.asarray(table.inverse, dtype=np.int64))
+
+
+def _as_batch(batch, params: NTTParams) -> "numpy.ndarray":
+    """``batch`` as a new canonical ``(rows, n)`` int64 array."""
+    import numpy as np
+
+    if not params.negacyclic:
+        raise ParameterError("the batched NTT requires negacyclic parameters")
+    q = params.q
+    if q.bit_length() > BATCH_MAX_MODULUS_BITS:
+        raise ParameterError(
+            f"the batched NTT takes moduli up to {BATCH_MAX_MODULUS_BITS} bits "
+            f"(int64 products); q={q} has {q.bit_length()}"
+        )
+    try:
+        rows = np.asarray(batch, dtype=np.int64)
+    except OverflowError:
+        # Coefficients past int64 reduce in Python first, as the scalar
+        # path reduces every coefficient.
+        return _as_batch([[c % q for c in row] for row in batch], params)
+    except ValueError:  # rows of different lengths
+        raise ParameterError(
+            f"every batch row must hold {params.n} coefficients"
+        ) from None
+    if rows.ndim != 2 or rows.shape[1] != params.n:
+        raise ParameterError(
+            f"every batch row must hold {params.n} coefficients, "
+            f"got a batch of shape {rows.shape}"
+        )
+    return rows % q
+
+
+def ntt_negacyclic_batch(batch, params: NTTParams,
+                         table: TwiddleTable = None) -> "numpy.ndarray":
+    """Forward negacyclic NTT of every row of a ``(rows, n)`` batch.
+
+    :func:`ntt_negacyclic`'s schedule with the inner per-coefficient
+    loop replaced by a ``(rows, blocks, 2*length)`` reshape: within a
+    stage every block's butterflies run as one array expression,
+    broadcasting one zeta per block.  Returns a canonical int64 array.
+    """
+    import numpy as np
+
+    coeffs = _as_batch(batch, params)
+    forward, _ = _twiddle_arrays(table or TwiddleTable(params))
+    q, n = params.q, params.n
+    rows = coeffs.shape[0]
+    k = 0
+    length = n // 2
+    while length > 0:
+        blocks_n = n // (2 * length)
+        # Algorithm 1 consumes zeta[++k] block by block, in order.
+        zetas = forward[k + 1:k + 1 + blocks_n].reshape(1, blocks_n, 1)
+        k += blocks_n
+        blocks = coeffs.reshape(rows, blocks_n, 2 * length)
+        low, high = blocks[:, :, :length], blocks[:, :, length:]
+        # t < q**2 < 2**62, so low -/+ t fits before its reduction.
+        t = zetas * high
+        np.subtract(low, t, out=high)
+        high %= q
+        low += t
+        low %= q
+        length //= 2
+    return coeffs
+
+
+def intt_negacyclic_batch(batch, params: NTTParams,
+                          table: TwiddleTable = None) -> "numpy.ndarray":
+    """Inverse negacyclic NTT of every row of a ``(rows, n)`` batch.
+
+    :func:`intt_negacyclic`'s Gentleman–Sande schedule, vectorized over
+    the batch and each stage's blocks like :func:`ntt_negacyclic_batch`.
+    """
+    import numpy as np
+
+    coeffs = _as_batch(batch, params)
+    _, inverse = _twiddle_arrays(table or TwiddleTable(params))
+    q, n = params.q, params.n
+    rows = coeffs.shape[0]
+    k = n
+    length = 1
+    while length < n:
+        blocks_n = n // (2 * length)
+        # Gentleman–Sande consumes zeta[--k]: descending within a stage.
+        zetas = inverse[k - blocks_n:k][::-1].reshape(1, blocks_n, 1)
+        k -= blocks_n
+        blocks = coeffs.reshape(rows, blocks_n, 2 * length)
+        low, high = blocks[:, :, :length], blocks[:, :, length:]
+        # |low - high| < q, so zeta * (low - high) needs one reduction.
+        diff = low - high
+        low += high
+        low %= q
+        np.multiply(zetas, diff, out=high)
+        high %= q
+        length *= 2
+    return coeffs * params.n_inv % q
 
 
 def ntt_cyclic(a: Sequence[int], params: NTTParams) -> List[int]:

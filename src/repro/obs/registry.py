@@ -25,7 +25,7 @@ numbers exact:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import ParameterError
 
@@ -159,13 +159,18 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, LabelKey], Instrument] = {}
+        # Names already checked: a replay looks the same few names up
+        # once per response, and the check scans every character.
+        self._names: Set[str] = set()
 
     def __len__(self) -> int:
         return len(self._instruments)
 
     def _get(self, cls, name: str, labels: Optional[Mapping[str, str]],
              **kwargs) -> Instrument:
-        key = (_check_name(name), _label_key(labels))
+        if name not in self._names:
+            self._names.add(_check_name(name))
+        key = (name, _label_key(labels))
         existing = self._instruments.get(key)
         if existing is not None:
             if not isinstance(existing, cls):

@@ -10,7 +10,9 @@ The scheduler picks the lane of every batch (:mod:`repro.sched`).
 Any registered backend can serve a batch (``repro.cli backends`` lists
 them); the built-ins are:
 
-- ``model`` (default): results come from the gold transforms and the
+- ``model`` (default): results come from the gold transforms (one
+  batched schedule per batch for rings of ``n >= 64`` with moduli of at
+  most 31 bits when numpy imports, the scalar loop otherwise), and the
   invocation is priced by a cached :class:`ServiceProfile` — the
   cycle/energy totals of the *actual compiled programs*, statically
   costed through ``Backend.profile``.  Because the executor charges
@@ -19,8 +21,8 @@ them); the built-ins are:
 - ``sram``: the batch is loaded into the lane's subarray and the
   kernels are interpreted bitline-by-bitline.  Slow, exact, and used by
   the tests to pin the other backends to the hardware path.
-- ``numpy``: the gold model vectorized over the whole batch, priced by
-  the same cost tables.
+- ``numpy``: the gold model batched on every ring (moduli up to 31
+  bits), priced by the same cost tables.
 
 Stateful backends (real subarrays) get one private instance per lane;
 pure backends share a single instance across every lane.

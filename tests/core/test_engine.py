@@ -132,6 +132,45 @@ class TestKernels:
         assert results[1] == [0] * 8  # NTT of zero is zero
 
 
+class TestKernelCache:
+    def test_unreduced_operand_shares_the_canonical_kernel(self):
+        eng = BPNTTEngine(SMALL, width=8, rows=32, cols=32)
+        operand = [3, 20, -1, 0, 5, 17, 34, 2]
+        canonical = tuple(c % 17 for c in operand)
+        kernel = eng.compile("polymul", operand)
+        assert kernel.operand == canonical
+        assert kernel.operand_hat == tuple(ntt_negacyclic(list(canonical), SMALL))
+        assert eng.compile("polymul", canonical) is kernel
+        assert eng.compile("polymul", tuple(operand)) is kernel
+        assert eng.compile("polymul", operand) is kernel
+
+    def test_warm_lookup_skips_canonicalizing(self):
+        class CountingInt(int):
+            reductions = 0
+
+            def __mod__(self, other):
+                CountingInt.reductions += 1
+                return int(self) % other
+
+        eng = BPNTTEngine(SMALL, width=8, rows=32, cols=32)
+        operand = tuple(CountingInt(c) for c in (1, 2, 3, 4, 5, 6, 7, 8))
+        cold = eng.compile("polymul", operand)
+        assert CountingInt.reductions == len(operand)
+        assert eng.compile("polymul", operand) is cold
+        assert eng.compile("polymul", list(operand)) is cold
+        assert CountingInt.reductions == len(operand)
+
+    def test_operand_errors_still_raise(self):
+        eng = BPNTTEngine(SMALL, width=8, rows=32, cols=32)
+        for _ in range(2):
+            with pytest.raises(ParameterError, match="no second operand"):
+                eng.compile("ntt", [1] * 8)
+            with pytest.raises(ParameterError, match="need a second operand"):
+                eng.compile("polymul")
+            with pytest.raises(ParameterError, match="unknown op"):
+                eng.compile("fft")
+
+
 class TestReports:
     def test_report_fields_consistent(self):
         eng = BPNTTEngine(SMALL, width=8, rows=32, cols=32)

@@ -121,6 +121,18 @@ class TestRegistry:
         with pytest.raises(ParameterError):
             reg.counter("has space")
 
+    def test_bad_names_rejected_every_time_next_to_accepted_ones(self):
+        reg = MetricsRegistry()
+        for _ in range(2):
+            assert reg.counter("serve.requests").name == "serve.requests"
+            for bad in ("", "has space", "tab\there", "serve.requests "):
+                with pytest.raises(ParameterError,
+                                   match="metric name must be non-empty"):
+                    reg.counter(bad)
+                with pytest.raises(ParameterError,
+                                   match="metric name must be non-empty"):
+                    reg.histogram(bad)
+
     def test_collect_is_sorted_and_get_is_exact(self):
         reg = MetricsRegistry()
         reg.counter("b.metric")
