@@ -21,6 +21,13 @@ Chip lifecycle is driven by :class:`ChipEvent`\\ s on the replay clock:
 ``fail`` flushes its open batches and re-enqueues the member requests
 onto surviving chips (request conservation — SCHED009 — holds across
 failures), ``restore`` returns it to the routing pool.
+
+The event loop reads each chip's next wake-up and queue depth from a
+per-chip cache instead of asking every chip on every turn.  The cache
+is exact: a chip's ``next_event_s()`` and ``waiting()`` change only
+through its own ``enqueue``/``poll``/``flush``/``place`` (the
+:class:`~repro.sched.base.Scheduler` contract), and the cluster
+refreshes a chip's entries right after each of those calls.
 """
 
 from __future__ import annotations
@@ -133,7 +140,17 @@ class ClusterScheduler:
         self._live = set(range(chips))
         self._live_order: Tuple[int, ...] = tuple(range(chips))
         self._route: Dict[int, int] = {}
+        # Each chip's next wake-up and queue depth; _sync refreshes a
+        # chip's entries after every protocol call the cluster makes on it.
+        self._next_s = [scheduler.next_event_s() for scheduler in self._chips]
+        self._waiting = [scheduler.waiting() for scheduler in self._chips]
         self.tracer = NULL_TRACER
+
+    def _sync(self, chip: int) -> None:
+        """Refresh the chip's cached wake-up and queue depth."""
+        scheduler = self._chips[chip]
+        self._next_s[chip] = scheduler.next_event_s()
+        self._waiting[chip] = scheduler.waiting()
 
     # -- tracing -----------------------------------------------------------
 
@@ -164,12 +181,12 @@ class ClusterScheduler:
         return self._surface(self._chips[chip].enqueue(request, now_s), chip)
 
     def waiting(self) -> int:
-        return sum(scheduler.waiting() for scheduler in self._chips)
+        return sum(self._waiting)
 
     # -- dispatch ----------------------------------------------------------
 
     def next_event_s(self) -> float:
-        t_s = min(scheduler.next_event_s() for scheduler in self._chips)
+        t_s = min(self._next_s)
         if self._pending:
             t_s = min(t_s, self._pending[0].t_s)
         return t_s
@@ -178,9 +195,9 @@ class ClusterScheduler:
         surfaced: List[PolyBatch] = []
         while self._pending and self._pending[0].t_s <= now_s:
             self._apply(self._pending.pop(0), now_s, surfaced)
-        for chip, scheduler in enumerate(self._chips):
-            if scheduler.next_event_s() <= now_s:
-                surfaced.extend(self._surface(scheduler.poll(now_s), chip))
+        due = [chip for chip, t_s in enumerate(self._next_s) if t_s <= now_s]
+        for chip in due:
+            surfaced.extend(self._surface(self._chips[chip].poll(now_s), chip))
         return surfaced
 
     def flush(self, now_s: float) -> List[PolyBatch]:
@@ -199,7 +216,9 @@ class ClusterScheduler:
         if event.action == "fail":
             # A failed chip loses its open batches; the member requests
             # re-enqueue on surviving chips so conservation holds.
-            for batch in self._chips[event.chip].flush(now_s):
+            lost = self._chips[event.chip].flush(now_s)
+            self._sync(event.chip)
+            for batch in lost:
                 for member in batch.requests:
                     if not self._live:
                         raise SchedulerError(
@@ -213,6 +232,8 @@ class ClusterScheduler:
     # -- placement ---------------------------------------------------------
 
     def _surface(self, batches: List[PolyBatch], chip: int) -> List[PolyBatch]:
+        """Namespace the batches a chip call returned; refresh its cache."""
+        self._sync(chip)
         # PolyBatch is mutable by design; rewriting in place keeps the
         # id the simulator sees consistent with later place() calls.
         for batch in batches:
@@ -222,6 +243,7 @@ class ClusterScheduler:
     def place(self, batch: PolyBatch, now_s: float) -> Placement:
         chip = batch.batch_id % self.chips
         placement = self._chips[chip].place(batch, now_s)
+        self._sync(chip)
         return Placement(
             lane=placement.lane * self.chips + chip,
             pool_lane=placement.pool_lane,

@@ -30,6 +30,12 @@ The protocol decomposes a replay into seven calls:
 - :meth:`Scheduler.lane_report` — total lanes and busy time, for the
   report's utilization number.
 
+:meth:`Scheduler.next_event_s` and :meth:`Scheduler.waiting` are reads
+whose answers change only through the scheduler's own ``enqueue``,
+``poll``, ``flush`` and ``place``: never through ``admit``, and never
+through time passing between calls.  The cluster tier relies on it to
+cache both answers per chip between those calls.
+
 The built-ins share their queue plumbing through
 :class:`BatchingScheduler`: it owns the coalescing batcher (per-replay
 batch ids, capacity from the pool), the tracer binding, the service
@@ -103,11 +109,17 @@ class Scheduler(Protocol):
         ...  # pragma: no cover - protocol
 
     def waiting(self) -> int:
-        """Requests currently queued (the report's queue-depth sample)."""
+        """Requests currently queued (the report's queue-depth sample).
+
+        Changes only through enqueue/poll/flush/place (see module docs).
+        """
         ...  # pragma: no cover - protocol
 
     def next_event_s(self) -> float:
-        """Next instant the scheduler needs control (inf when idle)."""
+        """Next instant the scheduler needs control (inf when idle).
+
+        Changes only through enqueue/poll/flush/place (see module docs).
+        """
         ...  # pragma: no cover - protocol
 
     def poll(self, now_s: float) -> List[PolyBatch]:

@@ -63,6 +63,12 @@ class PolyBatch:
     capacity: int
     batch_id: int = field(default_factory=lambda: next(_batch_ids))
     requests: List[Request] = field(default_factory=list)
+    # Running min of the members' arrivals, so deadlines are O(1) reads.
+    _oldest_s: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._oldest_s = min((r.arrival_s for r in self.requests),
+                             default=float("inf"))
 
     def add(self, request: Request) -> None:
         """Append a compatible request; reject mismatches loudly."""
@@ -77,6 +83,8 @@ class PolyBatch:
                 f"batch {self.batch_id} already holds {self.capacity} requests"
             )
         self.requests.append(request)
+        if request.arrival_s < self._oldest_s:
+            self._oldest_s = request.arrival_s
 
     @property
     def size(self) -> int:
@@ -95,7 +103,7 @@ class PolyBatch:
     def oldest_arrival_s(self) -> float:
         if not self.requests:
             raise CapacityError(f"batch {self.batch_id} is empty")
-        return min(r.arrival_s for r in self.requests)
+        return self._oldest_s
 
     def deadline_s(self, policy: BatchPolicy) -> float:
         """Latest instant this batch may keep waiting."""

@@ -65,6 +65,26 @@ class TestPolyBatch:
         batch = PolyBatch(key=tiny_request(0).batch_key, capacity=3)
         with pytest.raises(CapacityError):
             batch.oldest_arrival_s
+        with pytest.raises(CapacityError):
+            batch.deadline_s(BatchPolicy(max_wait_s=1e-3))
+
+    def test_oldest_arrival_survives_out_of_order_adds(self, tiny_request):
+        # A failed chip re-enqueues older members into a newer batch.
+        policy = BatchPolicy(max_wait_s=1e-3)
+        batch = PolyBatch(key=tiny_request(0).batch_key, capacity=3)
+        batch.add(tiny_request(0, arrival_s=0.5))
+        assert batch.oldest_arrival_s == 0.5
+        batch.add(tiny_request(1, arrival_s=0.2))
+        batch.add(tiny_request(2, arrival_s=0.3))
+        assert batch.oldest_arrival_s == 0.2
+        assert batch.deadline_s(policy) == 0.2 + 1e-3
+
+    def test_requests_given_at_construction_set_the_oldest(self, tiny_request):
+        requests = [tiny_request(0, arrival_s=0.4),
+                    tiny_request(1, arrival_s=0.1)]
+        batch = PolyBatch(key=requests[0].batch_key, capacity=3,
+                          requests=requests)
+        assert batch.oldest_arrival_s == 0.1
 
     def test_payloads_in_request_order(self, tiny_request):
         batch = PolyBatch(key=tiny_request(0).batch_key, capacity=3)
@@ -177,7 +197,7 @@ class TestEdgeCases:
         assert ids == [0, 1, 2]
 
 
-# -- generated interleavings: the waiting counters match a recount ------------
+# -- generated interleavings: the running counts match a recount --------------
 
 PROP_RING = "tiny-batcher-prop"
 TENANTS = ("a", "b", "c")
@@ -189,8 +209,10 @@ GROUPINGS = {
 
 steps = st.lists(
     st.one_of(
+        # The lag back-dates an arrival: out-of-order adds, as when a
+        # failed chip re-enqueues older requests.
         st.tuples(st.just("add"), st.sampled_from(TENANTS),
-                  st.sampled_from(OPS)),
+                  st.sampled_from(OPS), st.sampled_from((0.0, 5e-5, 3e-4))),
         st.tuples(st.just("pop"), st.integers(min_value=0, max_value=7)),
         st.tuples(st.just("take_expired"),
                   st.floats(min_value=0.0, max_value=3e-3)),
@@ -215,6 +237,11 @@ def assert_counts_match(batcher):
     for tenant in TENANTS:
         assert batcher.tenant_waiting(tenant) == sum(
             1 for request in members if request.tenant == tenant)
+    assert batcher.next_deadline_s() == min(
+        (min(request.arrival_s for request in batch.requests)
+         + batcher.policy.max_wait_s
+         for _, batch in batcher.open_items()),
+        default=float("inf"))
 
 
 @pytest.mark.parametrize("grouping", sorted(GROUPINGS))
@@ -227,10 +254,11 @@ def test_waiting_counts_match_a_recount(prop_ring, grouping, steps):
     for request_id, (action, *args) in enumerate(steps):
         now += 1e-4
         if action == "add":
-            tenant, op = args
+            tenant, op, lag = args
             batcher.add(Request(
                 request_id=request_id, op=op, params_name=prop_ring,
-                payload=tuple(range(TINY_N)), arrival_s=now, tenant=tenant))
+                payload=tuple(range(TINY_N)), arrival_s=max(0.0, now - lag),
+                tenant=tenant))
         elif action == "pop":
             groups = [group for group, _ in batcher.open_items()]
             if groups:
