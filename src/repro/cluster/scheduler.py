@@ -140,8 +140,7 @@ class ClusterScheduler:
         self._live = set(range(chips))
         self._live_order: Tuple[int, ...] = tuple(range(chips))
         self._route: Dict[int, int] = {}
-        # Each chip's next wake-up and queue depth; _sync refreshes a
-        # chip's entries after every protocol call the cluster makes on it.
+        # Each chip's cached next wake-up and queue depth (module docs).
         self._next_s = [scheduler.next_event_s() for scheduler in self._chips]
         self._waiting = [scheduler.waiting() for scheduler in self._chips]
         self.tracer = NULL_TRACER
