@@ -1,10 +1,25 @@
-"""Legacy setup shim.
+"""Package metadata for ``pip install -e . --no-build-isolation``.
 
-The environment's setuptools predates PEP 660 editable installs, so
-``pip install -e . --no-build-isolation --no-use-pep517`` goes through
-this file.  All metadata lives in pyproject.toml.
+There is no pyproject.toml: this file is the whole build
+configuration.  The importable package is ``repro`` under ``src/``;
+its version is read from ``src/repro/__init__.py`` so it has one
+source.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', INIT.read_text(), re.M).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description=("BP-NTT: a cycle-accurate model of in-SRAM number theoretic "
+                 "transform with bit-parallel modular multiplication"),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+)

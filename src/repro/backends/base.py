@@ -30,7 +30,7 @@ protocol without an import cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro.sram.cost import CostReport
 from repro.sram.energy import TechnologyModel
@@ -85,7 +85,8 @@ class CompiledKernel:
 
 
 def price_programs(programs: Sequence[Program], tech: TechnologyModel,
-                   *, replicas: int = 1) -> CostReport:
+                   *, replicas: int = 1,
+                   memo: Optional[Dict[int, tuple]] = None) -> CostReport:
     """Price an instruction-stream sequence with the shared cost tables.
 
     This is the one pricing routine behind every ``Backend.profile``
@@ -93,9 +94,27 @@ def price_programs(programs: Sequence[Program], tech: TechnologyModel,
     convert to a :class:`CostReport`, and apply the ganged-subarray
     replication rule.  Keeping it single-sourced is what makes backend
     cost reports byte-identical.
+
+    Each program is profiled once per call, or once per ``memo``: a
+    caller-owned dict keyed on program identity, which
+    :meth:`~repro.core.engine.BPNTTEngine.profile` keeps per engine.
+    A compiled program is never mutated, so its price is a property of
+    the program, and merging cached stats in program order gives
+    byte-identical reports.
     """
-    stats = ExecutionStats.merge(*(profile_program(p, tech) for p in programs))
+    if memo is None:
+        memo = {}
+    stats = ExecutionStats.merge(*(_program_stats(p, tech, memo) for p in programs))
     return CostReport.from_stats(stats, tech).replicate(replicas)
+
+
+def _program_stats(program: Program, tech: TechnologyModel,
+                   memo: Dict[int, tuple]) -> ExecutionStats:
+    entry = memo.get(id(program))
+    if entry is None:
+        # Holding the program keeps its id from being reused.
+        entry = memo[id(program)] = (program, profile_program(program, tech))
+    return entry[1]
 
 
 @runtime_checkable

@@ -141,6 +141,9 @@ class BPNTTEngine:
         self.executor = Executor(self.subarray, tech)
         self._table = TwiddleTable(params)
         self._programs = {}
+        # id(program) -> (program, ExecutionStats): each program this
+        # engine compiled is priced once (see profile).
+        self._prices = {}
         self._kernels = {}
         self._loaded = False
         self.subarray.broadcast_word(self.layout.scratch.mod, params.q)
@@ -357,8 +360,13 @@ class BPNTTEngine:
         return run_compiled_kernel(self, kernel, payloads)
 
     def profile(self, kernel: CompiledKernel) -> CostReport:
-        """Static price of one invocation (identical to executing it)."""
-        return price_programs(kernel.programs, self.tech)
+        """Static price of one invocation (identical to executing it).
+
+        Each program is priced once per engine: the shared ``ntt`` and
+        ``intt`` programs of every ``polymul`` kernel reuse their first
+        price, and only a new operand's pointwise program is profiled.
+        """
+        return price_programs(kernel.programs, self.tech, memo=self._prices)
 
     # -- verification -------------------------------------------------------
 

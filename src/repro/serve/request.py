@@ -35,7 +35,7 @@ from repro.crypto.he import HECiphertext, HEContext, RelinKey
 from repro.errors import ParameterError
 from repro.ntt.params import NTTParams, get_params
 
-__all__ = ["KERNEL_OPS", "Request", "Response", "gold_result",
+__all__ = ["KERNEL_OPS", "BatchKey", "Request", "Response", "gold_result",
            "kyber_polymul_request", "dilithium_ntt_request",
            "he_multiply_plain_requests", "he_multiply_requests"]
 
@@ -45,7 +45,37 @@ def _canonical(coeffs: Sequence[int], params: NTTParams, label: str) -> Tuple[in
         raise ParameterError(
             f"{label} needs {params.n} coefficients, got {len(coeffs)}"
         )
+    # A tuple of plain ints already in [0, q) is kept as given, so
+    # requests sharing an operand share one tuple (and compare by
+    # identity); anything else is reduced into a new tuple.
+    if (type(coeffs) is tuple and set(map(type, coeffs)) == {int}
+            and min(coeffs) >= 0 and max(coeffs) < params.q):
+        return coeffs
     return tuple(c % params.q for c in coeffs)
+
+
+class BatchKey(tuple):
+    """A ``(params_name, op, operand)`` batch key that hashes once.
+
+    It equals, hashes and reprs exactly like the plain tuple (dicts
+    keyed on either find the other), but the hash over the operand's
+    coefficients is computed once at construction instead of on every
+    scheduler, batcher and pool lookup.  ``str`` hashes differ between
+    processes, so pickling drops the cached hash and the loaded copy
+    hashes again.
+    """
+
+    def __new__(cls, params_name: str, op: str,
+                operand: Optional[Tuple[int, ...]]) -> "BatchKey":
+        key = super().__new__(cls, (params_name, op, operand))
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (BatchKey, tuple(self))
 
 
 @dataclass(frozen=True)
@@ -70,6 +100,9 @@ class Request:
             ``None`` for best-effort.  SLO-aware schedulers drop
             requests that cannot meet it and reports measure attainment
             against it; the fifo scheduler ignores it.
+        batch_key: ``(params_name, op, operand)`` as a :class:`BatchKey`,
+            built once; requests with equal keys may share one engine
+            invocation.
     """
 
     request_id: int
@@ -101,15 +134,13 @@ class Request:
             object.__setattr__(self, "kind", self.op)
         if not self.tenant:
             object.__setattr__(self, "tenant", self.kind)
+        object.__setattr__(
+            self, "batch_key", BatchKey(self.params_name, self.op, self.operand)
+        )
 
     @property
     def params(self) -> NTTParams:
         return get_params(self.params_name)
-
-    @property
-    def batch_key(self) -> tuple:
-        """Requests with equal keys may share one engine invocation."""
-        return (self.params_name, self.op, self.operand)
 
 
 @dataclass(frozen=True)

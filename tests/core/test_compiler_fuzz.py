@@ -1,0 +1,107 @@
+"""Generated rings: the compiler is correct and its static price is exact.
+
+A ``hypothesis`` strategy draws an NTT-friendly modulus
+(``find_ntt_prime`` from a drawn start), a ring of 8, 16 or 32 points,
+a container width from ``container_width(q)`` upward, and a subarray
+geometry that either holds each polynomial in one tile or spills it
+across several.  For the ``ntt``, ``intt`` and ``polymul`` kernels of
+every draw:
+
+- every compiled program passes ``check_program`` (PROG001-012);
+- executing the programs on the subarray gives the gold transform;
+- ``profile_program`` equals each executed ``ExecutionStats`` stat for
+  stat, dict key order included;
+- the engine's memoized ``profile`` equals a fresh ``price_programs``
+  and the merged executed stats, cold and warm.
+"""
+
+import random
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.backends import price_programs
+from repro.check import check_program
+from repro.core.engine import BPNTTEngine
+from repro.core.tiles import SCRATCH_ROW_COUNT, container_width
+from repro.errors import ParameterError
+from repro.ntt.params import NTTParams
+from repro.ntt.transform import intt_negacyclic, ntt_negacyclic, polymul_negacyclic
+from repro.sram.cost import CostReport
+from repro.sram.executor import ExecutionStats, profile_program
+from repro.utils.primes import find_ntt_prime
+
+GOLD = {
+    "ntt": lambda payload, operand, params: ntt_negacyclic(payload, params),
+    "intt": lambda payload, operand, params: intt_negacyclic(payload, params),
+    "polymul": polymul_negacyclic,
+}
+
+
+@st.composite
+def engines(draw):
+    """An engine on a generated ring and geometry, plus a random seed."""
+    n = draw(st.sampled_from([8, 16, 32]))
+    bits = draw(st.integers(min_value=(2 * n).bit_length() + 2, max_value=14))
+    start = draw(st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1))
+    try:
+        q = find_ntt_prime(bits, n, start=start)
+    except ParameterError:
+        assume(False)
+    width = container_width(q) + draw(st.integers(min_value=0, max_value=3))
+    if draw(st.booleans()):  # spill: coefficients overflow into more tiles
+        coeff_rows = draw(st.integers(min_value=-(-n // 3), max_value=n - 1))
+    else:
+        coeff_rows = n + draw(st.integers(min_value=0, max_value=4))
+    tiles_per_poly = -(-n // coeff_rows)
+    slots = draw(st.integers(min_value=1, max_value=3))
+    cols = width * tiles_per_poly * slots + draw(
+        st.integers(min_value=0, max_value=width - 1))
+    engine = BPNTTEngine(NTTParams(n=n, q=q), width=width,
+                         rows=coeff_rows + SCRATCH_ROW_COUNT, cols=cols)
+    assert engine.layout.uses_spill == (tiles_per_poly > 1)
+    return engine, draw(st.integers(min_value=0, max_value=2**32))
+
+
+def assert_same_stats(static: ExecutionStats, executed: ExecutionStats) -> None:
+    assert static == executed
+    assert list(static.op_counts) == list(executed.op_counts)
+    assert list(static.section_cycles) == list(executed.section_cycles)
+
+
+def assert_same_cost(left: CostReport, right: CostReport) -> None:
+    assert left == right
+    assert repr(left) == repr(right)
+    assert list(left.section_cycles) == list(right.section_cycles)
+
+
+@settings(max_examples=50, deadline=None)
+@given(engines(), st.sampled_from(["ntt", "intt", "polymul"]))
+def test_generated_kernels_check_clean_execute_gold_and_price_exactly(draw, op):
+    engine, seed = draw
+    params, layout = engine.params, engine.layout
+    rng = random.Random(seed)
+
+    def poly():
+        return [rng.randrange(params.q) for _ in range(params.n)]
+
+    operand = poly() if op == "polymul" else None
+    kernel = engine.compile(op, operand)
+    for program in kernel.programs:
+        findings = check_program(program, rows=layout.rows, width=engine.width,
+                                 num_tiles=layout.num_tiles, modulus=params.q)
+        assert not [d for d in findings if d.is_error], findings
+
+    payloads = [poly() for _ in range(engine.batch)]
+    engine.load(payloads)
+    executed = []
+    for program in kernel.programs:
+        engine.subarray.reset_peripherals()
+        executed.append(engine.executor.run(program))
+        assert_same_stats(profile_program(program, engine.tech), executed[-1])
+    assert engine.results() == [GOLD[op](p, operand, params) for p in payloads]
+
+    fresh = price_programs(kernel.programs, engine.tech)
+    ran = CostReport.from_stats(ExecutionStats.merge(*executed), engine.tech)
+    assert_same_cost(engine.profile(kernel), fresh)  # cold
+    assert_same_cost(engine.profile(kernel), ran)  # from the engine's memo

@@ -1,7 +1,10 @@
 """Engine pool: lazy caching, pricing, and model/SRAM equivalence."""
 
+import random
+
 import pytest
 
+from repro.backends import base as backends_base
 from repro.errors import ParameterError
 from repro.serve import EnginePool, PoolConfig
 from repro.serve.batcher import PolyBatch
@@ -9,6 +12,7 @@ from repro.serve.request import gold_result
 from repro.sram.executor import profile_program
 
 TINY_N = 16
+TINY_Q = 97
 
 
 def make_batch(tiny_request, ids, **kwargs):
@@ -78,6 +82,50 @@ class TestProfiles:
         engine = tiny_pool.template(tiny_request(0).params_name)
         hat = [3] * TINY_N
         assert engine.pointwise_program(hat) is engine.pointwise_program(list(hat))
+
+
+class TestPricingWork:
+    """Each compiled program is priced once per pool, and only per pool."""
+
+    #: The perfbench ``cluster-64`` set-up shape: 64 chips x 4 operand
+    #: keys on the 16-point ring, plus the operand-less ntt key.
+    CHIPS, KEYS_PER_CHIP = 64, 4
+
+    def set_up(self, tiny_request):
+        """A fresh pool with every batch key priced; the profile_program calls."""
+        rng = random.Random(2023)
+        keys = [tiny_request(0).batch_key] + [
+            tiny_request(i, op="polymul", operand=[
+                rng.randrange(TINY_Q) for _ in range(TINY_N)]).batch_key
+            for i in range(self.CHIPS * self.KEYS_PER_CHIP)]
+        pool = EnginePool(PoolConfig(size=2, rows=32, cols=32))
+        priced = []
+
+        def counting(program, tech):
+            priced.append(program)
+            return profile_program(program, tech)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(backends_base, "profile_program", counting)
+            for key in keys:
+                pool.profile(key)
+        return pool, priced
+
+    def test_set_up_prices_each_distinct_program_once(self, tiny_request):
+        pool, priced = self.set_up(tiny_request)
+        # ntt and intt are shared by every polymul kernel; each operand
+        # key adds one pointwise program (1 + 3 * 256 = 769 calls if each
+        # kernel priced its programs afresh).
+        assert len({id(program) for program in priced}) == len(priced) == 2 + 256
+        engine = pool.template(tiny_request(0).params_name)
+        assert {id(program) for program in priced} == {
+            id(program) for program in engine._programs.values()}
+
+    def test_a_fresh_pool_prices_cold_again(self, tiny_request):
+        _, priced = self.set_up(tiny_request)
+        _, again = self.set_up(tiny_request)
+        assert len(again) == len(priced) == 258
+        assert not {id(p) for p in again} & {id(p) for p in priced}
 
 
 class TestServe:

@@ -1,6 +1,11 @@
 """Request/response records, validation, and the crypto adapters."""
 
+import os
+import pathlib
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +14,7 @@ from repro.errors import ParameterError
 from repro.ntt.params import get_params
 from repro.ntt.transform import intt_negacyclic, ntt_negacyclic, polymul_negacyclic
 from repro.serve.request import (
+    BatchKey,
     Request,
     Response,
     dilithium_ntt_request,
@@ -69,6 +75,101 @@ class TestBatchKey:
 
     def test_default_kind_is_op(self, tiny_request):
         assert tiny_request(0).kind == "ntt"
+
+    def test_key_is_built_once_and_shares_the_operand(self, tiny_request):
+        r = tiny_request(0, op="polymul", operand=[3] * TINY_N)
+        assert r.batch_key is r.batch_key
+        assert r.batch_key[2] is r.operand
+
+    def test_key_equals_hashes_and_reprs_like_the_plain_tuple(self, tiny_request):
+        for r in (tiny_request(0),
+                  tiny_request(1, op="polymul", operand=range(TINY_N))):
+            plain = (r.params_name, r.op, r.operand)
+            assert type(r.batch_key) is BatchKey
+            assert r.batch_key == plain and plain == r.batch_key
+            assert hash(r.batch_key) == hash(plain)
+            assert repr(r.batch_key) == repr(plain)
+            assert {plain: 1}[r.batch_key] == 1
+            assert {r.batch_key: 1}[plain] == 1
+
+    def test_pickles_carry_no_cached_hash(self, tiny_request):
+        r = tiny_request(0, op="polymul", operand=[5] * TINY_N)
+        for blob in (pickle.dumps(r.batch_key), pickle.dumps(r)):
+            assert b"_hash" not in blob
+        loaded = pickle.loads(pickle.dumps(r))
+        assert loaded == r and loaded.batch_key == r.batch_key
+        assert type(loaded.batch_key) is BatchKey
+        assert loaded.batch_key[2] is loaded.operand
+
+    def test_a_loaded_key_rehashes_in_another_process(self):
+        # str hashes are salted per process: a hash carried through the
+        # pickle would disagree with the loading process's tuple hash.
+        r = kyber_polymul_request(range(256), range(256), request_id=0)
+        script = (
+            "import pickle, sys\n"
+            "key = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert hash(key) == hash(tuple(key)), 'stale hash'\n"
+            "print(type(key).__name__)\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            out = subprocess.run([sys.executable, "-c", script],
+                                 input=pickle.dumps(r.batch_key), env=env,
+                                 capture_output=True, check=True)
+            assert out.stdout.strip() == b"BatchKey"
+
+    def test_affinity_pins_unchanged(self):
+        # Chips and digest recorded from the plain-tuple key: the router
+        # hashes repr(batch_key), so a key that reprs differently would
+        # move every pin.
+        from repro.cluster.router import AffinityRouter, _key_digest
+
+        q = get_params("kyber-v1").q
+        router = AffinityRouter(16)
+        chips = []
+        for k in range(8):
+            poly = tuple((k * 31 + j * 7) % q for j in range(256))
+            chips.append(router.chip_for(
+                kyber_polymul_request(poly, poly, request_id=k), tuple(range(16))))
+        assert chips == [13, 9, 5, 10, 7, 11, 15, 1]
+        key = kyber_polymul_request(range(256), range(256), request_id=0).batch_key
+        assert _key_digest(key).hex() == "2d90ab9399886a2ae69b716886a113f9"
+
+
+class TestCanonical:
+    """A canonical int tuple is kept as given; anything else is reduced."""
+
+    def make(self, tiny_name, coeffs):
+        return Request(request_id=0, op="polymul", params_name=tiny_name,
+                       payload=coeffs, operand=coeffs)
+
+    def test_canonical_int_tuple_kept_by_identity(self, tiny_name):
+        coeffs = tuple(range(TINY_N - 1)) + (TINY_Q - 1,)
+        r = self.make(tiny_name, coeffs)
+        assert r.payload is coeffs and r.operand is coeffs
+
+    @pytest.mark.parametrize("coeffs", [
+        list(range(TINY_N)),                     # not a tuple
+        tuple(range(-1, TINY_N - 1)),            # a negative
+        tuple(range(TINY_N - 1)) + (TINY_Q,),    # a value >= q
+        (True, False) * (TINY_N // 2),           # bools are ints, not canonical
+        tuple(range(TINY_N - 1)) + (2 * TINY_Q + 3,),
+    ], ids=["list", "negative", "q", "bool", "large"])
+    def test_other_inputs_reduce_exactly_as_before(self, tiny_name, coeffs):
+        r = self.make(tiny_name, coeffs)
+        expected = tuple(c % TINY_Q for c in coeffs)
+        for reduced in (r.payload, r.operand):
+            assert reduced == expected and reduced is not coeffs
+            assert list(map(type, reduced)) == list(map(type, expected))
+
+    def test_numpy_ints_reduce_exactly_as_before(self, tiny_name):
+        np = pytest.importorskip("numpy")
+        coeffs = tuple(np.arange(TINY_N, dtype=np.int64))
+        r = self.make(tiny_name, coeffs)
+        expected = tuple(c % TINY_Q for c in coeffs)
+        assert r.operand == expected and repr(r.operand) == repr(expected)
+        assert repr(r.batch_key) == repr((tiny_name, "polymul", expected))
 
 
 class TestGoldResult:
