@@ -10,12 +10,19 @@ attributes such as ``tenant_waiting`` or ``window_s``, so a slip in
 them would otherwise go unseen.
 """
 
+import functools
 import hashlib
 
 import pytest
 from scenarios import SCENARIO_BUILDERS, golden_path
 
-from repro.obs import RecordingTracer, to_jsonl
+from repro.obs import (
+    RecordingTracer,
+    to_jsonl,
+    write_chrome_trace,
+    write_jsonl,
+    write_prometheus,
+)
 from repro.serve import serialize_report
 
 #: sha256 of ``to_jsonl(events)`` for each golden scenario's traced
@@ -34,10 +41,86 @@ EVENT_STREAM_SHA256 = {
         "3b9df19745c612524ce9692f326672b5ba5745a4d8639e698221ae19c3726711",
 }
 
+#: sha256 of the files ``write_chrome_trace``, ``write_jsonl`` and
+#: ``write_prometheus`` (what ``serve --trace-out/--metrics-out``
+#: writes) produce from each golden scenario's traced replay.
+EXPORT_SHA256 = {
+    "adaptive": {
+        "chrome":
+            "8cf31d5e8b39d8eb50b6c72ce286029f9bfe3a13a33e249c061a962d0431b275",
+        "jsonl":
+            "ba03769a7f2c08ef628fa5b71191a03186643e263637c366cf57f4146bcbeadb",
+        "prometheus":
+            "33a6e671e1bbb51e5adefc8f62ee38204ea44be52457bd7958170e0c35596c42",
+    },
+    "cluster-adaptive": {
+        "chrome":
+            "a8192f69224fe9ca2dead7e90eed7c73cda912b4604e8283abfb629059a33dd4",
+        "jsonl":
+            "5bbf351b5b20c0380179f0da9497d420f438066f045262bc9d0893e2264199f0",
+        "prometheus":
+            "c2fb833be63ffb526745e44094652873a2001a965534ba29c28e1ac63ccbfba3",
+    },
+    "kyber": {
+        "chrome":
+            "64cbbf1cdec8a725f70b66e29a06427b95b4f5caa4e9af3f63ec759977789aa8",
+        "jsonl":
+            "b4944cd72fb9ec473f4d52bdb6ac9df343ea9cca2f9dd4377002c2f0ad384aeb",
+        "prometheus":
+            "103f4a415a34a6c1e87140b87b5421da65281e8ed6304b3549f4200514f8957f",
+    },
+    "mixed-slo": {
+        "chrome":
+            "de862e194a45489c6e9b2ca0288d84ebb897f91117202122cf61103fbed3eec2",
+        "jsonl":
+            "35f000e91159616f0a72f78d4cb9fe0dac1a9c885834efa0c3166dec454049c5",
+        "prometheus":
+            "2756671d20a98a30a5ea8ee2f316d944d193e7ab0dd40deb1df2b624db0109e2",
+    },
+    "overload": {
+        "chrome":
+            "b33a3a66dd863f2d613a938e9f0e00fedd5d3ddf486e1f31e4abf212ae3793b9",
+        "jsonl":
+            "99ac22e210957e24190ead6ef9751d1201a79f3275d98ce9db0f1fe02d17b1c8",
+        "prometheus":
+            "02897de0f5144817ac2be07490132d8f348adefdf0304f00752a13b8fb520179",
+    },
+    "tiny": {
+        "chrome":
+            "ad2b2edf89c94b8a21f69112ed7ab8393aebdb10a8edec2e84200300f07fe2a0",
+        "jsonl":
+            "b27c84dd7ac679f1c65c4166665969062927d786a27d3c16ef08c21c57da8364",
+        "prometheus":
+            "4f7f83abfab8f9a0eb2c385b2457a5d240906108677dda457e2b5304ea5eca8a",
+    },
+}
+
 #: Phases every scenario must exercise (``drop`` needs overload and is
 #: covered separately below).
 CORE_PHASES = ("arrive", "admit", "enqueue", "batch_open", "dispatch",
                "lane_start", "lane_finish", "respond")
+
+
+@functools.lru_cache(maxsize=None)
+def traced_replay(name):
+    """One traced replay per scenario, shared by the tests below."""
+    tracer = RecordingTracer()
+    return SCENARIO_BUILDERS[name](tracer=tracer), tracer.events
+
+
+def export_digests(report, events, directory):
+    """sha256 of each export file written into ``directory``."""
+    writers = {
+        "chrome": lambda path: write_chrome_trace(events, path),
+        "jsonl": lambda path: write_jsonl(events, path),
+        "prometheus": lambda path: write_prometheus(report.registry, path),
+    }
+    digests = {}
+    for fmt, write in writers.items():
+        path = directory / fmt
+        write(path)
+        digests[fmt] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
@@ -52,32 +135,40 @@ def test_traced_replay_is_byte_identical_to_untraced(name):
         "`PYTHONPATH=src python tests/obs/scenarios.py --write`"
     )
 
-    tracer = RecordingTracer()
-    traced = serialize_report(build(tracer=tracer))
+    report, events = traced_replay(name)
+    traced = serialize_report(report)
     assert traced == golden, f"{name}: tracing perturbed the replay"
-    assert len(tracer) > 0
-    digest = hashlib.sha256(to_jsonl(tracer.events).encode()).hexdigest()
+    assert len(events) > 0
+    digest = hashlib.sha256(to_jsonl(events).encode()).hexdigest()
     assert digest == EVENT_STREAM_SHA256[name], (
         f"{name}: the traced event stream changed"
     )
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_export_files_are_byte_identical(name, tmp_path):
+    report, events = traced_replay(name)
+    assert export_digests(report, events, tmp_path) == EXPORT_SHA256[name], (
+        f"{name}: an export file changed"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
 def test_traced_replay_covers_the_core_lifecycle(name):
-    tracer = RecordingTracer()
-    SCENARIO_BUILDERS[name](tracer=tracer)
-    phases = {e.phase for e in tracer.events}
+    _, events = traced_replay(name)
+    phases = {e.phase for e in events}
     missing = [p for p in CORE_PHASES if p not in phases]
     assert not missing, f"{name}: no events for phases {missing}"
 
 
 def test_every_request_arrives_and_resolves():
     """Each request id gets an arrive and exactly one respond-or-drop."""
-    tracer = RecordingTracer()
-    report = SCENARIO_BUILDERS["mixed-slo"](tracer=tracer)
-    arrived = {e.request_id for e in tracer.by_phase("arrive")}
-    responded = {e.request_id for e in tracer.by_phase("respond")}
-    dropped = {e.request_id for e in tracer.by_phase("drop")}
+    report, events = traced_replay("mixed-slo")
+
+    def ids(phase):
+        return {e.request_id for e in events if e.phase == phase}
+
+    arrived, responded, dropped = ids("arrive"), ids("respond"), ids("drop")
     assert responded | dropped == arrived
     assert not (responded & dropped)
     assert len(responded) == len(report.responses)
