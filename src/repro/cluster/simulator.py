@@ -16,7 +16,7 @@ double the average work.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ParameterError
 from repro.serve.config import ReplayConfig
@@ -27,11 +27,15 @@ from repro.serve.simulator import ServingSimulator
 __all__ = ["ClusterSimulator", "annotate_cluster_metrics", "cluster_imbalance"]
 
 
-def _per_chip_busy(report: ServeReport, chips: int) -> List[float]:
-    busy = [0.0] * chips
+def _per_chip(report: ServeReport, chips: int) -> Tuple[List[float], List[int], List[int]]:
+    """Busy seconds, requests served and batches dispatched, per chip."""
+    busy, served, dispatched = [0.0] * chips, [0] * chips, [0] * chips
     for batch in report.batches:
-        busy[batch.lane % chips] += batch.finish_s - batch.start_s
-    return busy
+        chip = batch.lane % chips
+        busy[chip] += batch.finish_s - batch.start_s
+        served[chip] += batch.size
+        dispatched[chip] += 1
+    return busy, served, dispatched
 
 
 def _imbalance(busy: List[float]) -> float:
@@ -43,7 +47,7 @@ def _imbalance(busy: List[float]) -> float:
 
 def cluster_imbalance(report: ServeReport, chips: int) -> float:
     """``max / mean`` of per-chip busy seconds (1.0 = perfectly balanced)."""
-    return _imbalance(_per_chip_busy(report, chips))
+    return _imbalance(_per_chip(report, chips)[0])
 
 
 def annotate_cluster_metrics(report: ServeReport, chips: int) -> float:
@@ -53,14 +57,8 @@ def annotate_cluster_metrics(report: ServeReport, chips: int) -> float:
     per-chip breakdown is derivable from the batch records without any
     simulator plumbing.  Returns the imbalance value.
     """
-    busy = _per_chip_busy(report, chips)
+    busy, served, dispatched = _per_chip(report, chips)
     imbalance = _imbalance(busy)
-    served = [0] * chips
-    dispatched = [0] * chips
-    for batch in report.batches:
-        chip = batch.lane % chips
-        served[chip] += batch.size
-        dispatched[chip] += 1
     registry = report.registry
     if registry is not None:
         for chip in range(chips):

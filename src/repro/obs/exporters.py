@@ -27,17 +27,26 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence
 
+from repro.errors import ParameterError
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import TraceEvent
 
 # -- JSONL -------------------------------------------------------------------
 
 
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
 def _event_line(event: TraceEvent) -> str:
-    return json.dumps(asdict(event), separators=(",", ":"), sort_keys=True)
+    """One event as compact JSON, built from its fields (no deep copy)."""
+    return _LINE_ENCODER.encode({
+        "phase": event.phase, "t_s": event.t_s,
+        "request_id": event.request_id, "batch_id": event.batch_id,
+        "lane": event.lane, "kind": event.kind, "tenant": event.tenant,
+        "attrs": event.attrs,
+    })
 
 
 def to_jsonl(events: Sequence[TraceEvent]) -> str:
@@ -46,8 +55,9 @@ def to_jsonl(events: Sequence[TraceEvent]) -> str:
 
 
 def write_jsonl(events: Sequence[TraceEvent], path) -> None:
+    """One line per event; no events, an empty file."""
     with open(path, "w") as handle:
-        handle.write(to_jsonl(events) + "\n")
+        handle.writelines(_event_line(e) + "\n" for e in events)
 
 
 class JsonlExporter:
@@ -68,8 +78,6 @@ class JsonlExporter:
 
     def __init__(self, path, *, inner=None, flush_every: int = 256):
         if flush_every < 1:
-            from repro.errors import ParameterError
-
             raise ParameterError(
                 f"flush_every must be >= 1, got {flush_every}"
             )
@@ -108,22 +116,13 @@ class JsonlExporter:
 
 def read_jsonl(path) -> List[TraceEvent]:
     """Parse a JSONL event log back into :class:`TraceEvent` records."""
-    events = []
     with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(TraceEvent(**json.loads(line)))
-    return events
+        return [TraceEvent(**json.loads(line)) for line in handle if line.strip()]
 
 
 # -- Chrome trace format -----------------------------------------------------
 
 _US = 1e6  # trace-event timestamps are microseconds
-
-
-def _lane_label(lane: int) -> str:
-    return f"lane {lane}"
 
 
 def chrome_trace(events: Sequence[TraceEvent]) -> Dict[str, object]:
@@ -150,26 +149,83 @@ def chrome_trace(events: Sequence[TraceEvent]) -> Dict[str, object]:
          "args": {"name": "requests"}},
     ]
     lanes_seen: Dict[int, None] = {}
-
-    # Batch slices need lane_start/lane_finish pairs plus the dispatch
-    # event's metadata; join the three streams on batch_id.
+    # One pass: lane_start/lane_finish/dispatch join on batch_id into
+    # batch slices; the other outputs keep their emission order.
     lane_start: Dict[int, TraceEvent] = {}
     lane_finish: Dict[int, TraceEvent] = {}
     dispatch: Dict[int, TraceEvent] = {}
+    programs: List[Dict[str, object]] = []
+    alerts: List[Dict[str, object]] = []
+    requests: List[Dict[str, object]] = []
     for e in events:
-        if e.phase == "lane_start" and e.batch_id is not None:
+        phase = e.phase
+        if phase == "lane_start" and e.batch_id is not None:
             lane_start[e.batch_id] = e
-        elif e.phase == "lane_finish" and e.batch_id is not None:
+        elif phase == "lane_finish" and e.batch_id is not None:
             lane_finish[e.batch_id] = e
-        elif e.phase == "dispatch" and e.batch_id is not None:
+        elif phase == "dispatch" and e.batch_id is not None:
             dispatch[e.batch_id] = e
+        elif phase == "program":
+            # Subarray detail under a lane slice.
+            lane = e.lane if e.lane is not None else 0
+            lanes_seen.setdefault(lane, None)
+            programs.append({
+                "name": str(e.attrs.get("text", "instruction")),
+                "cat": "program",
+                "ph": "X",
+                "ts": e.t_s * _US,
+                "dur": float(e.attrs.get("duration_s", 0.0)) * _US,
+                "pid": 0,
+                "tid": lane,
+                "args": {k: v for k, v in e.attrs.items()
+                         if k not in ("text", "duration_s")},
+            })
+        elif phase == "alert":
+            # SLO fire/resolve as global instants on the requests track,
+            # so incidents line up with the spans they explain.
+            state = e.attrs.get("state", "")
+            rule = e.attrs.get("rule", "")
+            alerts.append({
+                "name": f"alert {state} {e.tenant} {rule}".strip(),
+                "cat": "alert",
+                "ph": "i",
+                "s": "g",
+                "ts": e.t_s * _US,
+                "pid": 1,
+                "tid": 0,
+                "args": {**e.attrs, "tenant": e.tenant},
+            })
+        if e.request_id is None or phase == "profile":
+            continue
+        # Request lifecycle as async spans keyed by request id.
+        base: Dict[str, object] = {
+            "cat": "request",
+            "id": e.request_id,
+            "pid": 1,
+            "tid": 0,
+            "ts": e.t_s * _US,
+        }
+        if phase == "arrive":
+            base.update(ph="b", name="request",
+                        args={"kind": e.kind, "tenant": e.tenant})
+        elif phase in ("respond", "drop"):
+            args = dict(e.attrs)
+            args["phase"] = phase
+            if e.batch_id is not None:
+                args["batch_id"] = e.batch_id
+            if e.lane is not None:
+                args["lane"] = e.lane
+            base.update(ph="e", name="request", args=args)
+        else:
+            base.update(ph="n", name=phase, args=dict(e.attrs))
+        requests.append(base)
 
     for batch_id, start in sorted(lane_start.items()):
         finish = lane_finish.get(batch_id)
         if finish is None:
             continue
         meta = dispatch.get(batch_id)
-        args: Dict[str, object] = {"batch_id": batch_id}
+        args = {"batch_id": batch_id}
         name = f"batch {batch_id}"
         if meta is not None:
             args.update(meta.attrs)
@@ -189,74 +245,12 @@ def chrome_trace(events: Sequence[TraceEvent]) -> Dict[str, object]:
             "tid": lane,
             "args": args,
         })
-
-    # Program-level sub-slices (subarray detail under a lane slice).
-    for e in events:
-        if e.phase != "program":
-            continue
-        lane = e.lane if e.lane is not None else 0
-        lanes_seen.setdefault(lane, None)
-        trace_events.append({
-            "name": str(e.attrs.get("text", "instruction")),
-            "cat": "program",
-            "ph": "X",
-            "ts": e.t_s * _US,
-            "dur": float(e.attrs.get("duration_s", 0.0)) * _US,
-            "pid": 0,
-            "tid": lane,
-            "args": {k: v for k, v in e.attrs.items()
-                     if k not in ("text", "duration_s")},
-        })
-
-    # SLO alerts (fire/resolve) as global instant markers on the
-    # requests track, so burn-rate incidents line up with the spans
-    # they explain.
-    for e in events:
-        if e.phase != "alert":
-            continue
-        state = e.attrs.get("state", "")
-        rule = e.attrs.get("rule", "")
-        trace_events.append({
-            "name": f"alert {state} {e.tenant} {rule}".strip(),
-            "cat": "alert",
-            "ph": "i",
-            "s": "g",
-            "ts": e.t_s * _US,
-            "pid": 1,
-            "tid": 0,
-            "args": {**e.attrs, "tenant": e.tenant},
-        })
-
-    # Request lifecycle as async spans keyed by request id.
-    for e in events:
-        if e.request_id is None or e.phase == "profile":
-            continue
-        base: Dict[str, object] = {
-            "cat": "request",
-            "id": e.request_id,
-            "pid": 1,
-            "tid": 0,
-            "ts": e.t_s * _US,
-        }
-        if e.phase == "arrive":
-            base.update(ph="b", name="request",
-                        args={"kind": e.kind, "tenant": e.tenant})
-        elif e.phase in ("respond", "drop"):
-            args = dict(e.attrs)
-            args["phase"] = e.phase
-            if e.batch_id is not None:
-                args["batch_id"] = e.batch_id
-            if e.lane is not None:
-                args["lane"] = e.lane
-            base.update(ph="e", name="request", args=args)
-        else:
-            base.update(ph="n", name=e.phase, args=dict(e.attrs))
-        trace_events.append(base)
+    trace_events += programs + alerts + requests
 
     for lane in sorted(lanes_seen):
         trace_events.append({
             "ph": "M", "pid": 0, "tid": lane, "name": "thread_name",
-            "args": {"name": _lane_label(lane)},
+            "args": {"name": f"lane {lane}"},
         })
 
     return {"displayTimeUnit": "ms", "traceEvents": trace_events}
@@ -344,19 +338,14 @@ def format_prometheus(registry: MetricsRegistry) -> str:
             help_text = METRIC_HELP.get(inst.name, inst.name)
             lines.append(f"# HELP {name} {_prom_escape_help(help_text)}")
             lines.append(f"# TYPE {name} {inst.kind}")
-        if isinstance(inst, Counter):
-            lines.append(f"{name}{_prom_labels(inst.labels)} "
-                         f"{_prom_number(inst.value)}")
-        elif isinstance(inst, Gauge):
+        if isinstance(inst, (Counter, Gauge)):
             lines.append(f"{name}{_prom_labels(inst.labels)} "
                          f"{_prom_number(inst.value)}")
         elif isinstance(inst, Histogram):
             for bound, count in inst.bucket_counts():
-                le = "+Inf" if math.isinf(bound) else _prom_number(bound)
-                lines.append(
-                    f"{name}_bucket{_prom_labels(inst.labels, {'le': le})} "
-                    f"{count}"
-                )
+                le = _prom_number(bound)
+                lines.append(f"{name}_bucket{_prom_labels(inst.labels, {'le': le})} "
+                             f"{count}")
             lines.append(f"{name}_sum{_prom_labels(inst.labels)} "
                          f"{_prom_number(inst.sum)}")
             lines.append(f"{name}_count{_prom_labels(inst.labels)} "

@@ -4,18 +4,16 @@ Instruments are keyed by a ``subsystem.name`` metric name plus a frozen
 label set (``tenant=...``, ``kind=...``, ``lane=...``); asking for the
 same (name, labels) pair twice returns the same instrument, so every
 serving layer can increment shared series without coordination.  The
-registry is the single source the serve report reads from
-(:func:`repro.serve.metrics.aggregate` backfills and then *views* it)
-and the Prometheus exporter dumps.
+simulator records into it at dispatch
+(:class:`repro.serve.metrics.MetricsRecorder`); the serve report is a
+view over it and the Prometheus exporter dumps it.
 
 Three deliberate departures from a production metrics client keep the
 numbers exact:
 
 - Histograms retain their raw observations (these are replay-sized
   series, not unbounded production streams), so percentile queries use
-  the same nearest-rank arithmetic as the legacy report path and the
-  registry-backed report is byte-identical to the list-based one it
-  replaced.  Bucketing happens only at export time.
+  exact nearest-rank arithmetic.  Bucketing happens only at export time.
 - Counter/histogram sums accumulate left-to-right in observation
   order, matching ``sum(list)`` exactly — float-for-float.
 - Gauges can carry a *timeline* (``sample(t, v)``): the queue-depth

@@ -10,25 +10,25 @@ follows the fixed-width style of
 :func:`repro.analysis.tables.format_table1` so serve output sits next
 to the paper artifacts.
 
-Since the observability layer arrived (``repro.obs``), every number
-here flows through a :class:`~repro.obs.registry.MetricsRegistry`:
-:func:`aggregate` backfills labeled counters/gauges/histograms from
-the raw records and then computes the report *from the instruments* —
-the :class:`ServeReport` is a view over the registry it carries, and
-the registry is what the Prometheus exporter dumps.  The instruments
-preserve the legacy arithmetic exactly (left-to-right sums, raw-value
-nearest-rank percentiles), so the registry-backed report is
-byte-identical to the list-based one it replaced.
+Every number flows through a :class:`~repro.obs.registry.MetricsRegistry`:
+a :class:`MetricsRecorder` records each response, drop and batch into
+labeled instruments at dispatch, and :func:`aggregate` computes the
+report *from the instruments* — the :class:`ServeReport` is a view over
+the registry it carries, which the Prometheus exporter dumps.  The
+instruments keep left-to-right sums and raw-value nearest-rank
+percentiles, so the numbers equal the plain list arithmetic exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ParameterError
-from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.registry import Histogram, Instrument, MetricsRegistry
 from repro.obs.slo import Alert, format_alerts
 from repro.serve.request import Response
 
@@ -178,64 +178,69 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[int(rank) - 1]
 
 
-def _backfill_registry(registry: MetricsRegistry,
-                       responses: Sequence[Response],
-                       batches: Sequence[BatchRecord],
-                       drops: Sequence[DropRecord], *,
-                       total_lanes: int, busy_s: float, span_s: float,
-                       queue_depth: Sequence[Tuple[float, int]]) -> None:
-    """Feed a replay's raw records into registry instruments.
+class MetricsRecorder:
+    """Keeps a replay's records and records each into the registry.
 
-    Observation order is record order, so every histogram's running sum
-    reproduces ``sum(list)`` float-for-float and the report computed
-    from the instruments is byte-identical to the legacy list math.
+    The simulator hands every response, drop and batch over as it
+    happens; :func:`aggregate` feeds standalone record lists through the
+    same calls.  Each ``(name, labels)`` handle is resolved once, on
+    first use, so a series exists only once something was recorded into
+    it.  Observation order is record order, so every histogram's running
+    sum reproduces ``sum(list)`` float-for-float.
     """
-    for r in responses:
-        kind_l = {"kind": r.request.kind}
-        tenant_l = {"tenant": r.request.tenant}
-        registry.counter("serve.requests").inc()
-        registry.counter("serve.requests", kind_l).inc()
-        registry.histogram("serve.latency_ms").observe(r.latency_s * 1e3)
-        registry.histogram("serve.latency_ms", kind_l).observe(r.latency_s * 1e3)
-        registry.histogram("serve.queue_s", kind_l).observe(r.queue_s)
-        registry.histogram("serve.queue_s").observe(r.queue_s)
-        registry.histogram("serve.service_s", kind_l).observe(r.service_s)
-        registry.histogram("serve.service_s").observe(r.service_s)
-        registry.histogram("serve.energy_nj", kind_l).observe(r.energy_nj)
-        registry.histogram("serve.energy_nj").observe(r.energy_nj)
-        registry.counter("serve.tenant_served", tenant_l).inc()
-        registry.histogram("serve.tenant_latency_ms",
-                           tenant_l).observe(r.latency_s * 1e3)
-        registry.histogram("serve.tenant_energy_nj",
-                           tenant_l).observe(r.energy_nj)
-        if r.request.deadline_s is not None:
-            registry.counter("serve.deadline_offered", tenant_l).inc()
-            if r.finish_s <= r.request.deadline_s:
-                registry.counter("serve.deadline_met", tenant_l).inc()
-    for d in drops:
-        tenant_l = {"tenant": d.tenant}
-        registry.counter("serve.dropped").inc()
-        registry.counter("serve.dropped", {"reason": d.reason}).inc()
-        registry.counter("serve.tenant_dropped", tenant_l).inc()
+
+    def __init__(self, registry: Optional[MetricsRegistry] = None):
+        self.registry = MetricsRegistry() if registry is None else registry
+        self.responses: List[Response] = []
+        self.batches: List[BatchRecord] = []
+        self.drops: List[DropRecord] = []
+        self._handles: Dict[tuple, Instrument] = {}
+
+    def _handle(self, factory: str, name: str, label: str = "", value=None):
+        handle = self._handles.get((name, label, value))
+        if handle is None:
+            handle = self._handles[name, label, value] = getattr(
+                self.registry, factory)(name, {label: value} if label else None)
+        return handle
+
+    def response(self, r: Response) -> None:
+        self.responses.append(r)
+        request, handle = r.request, self._handle
+        latency_ms = r.latency_s * 1e3
+        for label in (("", None), ("kind", request.kind)):
+            handle("counter", "serve.requests", *label).inc()
+            handle("histogram", "serve.latency_ms", *label).observe(latency_ms)
+            handle("histogram", "serve.queue_s", *label).observe(r.queue_s)
+            handle("histogram", "serve.service_s", *label).observe(r.service_s)
+            handle("histogram", "serve.energy_nj", *label).observe(r.energy_nj)
+        tenant = ("tenant", request.tenant)
+        handle("counter", "serve.tenant_served", *tenant).inc()
+        handle("histogram", "serve.tenant_latency_ms", *tenant).observe(latency_ms)
+        handle("histogram", "serve.tenant_energy_nj", *tenant).observe(r.energy_nj)
+        if request.deadline_s is not None:
+            handle("counter", "serve.deadline_offered", *tenant).inc()
+            if r.finish_s <= request.deadline_s:
+                handle("counter", "serve.deadline_met", *tenant).inc()
+
+    def drop(self, d: DropRecord) -> None:
+        self.drops.append(d)
+        self._handle("counter", "serve.dropped").inc()
+        self._handle("counter", "serve.dropped", "reason", d.reason).inc()
+        self._handle("counter", "serve.tenant_dropped", "tenant", d.tenant).inc()
         if d.had_deadline:
             # A shed deadline request is an offered-and-missed SLO.
-            registry.counter("serve.deadline_offered", tenant_l).inc()
-    for b in batches:
-        registry.counter("sched.batches").inc()
-        registry.counter("sched.batches", {"lane": str(b.lane)}).inc()
-        registry.histogram("sched.batch_occupancy").observe(b.occupancy)
-        registry.counter("sched.padded_slots").inc(b.capacity - b.size)
-        registry.counter("sched.batch_slots").inc(b.capacity)
-        registry.counter("serve.energy_total_nj").inc(b.energy_nj)
-    registry.gauge("sched.lanes").set(total_lanes)
-    registry.gauge("sched.busy_s").set(busy_s)
-    registry.gauge("serve.span_s").set(span_s)
-    depth = registry.gauge("sched.queue_depth")
-    if not depth.samples:
-        # Standalone aggregate() calls pass the timeline as a list; the
-        # simulator's gauge is already populated and wins untouched.
-        for t_s, value in queue_depth:
-            depth.sample(t_s, value)
+            self._handle("counter", "serve.deadline_offered", "tenant",
+                         d.tenant).inc()
+
+    def batch(self, b: BatchRecord) -> None:
+        self.batches.append(b)
+        handle = self._handle
+        handle("counter", "sched.batches").inc()
+        handle("counter", "sched.batches", "lane", b.lane).inc()
+        handle("histogram", "sched.batch_occupancy").observe(b.occupancy)
+        handle("counter", "sched.padded_slots").inc(b.capacity - b.size)
+        handle("counter", "sched.batch_slots").inc(b.capacity)
+        handle("counter", "serve.energy_total_nj").inc(b.energy_nj)
 
 
 def _kind_view(registry: MetricsRegistry, kind: str,
@@ -301,13 +306,16 @@ def aggregate(responses: List[Response], batches: List[BatchRecord], *,
               queue_depth: Sequence[Tuple[float, int]] = (),
               scheduler: str = "fifo",
               alerts: Sequence[Alert] = (),
-              registry: Optional[MetricsRegistry] = None) -> ServeReport:
+              registry: Optional[MetricsRegistry] = None,
+              recorder: Optional[MetricsRecorder] = None) -> ServeReport:
     """Roll a replay's raw records up into a :class:`ServeReport`.
 
-    The records are backfilled into ``registry`` (a fresh one when not
-    given — the simulator passes its own, queue-depth gauge included)
-    and every report number is then computed *from the instruments*,
-    so the returned report is a view over the registry it carries.
+    ``recorder`` has already recorded the records as they happened (the
+    simulator's, queue-depth gauge included); without one, a fresh
+    recorder over ``registry`` (a new one when not given) records them
+    here, in list order.  Every report number is then computed *from
+    the instruments*, so the returned report is a view over the
+    registry it carries.
     """
     drops = list(drops)
     if not responses and not drops:
@@ -320,11 +328,21 @@ def aggregate(responses: List[Response], batches: List[BatchRecord], *,
         first_arrival = min(d.arrival_s for d in drops)
         last_finish = max(d.arrival_s for d in drops)
     span = max(last_finish - first_arrival, 1e-12)
-    if registry is None:
-        registry = MetricsRegistry()
-    _backfill_registry(registry, responses, batches, drops,
-                       total_lanes=total_lanes, busy_s=busy_s, span_s=span,
-                       queue_depth=queue_depth)
+    if recorder is None:
+        recorder = MetricsRecorder(registry)
+        for records, record in ((responses, recorder.response),
+                                (drops, recorder.drop), (batches, recorder.batch)):
+            for item in records:
+                record(item)
+    registry = recorder.registry
+    registry.gauge("sched.lanes").set(total_lanes)
+    registry.gauge("sched.busy_s").set(busy_s)
+    registry.gauge("serve.span_s").set(span)
+    depth = registry.gauge("sched.queue_depth")
+    if not depth.samples:
+        # A recorder's gauge is already populated and wins untouched.
+        for t_s, value in queue_depth:
+            depth.sample(t_s, value)
     kinds = sorted(registry.label_values("serve.latency_ms", "kind"))
     by_kind = [_kind_view(registry, kind, {"kind": kind}) for kind in kinds]
     by_kind.append(
@@ -458,8 +476,6 @@ def _key_summary(key: tuple):
     params_name, op, operand = key
     if operand is None:
         return [params_name, op, None]
-    import zlib
-
     digest = zlib.crc32(repr(operand).encode())
     return [params_name, op, {"len": len(operand), "crc32": digest}]
 
@@ -473,7 +489,9 @@ def serialize_report(report: ServeReport) -> str:
     string, and the tracing-parity goldens can pin a whole report in
     one checked-in file.  The registry is deliberately excluded: it is
     *how* the numbers were computed, not a measurement of its own.
+    Each distinct batch key is summarized once per call.
     """
+    summarize = functools.cache(_key_summary)
     payload = {
         "scheduler": report.scheduler,
         "span_s": report.span_s,
@@ -492,7 +510,7 @@ def serialize_report(report: ServeReport) -> str:
         "by_tenant": [_jsonable(vars(t)) for t in report.by_tenant],
         "drops": [_jsonable(vars(d)) for d in report.drops],
         "batches": [
-            {**_jsonable(vars(b)), "key": _key_summary(b.key)}
+            _jsonable({**vars(b), "key": summarize(b.key)})
             for b in report.batches
         ],
         # "alerts" appears only when an SLO policy watched the run, so
@@ -504,7 +522,7 @@ def serialize_report(report: ServeReport) -> str:
                 "request_id": r.request.request_id,
                 "kind": r.request.kind,
                 "tenant": r.request.tenant,
-                "key": _key_summary(r.request.batch_key),
+                "key": summarize(r.request.batch_key),
                 "start_s": r.start_s,
                 "finish_s": r.finish_s,
                 "energy_nj": r.energy_nj,

@@ -20,13 +20,12 @@ per replay, so nothing accumulates between calls.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Union
 
 from repro.errors import ParameterError
-from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, TraceEvent, Tracer
 from repro.serve.batcher import BatchPolicy, PolyBatch
-from repro.serve.metrics import BatchRecord, DropRecord, ServeReport, aggregate
+from repro.serve.metrics import BatchRecord, DropRecord, MetricsRecorder, ServeReport, aggregate
 from repro.serve.pool import EnginePool
 from repro.serve.request import Request, Response
 
@@ -92,11 +91,9 @@ class ServingSimulator:
         # The pool outlives replays; (re)bind its tracer every time so a
         # traced replay never leaks events into the next untraced one.
         self.pool.tracer = tracer
-        registry = MetricsRegistry()
-        depth_gauge = registry.gauge("sched.queue_depth")
-        responses: List[Response] = []
-        batches: List[BatchRecord] = []
-        drops: List[DropRecord] = []
+        # Every record goes into the metrics the moment it is kept.
+        recorder = MetricsRecorder()
+        depth_gauge = recorder.registry.gauge("sched.queue_depth")
 
         def record_depth(now_s: float) -> None:
             depth_gauge.sample(now_s, scheduler.waiting())
@@ -122,7 +119,7 @@ class ServingSimulator:
                            "start_s": start, "energy_nj": profile.energy_nj},
                 ))
             for request, result in zip(batch.requests, results):
-                responses.append(
+                recorder.response(
                     Response(
                         request=request,
                         result=tuple(result),
@@ -144,7 +141,7 @@ class ServingSimulator:
                                "energy_nj": energy_per_request,
                                "batch_size": batch.size},
                     ))
-            batches.append(
+            recorder.batch(
                 BatchRecord(
                     batch_id=batch.batch_id,
                     key=batch.key,
@@ -187,7 +184,7 @@ class ServingSimulator:
                             kind=request.kind, tenant=request.tenant,
                             attrs={"reason": reason},
                         ))
-                    drops.append(
+                    recorder.drop(
                         DropRecord(
                             request_id=request.request_id,
                             tenant=request.tenant,
@@ -230,13 +227,13 @@ class ServingSimulator:
             tracer_finish()
         alerts = list(getattr(tracer, "alerts", ()))
         return aggregate(
-            responses,
-            batches,
+            recorder.responses,
+            recorder.batches,
             total_lanes=lanes.total_lanes,
             busy_s=lanes.busy_s,
-            drops=drops,
+            drops=recorder.drops,
             queue_depth=depth_gauge.samples,
             scheduler=getattr(scheduler, "name", str(self.scheduler)),
             alerts=alerts,
-            registry=registry,
+            recorder=recorder,
         )

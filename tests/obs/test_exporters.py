@@ -1,12 +1,16 @@
 """Exporter tests: JSONL roundtrip, Chrome-trace structure, Prometheus."""
 
 import json
+from dataclasses import asdict
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scenarios import SCENARIO_BUILDERS
 
 from repro.obs import (
     LIFECYCLE_PHASES,
+    JsonlExporter,
     RecordingTracer,
     chrome_trace,
     format_prometheus,
@@ -15,6 +19,8 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs.exporters import _event_line
+from repro.obs.tracer import AUX_PHASES, TraceEvent
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +46,68 @@ class TestJsonl:
             rec = json.loads(line)
             assert rec["phase"] == event.phase
             assert rec["t_s"] == event.t_s
+
+
+#: Attribute values the emitting layers use: JSON scalars (floats
+#: including NaN and +-inf, non-ASCII text) and nested lists such as a
+#: program event's ``rows``.
+_ATTR_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+_EVENTS = st.builds(
+    TraceEvent,
+    phase=st.sampled_from(LIFECYCLE_PHASES + AUX_PHASES),
+    t_s=st.floats(allow_nan=True, allow_infinity=True),
+    request_id=st.none() | st.integers(),
+    batch_id=st.none() | st.integers(),
+    lane=st.none() | st.integers(),
+    kind=st.text(max_size=6),
+    tenant=st.text(max_size=6),
+    attrs=st.dictionaries(st.text(max_size=8), _ATTR_VALUES, max_size=5),
+)
+
+
+class TestEventLine:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(events=st.lists(_EVENTS, max_size=5))
+    def test_matches_asdict_dumps_and_round_trips(self, events, tmp_path):
+        lines = [_event_line(e) for e in events]
+        assert lines == [
+            json.dumps(asdict(e), separators=(",", ":"), sort_keys=True)
+            for e in events
+        ]
+        path = tmp_path / "events.jsonl"
+        write_jsonl(events, path)
+        back = read_jsonl(path)
+        # Re-encoding compares NaN and tuple-vs-list values exactly.
+        assert [_event_line(e) for e in back] == lines
+        assert [(e.phase, e.request_id, e.kind, e.tenant) for e in back] \
+            == [(e.phase, e.request_id, e.kind, e.tenant) for e in events]
+
+    def test_empty_stream_writes_the_same_empty_file(self, tmp_path):
+        buffered = tmp_path / "buffered.jsonl"
+        streamed = tmp_path / "streamed.jsonl"
+        write_jsonl([], buffered)
+        with JsonlExporter(streamed):
+            pass
+        assert buffered.read_bytes() == streamed.read_bytes() == b""
+        assert read_jsonl(buffered) == []
+
+    def test_one_event_writes_one_terminated_line(self, tmp_path):
+        event = TraceEvent(phase="arrive", t_s=0.0, request_id=0)
+        buffered = tmp_path / "buffered.jsonl"
+        streamed = tmp_path / "streamed.jsonl"
+        write_jsonl([event], buffered)
+        with JsonlExporter(streamed) as exporter:
+            exporter.emit(event)
+        expected = (_event_line(event) + "\n").encode()
+        assert buffered.read_bytes() == streamed.read_bytes() == expected
 
 
 class TestChromeTrace:

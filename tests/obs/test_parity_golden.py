@@ -14,9 +14,12 @@ import functools
 import hashlib
 
 import pytest
-from scenarios import SCENARIO_BUILDERS, golden_path
+from scenarios import CLUSTER_CHIPS, SCENARIO_BUILDERS, golden_path
 
+from repro.cluster import annotate_cluster_metrics
 from repro.obs import (
+    Gauge,
+    Histogram,
     RecordingTracer,
     to_jsonl,
     write_chrome_trace,
@@ -24,6 +27,7 @@ from repro.obs import (
     write_prometheus,
 )
 from repro.serve import serialize_report
+from repro.serve.metrics import aggregate
 
 #: sha256 of ``to_jsonl(events)`` for each golden scenario's traced
 #: replay.  Regenerate alongside the report goldens, and only for an
@@ -151,6 +155,40 @@ def test_export_files_are_byte_identical(name, tmp_path):
     assert export_digests(report, events, tmp_path) == EXPORT_SHA256[name], (
         f"{name}: an export file changed"
     )
+
+
+def instrument_states(registry):
+    """Every instrument as exact text, in export order."""
+    states = []
+    for inst in registry.collect():
+        if isinstance(inst, Histogram):
+            state = (inst.values, inst.sum)
+        elif isinstance(inst, Gauge):
+            state = (inst.value, inst.samples)
+        else:
+            state = inst.value
+        states.append(repr((inst.kind, inst.name, inst.labels, state)))
+    return states
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_dispatch_recording_matches_standalone_aggregate(name):
+    """The registry the simulator fills at dispatch equals the one
+    ``aggregate`` builds from the report's record lists."""
+    report, _ = traced_replay(name)
+    registry = report.registry
+    standalone = aggregate(
+        report.responses, report.batches,
+        total_lanes=registry.get("sched.lanes").value,
+        busy_s=registry.get("sched.busy_s").value,
+        drops=report.drops, queue_depth=report.queue_depth,
+        scheduler=report.scheduler, alerts=report.alerts,
+    )
+    if name.startswith("cluster"):
+        annotate_cluster_metrics(standalone, CLUSTER_CHIPS)
+    assert instrument_states(standalone.registry) == \
+        instrument_states(registry)
+    assert serialize_report(standalone) == serialize_report(report)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))

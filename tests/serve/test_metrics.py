@@ -233,3 +233,36 @@ class TestTimelineEdges:
         assert hist.values == [1.0]
         assert report.registry.get("sched.padded_slots").value == 0
         assert report.registry.get("sched.batch_slots").value == 1
+
+
+class TestSerializeWork:
+    """``serialize_report`` summarizes each distinct batch key once."""
+
+    def test_each_distinct_key_is_summarized_once(self, tiny_pool,
+                                                  tiny_request, monkeypatch):
+        from repro.serve import metrics
+
+        operands = [[(5 * k + i) % 97 for i in range(16)] for k in range(2)]
+        # Each request builds its own key object from a fresh operand
+        # tuple; only the values repeat.
+        trace = [tiny_request(i, op="polymul", operand=list(operands[i % 2]),
+                              arrival_s=i * 1e-4) for i in range(12)]
+        trace += [tiny_request(i, arrival_s=i * 1e-4) for i in range(12, 16)]
+        assert len({id(r.batch_key) for r in trace}) == len(trace)
+        report = ServingSimulator(
+            tiny_pool, BatchPolicy(max_wait_s=1e-3)).replay(trace)
+        expected = metrics.serialize_report(report)
+        summarized = []
+        summarize = metrics._key_summary
+
+        def counting(key):
+            summarized.append(key)
+            return summarize(key)
+
+        monkeypatch.setattr(metrics, "_key_summary", counting)
+        assert metrics.serialize_report(report) == expected
+        assert len(summarized) == len(set(summarized)) == 3
+        assert set(summarized) == {r.batch_key for r in trace}
+        # A second call summarizes afresh: nothing is cached across calls.
+        metrics.serialize_report(report)
+        assert len(summarized) == 6
