@@ -90,24 +90,19 @@ class TestEventLine:
         assert [(e.phase, e.request_id, e.kind, e.tenant) for e in back] \
             == [(e.phase, e.request_id, e.kind, e.tenant) for e in events]
 
-    def test_empty_stream_writes_the_same_empty_file(self, tmp_path):
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_both_writers_agree_on_short_streams(self, count, tmp_path):
+        # No events: an empty file from both, not a lone newline.
+        events = [TraceEvent(phase="arrive", t_s=0.0, request_id=0)][:count]
         buffered = tmp_path / "buffered.jsonl"
         streamed = tmp_path / "streamed.jsonl"
-        write_jsonl([], buffered)
-        with JsonlExporter(streamed):
-            pass
-        assert buffered.read_bytes() == streamed.read_bytes() == b""
-        assert read_jsonl(buffered) == []
-
-    def test_one_event_writes_one_terminated_line(self, tmp_path):
-        event = TraceEvent(phase="arrive", t_s=0.0, request_id=0)
-        buffered = tmp_path / "buffered.jsonl"
-        streamed = tmp_path / "streamed.jsonl"
-        write_jsonl([event], buffered)
+        write_jsonl(events, buffered)
         with JsonlExporter(streamed) as exporter:
-            exporter.emit(event)
-        expected = (_event_line(event) + "\n").encode()
+            for event in events:
+                exporter.emit(event)
+        expected = "".join(_event_line(e) + "\n" for e in events).encode()
         assert buffered.read_bytes() == streamed.read_bytes() == expected
+        assert read_jsonl(buffered) == events
 
 
 class TestChromeTrace:
