@@ -291,7 +291,7 @@ def check_program(program: Program, *, rows: Optional[int] = None,
                 "PROG011", f"{where}[{label}]",
                 f"section {label!r} spans [{start}, {end}) but the program "
                 f"has {length} instruction(s)",
-                hint="append_program offsets or hand-built sections are off",
+                hint="hand-built section offsets are off",
             ))
     if program._open_section is not None:
         diagnostics.append(warning(

@@ -39,9 +39,9 @@ def emit_resolve(program: Program, layout: DataLayout) -> None:
     """
     s = layout.scratch
     program.begin_section("carry_resolve")
-    program.emit(ShiftRow(s.carry, s.carry, ShiftDirection.LEFT))
-    program.emit(BinaryPair(s.sum, s.sum, s.carry))
-    program.extend([CarryStep(s.sum, s.sum)] * (layout.width - 1))
+    program.emit(layout.intern(ShiftRow, s.carry, s.carry, ShiftDirection.LEFT))
+    program.emit(layout.intern(BinaryPair, s.sum, s.sum, s.carry))
+    program.extend([layout.intern(CarryStep, s.sum, s.sum)] * (layout.width - 1))
     program.end_section()
 
 
@@ -56,11 +56,11 @@ def emit_cond_subtract(program: Program, layout: DataLayout, x_row: int) -> None
     if x_row in (s.t0, s.t1):
         raise LayoutError("cond_subtract operand may not alias its temporaries")
     program.begin_section("cond_subtract")
-    program.emit(Unary(UnaryOp.NOT, s.t0, s.mod, set_lsb=True))
-    program.emit(BinaryPair(s.t1, x_row, s.t0))
-    program.extend([CarryStep(s.t1, s.t1)] * layout.width)
-    program.emit(CheckCarry())
-    program.emit(CopyGated(x_row, s.t1))
+    program.emit(layout.intern(Unary, UnaryOp.NOT, s.t0, s.mod, set_lsb=True))
+    program.emit(layout.intern(BinaryPair, s.t1, x_row, s.t0))
+    program.extend([layout.intern(CarryStep, s.t1, s.t1)] * layout.width)
+    program.emit(layout.intern(CheckCarry))
+    program.emit(layout.intern(CopyGated, x_row, s.t1))
     program.end_section()
 
 
@@ -74,10 +74,10 @@ def emit_mod_add(program: Program, layout: DataLayout, dst: int, a_row: int, b_r
     if dst in (s.t0, s.t1):
         raise LayoutError("mod_add destination may not alias the temporaries")
     program.begin_section("mod_add")
-    program.emit(BinaryPair(dst, a_row, b_row))
+    program.emit(layout.intern(BinaryPair, dst, a_row, b_row))
     # a + b < 2M < 2^w: the value settles within width-1 rounds and no
     # carry leaves the tile.
-    program.extend([CarryStep(dst, dst)] * (layout.width - 1))
+    program.extend([layout.intern(CarryStep, dst, dst)] * (layout.width - 1))
     program.end_section()
     emit_cond_subtract(program, layout, dst)
 
@@ -92,12 +92,12 @@ def emit_mod_sub(program: Program, layout: DataLayout, dst: int, a_row: int, b_r
     if dst in (s.t0, s.t1):
         raise LayoutError("mod_sub destination may not alias the temporaries")
     program.begin_section("mod_sub")
-    program.emit(Unary(UnaryOp.NOT, s.t0, b_row))
-    program.emit(BinaryPair(dst, a_row, s.t0, carry_in=True))
-    program.extend([CarryStep(dst, dst)] * layout.width)
-    program.emit(CheckCarry(invert=True))
-    program.emit(BinaryPair(dst, dst, s.mod, gate_operand1=True))
-    program.extend([CarryStep(dst, dst)] * (layout.width - 1))
+    program.emit(layout.intern(Unary, UnaryOp.NOT, s.t0, b_row))
+    program.emit(layout.intern(BinaryPair, dst, a_row, s.t0, carry_in=True))
+    program.extend([layout.intern(CarryStep, dst, dst)] * layout.width)
+    program.emit(layout.intern(CheckCarry, invert=True))
+    program.emit(layout.intern(BinaryPair, dst, dst, s.mod, gate_operand1=True))
+    program.extend([layout.intern(CarryStep, dst, dst)] * (layout.width - 1))
     program.end_section()
 
 
@@ -113,8 +113,8 @@ def emit_fetch(program: Program, layout: DataLayout, dst: int, src_row: int,
     if tile_offset == 0:
         return src_row
     program.begin_section("spill_fetch")
-    program.emit(Unary(UnaryOp.COPY, dst, src_row))
-    program.extend([ShiftRow(dst, dst, ShiftDirection.RIGHT, segmented=False)]
+    program.emit(layout.intern(Unary, UnaryOp.COPY, dst, src_row))
+    program.extend([layout.intern(ShiftRow, dst, dst, ShiftDirection.RIGHT, segmented=False)]
                    * (tile_offset * layout.width))
     program.end_section()
     return dst
@@ -133,16 +133,17 @@ def emit_store(program: Program, layout: DataLayout, value_row: int, dst_row: in
     program.begin_section("store")
     if not layout.uses_spill:
         if value_row != dst_row:
-            program.emit(Unary(UnaryOp.COPY, dst_row, value_row))
+            program.emit(layout.intern(Unary, UnaryOp.COPY, dst_row, value_row))
         program.end_section()
         return
     if tile_offset == 0:
         source = value_row
     else:
-        program.emit(Unary(UnaryOp.COPY, shuttle_row, value_row))
-        program.extend([ShiftRow(shuttle_row, shuttle_row, ShiftDirection.LEFT,
-                                 segmented=False)] * (tile_offset * layout.width))
+        program.emit(layout.intern(Unary, UnaryOp.COPY, shuttle_row, value_row))
+        program.extend([layout.intern(ShiftRow, shuttle_row, shuttle_row,
+                                      ShiftDirection.LEFT, segmented=False)]
+                       * (tile_offset * layout.width))
         source = shuttle_row
-    program.emit(SetFlags(layout.offset_tile_mask(tile_offset)))
-    program.emit(CopyGated(dst_row, source))
+    program.emit(layout.intern(SetFlags, layout.offset_tile_mask(tile_offset)))
+    program.emit(layout.intern(CopyGated, dst_row, source))
     program.end_section()

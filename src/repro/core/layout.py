@@ -87,6 +87,23 @@ class DataLayout:
             sum=base, carry=base + 1, t0=base + 2, t1=base + 3,
             landing=base + 4, mod=base + 5,
         )
+        # (class, args, flags) -> the one instruction built for it.  The
+        # table lives and dies with the layout: a fresh engine compiles cold.
+        self._instructions = {}
+
+    def intern(self, cls, *args, **flags):
+        """This layout's one instance of instruction ``cls(*args, **flags)``.
+
+        The emitters build every instruction through here.  Spell a value
+        one way at every call site (required fields positionally,
+        non-default flags by keyword) so equal instructions share one
+        object.
+        """
+        key = (cls, args, tuple(flags.items()))
+        instruction = self._instructions.get(key)
+        if instruction is None:
+            instruction = self._instructions[key] = cls(*args, **flags)
+        return instruction
 
     @property
     def uses_spill(self) -> bool:

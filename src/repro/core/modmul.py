@@ -63,30 +63,31 @@ def emit_modmul(program: Program, layout: DataLayout, twiddle: int, b_row: int) 
             f"twiddle {twiddle} does not fit the {layout.width}-bit container"
         )
     s = layout.scratch
-    # Every iteration emits the same two blocks; instructions are
-    # frozen, so each block is built once and shared.
+    intern = layout.intern
+    # Every iteration emits the same two blocks, and every instruction
+    # in them is the layout's one instance of its value.
     conditional_add = [
-        LogicBinary(BinaryOp.AND, s.t1, s.sum, b_row),
-        LogicBinary(BinaryOp.XOR, s.t0, s.sum, b_row),
-        ShiftRow(s.carry, s.carry, ShiftDirection.LEFT),
-        LogicBinary(BinaryOp.XOR, s.sum, s.carry, s.t0),
-        LogicBinary(BinaryOp.AND, s.t0, s.carry, s.t0),
-        LogicBinary(BinaryOp.OR, s.carry, s.t1, s.t0),
+        intern(LogicBinary, BinaryOp.AND, s.t1, s.sum, b_row),
+        intern(LogicBinary, BinaryOp.XOR, s.t0, s.sum, b_row),
+        intern(ShiftRow, s.carry, s.carry, ShiftDirection.LEFT),
+        intern(LogicBinary, BinaryOp.XOR, s.sum, s.carry, s.t0),
+        intern(LogicBinary, BinaryOp.AND, s.t0, s.carry, s.t0),
+        intern(LogicBinary, BinaryOp.OR, s.carry, s.t1, s.t0),
     ]
     reduction = [
-        Check(s.sum, bit_index=0),
-        LogicBinary(BinaryOp.AND, s.t1, s.sum, s.mod, gate_operand1=True),
-        LogicBinary(BinaryOp.XOR, s.t0, s.sum, s.mod, gate_operand1=True),
-        ShiftRow(s.t0, s.t0, ShiftDirection.RIGHT),
-        LogicBinary(BinaryOp.XOR, s.sum, s.t0, s.t1),
-        LogicBinary(BinaryOp.AND, s.t0, s.t0, s.t1),
-        LogicBinary(BinaryOp.AND, s.t1, s.carry, s.sum),
-        LogicBinary(BinaryOp.XOR, s.sum, s.carry, s.sum),
-        LogicBinary(BinaryOp.OR, s.carry, s.t0, s.t1),
+        intern(Check, s.sum),
+        intern(LogicBinary, BinaryOp.AND, s.t1, s.sum, s.mod, gate_operand1=True),
+        intern(LogicBinary, BinaryOp.XOR, s.t0, s.sum, s.mod, gate_operand1=True),
+        intern(ShiftRow, s.t0, s.t0, ShiftDirection.RIGHT),
+        intern(LogicBinary, BinaryOp.XOR, s.sum, s.t0, s.t1),
+        intern(LogicBinary, BinaryOp.AND, s.t0, s.t0, s.t1),
+        intern(LogicBinary, BinaryOp.AND, s.t1, s.carry, s.sum),
+        intern(LogicBinary, BinaryOp.XOR, s.sum, s.carry, s.sum),
+        intern(LogicBinary, BinaryOp.OR, s.carry, s.t0, s.t1),
     ]
     program.begin_section("modmul")
-    program.emit(Unary(UnaryOp.ZERO, s.sum))
-    program.emit(Unary(UnaryOp.ZERO, s.carry))
+    program.emit(intern(Unary, UnaryOp.ZERO, s.sum))
+    program.emit(intern(Unary, UnaryOp.ZERO, s.carry))
     for i in range(layout.width):
         if (twiddle >> i) & 1:
             program.extend(conditional_add)

@@ -18,6 +18,9 @@ differ:
   flags (the Fig 4d *Check* consumer): per-tile select.
 
 Every instruction is a frozen dataclass; programs are plain sequences.
+Instructions are never mutated and compare by ``==``, so the compiler
+interns them: the programs one engine compiles share one instance per
+distinct value (see :meth:`repro.core.layout.DataLayout.intern`).
 
 Operand gating (``gate_operand1``) models the ``m = M or 0`` selection
 of Algorithm 2 line 11: wordlines are shared across tiles, so per-tile

@@ -50,13 +50,6 @@ class Program:
         self.sections.append((label, start, len(self.instructions)))
         self._open_section = None
 
-    def append_program(self, other: "Program") -> None:
-        """Concatenate another program, shifting its section offsets."""
-        offset = len(self.instructions)
-        self.instructions.extend(other.instructions)
-        for label, start, end in other.sections:
-            self.sections.append((label, start + offset, end + offset))
-
     def section_histogram(self) -> Dict[str, int]:
         """Instruction counts per section label (aggregated)."""
         hist: Dict[str, int] = {}

@@ -12,7 +12,11 @@ every draw:
 - ``profile_program`` equals each executed ``ExecutionStats`` stat for
   stat, dict key order included;
 - the engine's memoized ``profile`` equals a fresh ``price_programs``
-  and the merged executed stats, cold and warm.
+  and the merged executed stats, cold and warm;
+- equal instructions across the kernel's programs are one object, and a
+  second engine built with the same arguments compiles equal programs
+  that share no instruction object with the first (interning is per
+  engine, never global).
 """
 
 import random
@@ -91,6 +95,17 @@ def test_generated_kernels_check_clean_execute_gold_and_price_exactly(draw, op):
         findings = check_program(program, rows=layout.rows, width=engine.width,
                                  num_tiles=layout.num_tiles, modulus=params.q)
         assert not [d for d in findings if d.is_error], findings
+    built = [i for program in kernel.programs for i in program.instructions]
+    assert len({id(i) for i in built}) == len(set(built))
+
+    twin = BPNTTEngine(params, width=engine.width, rows=layout.rows,
+                       cols=engine.physical_cols).compile(op, operand)
+    assert twin.programs == kernel.programs
+    for mine, theirs in zip(kernel.programs, twin.programs):
+        assert mine.instructions == theirs.instructions
+        assert mine.sections == theirs.sections
+    assert not {id(i) for i in built} & {
+        id(i) for program in twin.programs for i in program.instructions}
 
     payloads = [poly() for _ in range(engine.batch)]
     engine.load(payloads)

@@ -127,6 +127,27 @@ class TestPricingWork:
         assert len(again) == len(priced) == 258
         assert not {id(p) for p in again} & {id(p) for p in priced}
 
+    @staticmethod
+    def instructions(pool, tiny_request):
+        """Every instruction slot of the template engine's programs."""
+        engine = pool.template(tiny_request(0).params_name)
+        return [i for program in engine._programs.values() for i in program.instructions]
+
+    def test_set_up_builds_each_distinct_instruction_once(self, tiny_request):
+        pool, _ = self.set_up(tiny_request)
+        built = self.instructions(pool, tiny_request)
+        # The 258 programs share one object per distinct instruction
+        # value (109,242 objects if every emitter call built its own).
+        assert len({id(i) for i in built}) == len(set(built)) == 230
+
+    def test_a_fresh_pool_interns_cold_again(self, tiny_request):
+        first, _ = self.set_up(tiny_request)
+        second, _ = self.set_up(tiny_request)
+        built = self.instructions(first, tiny_request)
+        again = self.instructions(second, tiny_request)
+        assert again == built
+        assert not {id(i) for i in again} & {id(i) for i in built}
+
 
 class TestServe:
     def test_model_and_sram_agree_with_gold(self, tiny_pool, tiny_request):

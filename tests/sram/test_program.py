@@ -43,17 +43,6 @@ class TestComposition:
         assert len(p) == 3
         assert list(p)[1] == z(1)
 
-    def test_append_program_shifts_sections(self):
-        a = Program("a")
-        a.emit(z(0))
-        b = Program("b")
-        b.begin_section("s")
-        b.emit(z(1))
-        b.end_section()
-        a.append_program(b)
-        assert a.sections == [("s", 1, 2)]
-        assert len(a) == 2
-
     def test_repr(self):
         p = Program("kernel")
         p.emit(z(0))
