@@ -16,11 +16,11 @@ the checker, not the reader grepping for it.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List
 
 from repro.errors import CheckError
+from repro.utils import jsonout
 
 
 class Severity(enum.Enum):
@@ -149,7 +149,7 @@ def format_diagnostics(diagnostics: List[Diagnostic]) -> str:
 
 def diagnostics_json(diagnostics: List[Diagnostic]) -> str:
     """The findings as a JSON document (stable key order)."""
-    return json.dumps(
+    return jsonout.dumps(
         {
             "findings": [d.to_dict() for d in diagnostics],
             "errors": sum(1 for d in diagnostics if d.is_error),

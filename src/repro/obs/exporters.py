@@ -13,7 +13,11 @@ Three consumers, three formats, one event stream:
   tracks (pid 0, one tid per lane) carrying batch slices and nested
   program-level slices; requests are async spans (pid 1) whose begin /
   instant / end events mark the lifecycle phases.  Timestamps are the
-  replay's simulated microseconds.
+  replay's simulated microseconds.  :func:`write_chrome_trace` encodes
+  the document with :func:`repro.utils.jsonout.iterencode` (the bytes
+  of ``json.dump(doc, indent=1)``) and streams it with
+  ``handle.writelines``, one string per ``traceEvents`` element, so the
+  file text is never held whole.
 - :func:`format_prometheus` / :func:`write_prometheus` — the registry's
   instruments as a Prometheus text-format dump (``# HELP``/``# TYPE``
   headers, spec-escaped label values, ``_bucket``/``_sum``/``_count``
@@ -32,6 +36,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import ParameterError
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import TraceEvent
+from repro.utils import jsonout
 
 # -- JSONL -------------------------------------------------------------------
 
@@ -257,8 +262,9 @@ def chrome_trace(events: Sequence[TraceEvent]) -> Dict[str, object]:
 
 
 def write_chrome_trace(events: Sequence[TraceEvent], path) -> None:
+    """The :func:`chrome_trace` document, streamed one event at a time."""
     with open(path, "w") as handle:
-        json.dump(chrome_trace(events), handle, indent=1)
+        handle.writelines(jsonout.iterencode(chrome_trace(events), indent=1))
         handle.write("\n")
 
 

@@ -22,7 +22,6 @@ percentiles, so the numbers equal the plain list arithmetic exactly.
 from __future__ import annotations
 
 import functools
-import json
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -31,6 +30,7 @@ from repro.errors import ParameterError
 from repro.obs.registry import Histogram, Instrument, MetricsRegistry
 from repro.obs.slo import Alert, format_alerts
 from repro.serve.request import Response
+from repro.utils import jsonout
 
 
 @dataclass(frozen=True)
@@ -489,7 +489,10 @@ def serialize_report(report: ServeReport) -> str:
     string, and the tracing-parity goldens can pin a whole report in
     one checked-in file.  The registry is deliberately excluded: it is
     *how* the numbers were computed, not a measurement of its own.
-    Each distinct batch key is summarized once per call.
+    Each distinct batch key is summarized once per call.  The text is
+    written by :func:`repro.utils.jsonout.dumps`, byte-identical to
+    ``json.dumps(payload, indent=2, sort_keys=True)`` but filling each
+    response and batch dict into a template built once per call.
     """
     summarize = functools.cache(_key_summary)
     payload = {
@@ -533,4 +536,4 @@ def serialize_report(report: ServeReport) -> str:
             for r in report.responses
         ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return jsonout.dumps(payload, indent=2, sort_keys=True)

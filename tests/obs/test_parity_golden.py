@@ -12,6 +12,7 @@ them would otherwise go unseen.
 
 import functools
 import hashlib
+import json.encoder
 
 import pytest
 from scenarios import CLUSTER_CHIPS, SCENARIO_BUILDERS, golden_path
@@ -155,6 +156,26 @@ def test_export_files_are_byte_identical(name, tmp_path):
     assert export_digests(report, events, tmp_path) == EXPORT_SHA256[name], (
         f"{name}: an export file changed"
     )
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_indented_writers_never_reach_the_stdlib_encoder(name, tmp_path,
+                                                         monkeypatch):
+    """The report and the Chrome trace come from ``repro.utils.jsonout``.
+
+    ``json``'s pure-Python encoder (what ``indent=`` selects before
+    Python 3.13) is made to raise, so a fallback to it fails here
+    instead of only slowing perfbench; the bytes must still be the
+    golden report and the pinned export digests.
+    """
+    def stdlib_encoder(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", stdlib_encoder)
+    report, events = traced_replay(name)
+    golden = golden_path(name).read_text().rstrip("\n")
+    assert serialize_report(report) == golden
+    assert export_digests(report, events, tmp_path) == EXPORT_SHA256[name]
 
 
 def instrument_states(registry):
