@@ -119,14 +119,17 @@ def verify_backend_results(backend: str = "model", trials_per_config: int = 1,
     """Differentially test a registered execution backend against gold.
 
     Every op of the named backend (resolved through the
-    :mod:`repro.backends` registry) runs a random full batch on two
-    small rings; results must match the gold transforms and the
-    invocation must profile to a positive cycle count.
+    :mod:`repro.backends` registry) runs a random full batch on three
+    rings; results must match the gold transforms and the invocation
+    must profile to a positive cycle count.  The 64-point ring with a
+    31-bit modulus reaches the batched numpy kernels of ``model`` and
+    ``numpy`` at the edge of their int64 bound.
     """
     from repro.backends import create_backend
     from repro.ntt.transform import intt_negacyclic, polymul_negacyclic
 
-    configs = [NTTParams(n=8, q=17), NTTParams(n=16, q=97)]
+    configs = [NTTParams(n=8, q=17), NTTParams(n=16, q=97),
+               NTTParams(n=64, q=find_ntt_prime(31, 64))]
     report = CampaignReport(name=f"backend-{backend}")
     rng = random.Random(seed)
     for params in configs:

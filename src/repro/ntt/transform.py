@@ -16,6 +16,15 @@ The negacyclic pair also comes batched (:func:`ntt_negacyclic_batch` /
 as numpy array operations over many polynomials at once, the way a
 bit-parallel subarray runs one butterfly on every row.  They consume the
 same twiddle tables in the same order, so results are bit-identical.
+Their butterflies are lazy, the host's counterpart of BP-NTT avoiding
+division in its modular reduction: each stage reduces only the twiddle
+product, with one in-place ``x -= (x // q) * q`` (int64 floor division
+by a scalar is ~4x cheaper than ``%``), and lets the sums and
+differences grow.  A Python-int bound on ``|coefficient|`` tracks that
+growth (``+q`` a forward stage, ``x2`` an inverse stage); before any
+stage whose twiddle product could reach ``2**63`` the whole array is
+reduced and the bound reset to ``q``, so every intermediate is an exact
+integer and the one reduction at the end yields canonical residues.
 
 All functions are pure: they copy their input and return a new list
 (the batched pair: a new ``int64`` array).
@@ -34,9 +43,13 @@ from repro.utils.bitops import bit_reverse_permutation
 if TYPE_CHECKING:
     import numpy
 
-#: Largest modulus the batched schedules take: every intermediate
-#: product is below ``(q-1)**2``, which must fit ``int64``.
+#: Largest modulus the batched schedules take: a twiddle product of
+#: canonical residues, below ``(q-1)**2``, must fit ``int64``.  The
+#: lazy butterflies let coefficients grow past ``q`` and reduce them
+#: whole before a stage whose twiddle product could reach ``2**63``.
 BATCH_MAX_MODULUS_BITS = 31
+
+_INT64_LIMIT = 2**63
 
 
 def _validate_input(a: Sequence[int], params: NTTParams) -> List[int]:
@@ -102,6 +115,21 @@ def _twiddle_arrays(table: TwiddleTable):
             np.asarray(table.inverse, dtype=np.int64))
 
 
+def _reduce(x: "numpy.ndarray", q: int) -> "numpy.ndarray":
+    """Reduce ``x`` to ``[0, q)`` in place and return it.
+
+    ``x - (x // q) * q`` equals ``x % q`` for ``q > 0``, negative ``x``
+    included, because numpy floor-divides; int64 floor division by a
+    scalar is ~4x cheaper per element than ``%``.  Within ``q`` of
+    int64's floor, ``(x // q) * q`` wraps, but so does the subtraction,
+    and the exact remainder it lands on fits.
+    """
+    quotient = x // q
+    quotient *= q
+    x -= quotient
+    return x
+
+
 def _as_batch(batch, params: NTTParams) -> "numpy.ndarray":
     """``batch`` as a new canonical ``(rows, n)`` int64 array."""
     import numpy as np
@@ -115,7 +143,9 @@ def _as_batch(batch, params: NTTParams) -> "numpy.ndarray":
             f"(int64 products); q={q} has {q.bit_length()}"
         )
     try:
-        rows = np.asarray(batch, dtype=np.int64)
+        # np.array copies even an int64 array, so the in-place reduction
+        # below never writes to the caller's batch.
+        rows = np.array(batch, dtype=np.int64)
     except OverflowError:
         # Coefficients past int64 reduce in Python first, as the scalar
         # path reduces every coefficient.
@@ -129,7 +159,7 @@ def _as_batch(batch, params: NTTParams) -> "numpy.ndarray":
             f"every batch row must hold {params.n} coefficients, "
             f"got a batch of shape {rows.shape}"
         )
-    return rows % q
+    return _reduce(rows, q)
 
 
 def ntt_negacyclic_batch(batch, params: NTTParams,
@@ -139,7 +169,11 @@ def ntt_negacyclic_batch(batch, params: NTTParams,
     :func:`ntt_negacyclic`'s schedule with the inner per-coefficient
     loop replaced by a ``(rows, blocks, 2*length)`` reshape: within a
     stage every block's butterflies run as one array expression,
-    broadcasting one zeta per block.  Returns a canonical int64 array.
+    broadcasting one zeta per block.  Only the twiddle product is
+    reduced per stage; the sums and differences grow by up to ``q`` a
+    stage, tracked in ``bound``, and are reduced at the end (and whole,
+    before a stage whose twiddle product could wrap).  Returns a
+    canonical int64 array.
     """
     import numpy as np
 
@@ -147,23 +181,25 @@ def ntt_negacyclic_batch(batch, params: NTTParams,
     forward, _ = _twiddle_arrays(table or TwiddleTable(params))
     q, n = params.q, params.n
     rows = coeffs.shape[0]
+    bound = q  # |coefficient| < bound
     k = 0
     length = n // 2
     while length > 0:
+        if bound * q >= _INT64_LIMIT:  # zeta * high could wrap
+            _reduce(coeffs, q)
+            bound = q
         blocks_n = n // (2 * length)
         # Algorithm 1 consumes zeta[++k] block by block, in order.
         zetas = forward[k + 1:k + 1 + blocks_n].reshape(1, blocks_n, 1)
         k += blocks_n
         blocks = coeffs.reshape(rows, blocks_n, 2 * length)
         low, high = blocks[:, :, :length], blocks[:, :, length:]
-        # t < q**2 < 2**62, so low -/+ t fits before its reduction.
-        t = zetas * high
+        t = _reduce(zetas * high, q)
         np.subtract(low, t, out=high)
-        high %= q
         low += t
-        low %= q
+        bound += q
         length //= 2
-    return coeffs
+    return _reduce(coeffs, q)
 
 
 def intt_negacyclic_batch(batch, params: NTTParams,
@@ -172,6 +208,8 @@ def intt_negacyclic_batch(batch, params: NTTParams,
 
     :func:`intt_negacyclic`'s Gentleman–Sande schedule, vectorized over
     the batch and each stage's blocks like :func:`ntt_negacyclic_batch`.
+    Only the twiddle products are reduced per stage; the sums run
+    unreduced and double ``bound`` each stage, under the same guard.
     """
     import numpy as np
 
@@ -179,23 +217,29 @@ def intt_negacyclic_batch(batch, params: NTTParams,
     _, inverse = _twiddle_arrays(table or TwiddleTable(params))
     q, n = params.q, params.n
     rows = coeffs.shape[0]
+    bound = q  # |coefficient| < bound
     k = n
     length = 1
     while length < n:
+        if 2 * bound * q >= _INT64_LIMIT:  # zeta * (low - high) could wrap
+            _reduce(coeffs, q)
+            bound = q
         blocks_n = n // (2 * length)
         # Gentleman–Sande consumes zeta[--k]: descending within a stage.
         zetas = inverse[k - blocks_n:k][::-1].reshape(1, blocks_n, 1)
         k -= blocks_n
         blocks = coeffs.reshape(rows, blocks_n, 2 * length)
         low, high = blocks[:, :, :length], blocks[:, :, length:]
-        # |low - high| < q, so zeta * (low - high) needs one reduction.
         diff = low - high
         low += high
-        low %= q
         np.multiply(zetas, diff, out=high)
-        high %= q
+        _reduce(high, q)
+        bound *= 2
         length *= 2
-    return coeffs * params.n_inv % q
+    if bound * q >= _INT64_LIMIT:  # coefficient * n_inv could wrap
+        _reduce(coeffs, q)
+    coeffs *= params.n_inv
+    return _reduce(coeffs, q)
 
 
 def ntt_cyclic(a: Sequence[int], params: NTTParams) -> List[int]:

@@ -7,18 +7,23 @@
 scalar loop otherwise.  These tests hold both paths, and the ``numpy``
 backend, to the scalar transforms at every registered ring size, and
 pin the fallbacks: wide moduli, no numpy, unreduced coefficients, and a
-tiny ring that must never import numpy.
+tiny ring that must never import numpy.  The lazy butterflies of the
+batched kernels are also held to the scalar loops at the edge of their
+int64 bound: 29- to 31-bit moduli with all-``q-1``, alternating and
+"ladder" payloads and raw pointwise products, where a bound one stage
+off would wrap silently.
 """
 
 import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
 from importlib.util import find_spec
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import BackendError, create_backend
@@ -33,6 +38,7 @@ from repro.ntt.transform import (
     ntt_negacyclic_batch,
     polymul_negacyclic,
 )
+from repro.ntt.twiddles import TwiddleTable
 from repro.serve import EnginePool, PoolConfig
 from repro.serve.batcher import PolyBatch
 from repro.serve.request import Request, gold_result
@@ -47,6 +53,14 @@ needs_numpy = pytest.mark.skipif(find_spec("numpy") is None,
 #: past q, and past both int64 bounds.
 UNREDUCED = (-1, -7681, 7681, 2 * 7681 + 3, 2**63 - 1, 2**63, 2**64 + 5,
              -2**63 - 1, 2**200, -2**70)
+#: ``(bits, n)`` of the generated rings at the lazy bound's edge: the
+#: largest ``bits``-bit NTT prime for each ring size.
+EDGE_RINGS = [(bits, n) for bits in (29, 30, 31)
+              for n in (64, 128, 256, 512, 1024)]
+#: Payload rows that push the lazy butterflies towards their bound.  An
+#: int kind ``k`` is a ladder to stage ``1 + k % log2(n)`` (see
+#: ``_ladder_row``).
+EDGE_ROWS = ("max", "alternating", "random")
 
 
 def _operand(params, seed=99):
@@ -122,6 +136,83 @@ def test_batched_model_matches_scalar_on_random_payloads(
         _scalar(params, op, payload, operand) for payload in payloads]
 
 
+@lru_cache(maxsize=None)
+def _edge_ring(bits, n):
+    return NTTParams(n=n, q=find_ntt_prime(bits, n))
+
+
+def _ladder_row(params, stage):
+    """A row whose coefficient ``n >> stage`` grows by ``q-1`` in every
+    forward stage before ``stage``, where it is the high half that
+    multiplies the stage's first zeta: the largest twiddle operand the
+    lazy bound allows on that block.
+
+    Every other coefficient is zero except its earlier partners, each
+    set so its twiddle product reduces to ``q-1``.
+    """
+    q, n = params.q, params.n
+    forward = TwiddleTable(params).forward
+    position = n >> stage
+    row = [0] * n
+    row[position] = q - 1
+    for earlier in range(1, stage):
+        # Block 0 of stage ``earlier`` pairs it with ``n >> earlier``
+        # further on, under zeta[2**(earlier-1)].
+        zeta = forward[1 << (earlier - 1)]
+        row[position + (n >> earlier)] = (q - 1) * pow(zeta, -1, q) % q
+    return row
+
+
+def _edge_row(kind, params, rng):
+    q, n = params.q, params.n
+    if kind == "max":
+        return [q - 1] * n
+    if kind == "alternating":
+        return [(q - 1) * (j % 2) for j in range(n)]
+    if kind == "random":
+        return [rng.randrange(q) for _ in range(n)]
+    return _ladder_row(params, 1 + kind % (n.bit_length() - 1))
+
+
+@needs_numpy
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ring=st.sampled_from(EDGE_RINGS),
+       kinds=st.lists(st.one_of(st.sampled_from(EDGE_ROWS),
+                                st.integers(min_value=0, max_value=9)),
+                      min_size=1, max_size=8),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(ring=(31, 1024), kinds=["max"] * 8, seed=0)
+@example(ring=(31, 64), kinds=["max", "alternating", 5], seed=0)
+@example(ring=(31, 1024), kinds=[8, "random"], seed=1)
+@example(ring=(30, 1024), kinds=["alternating", 7, "random"], seed=1)
+@example(ring=(29, 512), kinds=["max", 8], seed=0)
+def test_batched_transforms_hold_at_the_int64_edge(ring, kinds, seed):
+    """Both batch transforms, and the inverse on raw pointwise products
+    up to ``(q-1)**2``, equal the scalar loops on moduli of 29-31 bits.
+
+    The ladder examples make the forward kernel's twiddle product reach
+    ``2**63`` at the stage just before a guard fires, once the bound is
+    counted one stage short."""
+    params = _edge_ring(*ring)
+    rng = random.Random(seed)
+    payloads = [_edge_row(kind, params, rng) for kind in kinds]
+    # Raw products, as ModelBackend's polymul feeds the inverse.
+    products = [[a * b for a, b in zip(row, payloads[-1 - i])]
+                for i, row in enumerate(payloads)]
+
+    @lru_cache(maxsize=None)
+    def scalar(transform, row):
+        return transform(list(row), params)
+
+    for transform, batched, batch in (
+            (ntt_negacyclic, ntt_negacyclic_batch, payloads),
+            (intt_negacyclic, intt_negacyclic_batch, payloads),
+            (intt_negacyclic, intt_negacyclic_batch, products)):
+        assert batched(batch, params).tolist() == [
+            scalar(transform, tuple(row)) for row in batch]
+
+
 class TestPathChoice:
     @needs_numpy
     def test_batched_from_64_points(self):
@@ -195,6 +286,22 @@ class TestInputHandling:
         for payloads in ([good[:-1]], [good, good + [0]]):
             with pytest.raises(ParameterError, match="coefficients"):
                 backend.execute(kernel, payloads)
+
+    @needs_numpy
+    def test_batch_functions_leave_their_input_unchanged(self):
+        """``np.asarray`` would pass an int64 ndarray through uncopied;
+        the transforms reduce in place but must never write to it."""
+        import numpy as np
+
+        params = get_params("kyber-v1")
+        canonical = np.array([_operand(params, seed=i) for i in range(3)],
+                             dtype=np.int64)
+        unreduced = canonical - 3 * params.q
+        for batch in (canonical, unreduced):
+            before = batch.copy()
+            for transform in (ntt_negacyclic_batch, intt_negacyclic_batch):
+                transform(batch, params)
+                assert np.array_equal(batch, before)
 
     @needs_numpy
     def test_batch_functions_validate_their_input(self):
