@@ -56,11 +56,10 @@ class SweepPoint:
 def program_cost(program: Program, tech: TechnologyModel) -> CostReport:
     """The :class:`CostReport` of a program without executing it.
 
-    Cost is a pure function of the instruction mix; this prices each
-    instruction with the same tables the executor charges — through the
-    backend layer's shared :func:`repro.backends.price_programs` — so
-    it matches a real run instruction-for-instruction (asserted in the
-    tests).
+    Cost is a pure function of the instruction mix; this prices it
+    through the backend layer's shared
+    :func:`repro.backends.price_programs`, and the executor's stats for
+    a real run are that same static price.
     """
     return price_programs((program,), tech)
 

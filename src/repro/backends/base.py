@@ -12,9 +12,10 @@ is four methods:
   story: handles are cached and shared across batches).
 - :meth:`Backend.execute` — run one handle over a list of payload
   polynomials, returning one canonical coefficient list per payload.
-- :meth:`Backend.profile` — the handle's :class:`CostReport`, priced
-  from the same per-instruction tables the executor charges, so every
-  backend reports byte-identical cycles and energy for the same kernel.
+- :meth:`Backend.profile` — the handle's :class:`CostReport`: the
+  static price of the compiled programs' instruction mix, which is what
+  the executor's stats are, so every backend reports byte-identical
+  cycles and energy for the same kernel.
 
 Backends are constructed by registry factories with the uniform
 signature ``factory(params, *, rows, cols, subarrays, tech, template,

@@ -3,9 +3,10 @@
 Results come from the reference transforms in
 :mod:`repro.ntt.transform`; the invocation is priced by statically
 profiling the *actual compiled programs* of a template
-:class:`~repro.core.engine.BPNTTEngine`.  Because the executor charges
-fixed per-class costs, the price is cycle- and energy-identical to
-interpreting the subarray — at a tiny fraction of the host time.  This
+:class:`~repro.core.engine.BPNTTEngine`.  Cost is fixed per instruction
+class, so the executor's stats *are* this static price of the
+instruction mix: interpreting the subarray reports the same cycles and
+energy, at many times the host time.  This
 is the serving runtime's default substrate.
 
 The result math takes one of two bit-identical paths, picked once at

@@ -130,17 +130,17 @@ def check_scenario(scenario: str, *, plaintext_modulus: int = 2,
     Each mix component whose kind carries depth (see :data:`KIND_DEPTHS`)
     must fit its ring; depth-free components are skipped.
     """
-    from repro.serve.workload import SCENARIOS
+    from repro.serve.workload import available_scenarios, get_scenario
 
-    if scenario not in SCENARIOS:
+    if scenario not in available_scenarios():
         return [error(
             "HE003", scenario,
             f"unknown scenario {scenario!r}",
-            hint=f"available: {', '.join(sorted(SCENARIOS))}",
+            hint=f"available: {', '.join(available_scenarios())}",
         )]
     diagnostics: List[Diagnostic] = []
     seen: set = set()
-    for component in SCENARIOS[scenario].components:
+    for component in get_scenario(scenario).components:
         depth = KIND_DEPTHS.get(component.kind, 0)
         key = (component.params_name, depth)
         if depth < 1 or key in seen:

@@ -31,6 +31,17 @@ from repro.errors import ParameterError
 LabelKey = Tuple[Tuple[str, str], ...]
 
 
+def percentile(values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile (q in [0, 100]) of a non-empty sequence."""
+    if not values:
+        raise ParameterError("percentile of an empty sequence")
+    if not 0 <= q <= 100:
+        raise ParameterError(f"percentile q must be in [0, 100], got {q}")
+    ordered = sorted(values)
+    rank = max(1, -(-len(ordered) * q // 100))  # ceil without floats
+    return ordered[int(rank) - 1]
+
+
 def _label_key(labels: Optional[Mapping[str, str]]) -> LabelKey:
     if not labels:
         return ()
@@ -130,8 +141,6 @@ class Histogram:
         tenant whose every request was shed, a stage no request
         reached) must render as "no data", not crash the report.
         """
-        from repro.serve.metrics import percentile
-
         if not self.values:
             if not 0 <= q <= 100:
                 raise ParameterError(

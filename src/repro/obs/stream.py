@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ParameterError
+from repro.obs.registry import percentile
 from repro.obs.tracer import NULL_TRACER, TraceEvent, Tracer
 
 #: Phases whose ``t_s`` is the simulator's current clock — the
@@ -56,7 +57,7 @@ class QuantileSketch:
     """Streaming quantiles in bounded memory.
 
     Values are held exactly (and queried by the same nearest-rank
-    arithmetic as :func:`repro.serve.metrics.percentile`) until
+    arithmetic as :func:`repro.obs.registry.percentile`) until
     ``exact_cap`` observations, then collapsed into fixed log-spaced
     bins of ratio ``gamma``; further inserts are O(1) into the bins.
     A bin's representative is its geometric midpoint, so quantile
@@ -134,9 +135,9 @@ class QuantileSketch:
             raise ParameterError(f"quantile q must be in [0, 100], got {q}")
         if self.count == 0:
             return float("nan")
-        rank = max(1, -(-self.count * q // 100))  # ceil without floats
         if self._exact is not None:
-            return sorted(self._exact)[int(rank) - 1]
+            return percentile(self._exact, q)
+        rank = max(1, -(-self.count * q // 100))  # ceil without floats
         if rank <= self._low:
             return self.min_value
         seen = self._low

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ParameterError
+from repro.obs.registry import percentile
 
 #: Stage names, in lifecycle order.  Each is a (label, start, end)
 #: over RequestTimeline attributes.
@@ -197,11 +198,6 @@ def _fmt_stage(seconds: float, e2e_s: float) -> str:
 def summarize_trace(timelines: Sequence[RequestTimeline],
                     quantiles: Sequence[float] = (50, 95, 99)) -> str:
     """The ``repro.cli trace`` report for one loaded trace file."""
-    # Imported here, not at module top: repro.serve.metrics itself
-    # imports repro.obs (the registry), and this module is part of the
-    # repro.obs package init — a top-level import would be circular.
-    from repro.serve.metrics import percentile
-
     served = [t for t in timelines if t.served]
     dropped = [t for t in timelines if t.drop_reason is not None]
     lines = [

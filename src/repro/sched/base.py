@@ -186,13 +186,6 @@ class GlobalLanePool:
             self.last_params[index] = None
         self._known.add(params_name)
 
-    def idle_lane(self, now_s: float) -> Optional[int]:
-        """Lowest-numbered lane free at ``now_s`` (None when all busy)."""
-        for index in sorted(self.free_at):
-            if self.free_at[index] <= now_s:
-                return index
-        return None
-
     def idle_count(self, now_s: float) -> int:
         """How many lanes are free at ``now_s``."""
         return sum(1 for t in self.free_at.values() if t <= now_s)

@@ -45,7 +45,6 @@ from repro.serve.request import (
 )
 from repro.serve.simulator import ServingSimulator
 from repro.serve.workload import (
-    SCENARIOS,
     available_scenarios,
     bursty_trace,
     get_scenario,
@@ -64,7 +63,6 @@ __all__ = [
     "ReplayConfig",
     "Request",
     "Response",
-    "SCENARIOS",
     "ServeReport",
     "ServingSimulator",
     "TenantStats",

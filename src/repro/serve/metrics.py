@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ParameterError
-from repro.obs.registry import Histogram, Instrument, MetricsRegistry
+# percentile lives with Histogram; serve callers keep importing it here.
+from repro.obs.registry import Histogram, Instrument, MetricsRegistry, percentile  # noqa: F401
 from repro.obs.slo import Alert, format_alerts
 from repro.serve.request import Response
 from repro.utils import jsonout
@@ -165,17 +166,6 @@ class ServeReport:
     def overall(self) -> KindStats:
         """The all-traffic row (always last in ``by_kind``)."""
         return self.by_kind[-1]
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 100]) of a non-empty sequence."""
-    if not values:
-        raise ParameterError("percentile of an empty sequence")
-    if not 0 <= q <= 100:
-        raise ParameterError(f"percentile q must be in [0, 100], got {q}")
-    ordered = sorted(values)
-    rank = max(1, -(-len(ordered) * q // 100))  # ceil without floats
-    return ordered[int(rank) - 1]
 
 
 class MetricsRecorder:

@@ -15,9 +15,9 @@ them); the built-ins are:
   most 31 bits when numpy imports, the scalar loop otherwise), and the
   invocation is priced by a cached :class:`ServiceProfile` — the
   cycle/energy totals of the *actual compiled programs*, statically
-  costed through ``Backend.profile``.  Because the executor charges
-  fixed per-class costs, this is cycle-identical to running the
-  subarray interpreter, at a tiny fraction of the host time.
+  costed through ``Backend.profile``.  Cost is fixed per instruction
+  class, so the subarray interpreter's stats *are* this static price:
+  the same cycles and energy, at a tiny fraction of the host time.
 - ``sram``: the batch is loaded into the lane's subarray and the
   kernels are interpreted bitline-by-bitline.  Slow, exact, and used by
   the tests to pin the other backends to the hardware path.

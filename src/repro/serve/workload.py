@@ -35,8 +35,7 @@ Scenario mixes (weights sum to 1):
 
 Scenarios live behind a :class:`~repro.registry.FactoryRegistry` (the
 same seam as backends and schedulers): :func:`register_scenario` /
-:func:`get_scenario` / :func:`available_scenarios`, with ``SCENARIOS``
-kept as a read-only live mapping view for existing callers.  Other
+:func:`get_scenario` / :func:`available_scenarios`.  Other
 packages register their own — ``cluster-mixed`` (the multi-chip
 routing mix) comes from :mod:`repro.cluster.workload`.
 
@@ -56,7 +55,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.crypto.he import default_relin_base, relin_digit_count
 from repro.errors import ParameterError
@@ -236,29 +235,6 @@ for _name, _scenario in _BUILTIN_SCENARIOS.items():
 # Cluster traffic registers lazily from its own package, the way the
 # cluster:<inner> schedulers do — the serve layer stays cluster-free.
 _REGISTRY.register("cluster-mixed", "repro.cluster.workload:cluster_mixed")
-
-
-class _ScenarioView(Mapping):
-    """Read-only live mapping over the registry (the old ``SCENARIOS`` API)."""
-
-    def __getitem__(self, name: str) -> Scenario:
-        try:
-            return get_scenario(name)
-        except ParameterError:
-            raise KeyError(name) from None
-
-    def __contains__(self, name: object) -> bool:
-        return name in available_scenarios()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(available_scenarios())
-
-    def __len__(self) -> int:
-        return len(available_scenarios())
-
-
-#: Backwards-compatible mapping view; prefer the registry functions.
-SCENARIOS: Mapping[str, Scenario] = _ScenarioView()
 
 
 def _random_poly(n: int, q: int, rng: random.Random) -> Tuple[int, ...]:

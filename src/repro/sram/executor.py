@@ -1,9 +1,12 @@
-"""Program execution with cycle and energy accounting.
+"""Program execution, and the static price that is its cost.
 
 The :class:`Executor` interprets Fig 4d instruction streams against an
 :class:`~repro.sram.subarray.SRAMSubarray`, updating storage and
-peripheral state exactly as the hardware would, while charging each
-instruction's cycles and energy from the technology model.
+peripheral state exactly as the hardware would.  It charges nothing
+per instruction: every instruction class has fixed cycles and energy
+(its ``kind`` in :mod:`repro.sram.isa`), so a run's stats *are* the
+static price of its instruction mix, :func:`profile_program`, which
+:meth:`Executor.run` returns once the program has been interpreted.
 
 Semantics worth calling out (each mirrors a paper mechanism):
 
@@ -60,13 +63,6 @@ class ExecutionStats:
     shift_count: int = 0
     section_cycles: Dict[str, int] = field(default_factory=dict)
 
-    def charge(self, kind: str, cycles: int, energy_pj: float) -> None:
-        """Record one executed instruction."""
-        self.cycles += cycles
-        self.energy_pj += energy_pj
-        self.instructions += 1
-        self.op_counts[kind] = self.op_counts.get(kind, 0) + 1
-
     def accumulate(self, other: "ExecutionStats") -> None:
         """Fold another stats object into this one."""
         self.cycles += other.cycles
@@ -103,48 +99,27 @@ class ExecutionStats:
 
 
 class Executor:
-    """Interprets programs on a subarray, charging the technology model."""
+    """Interprets programs on a subarray; ``stats`` sums the runs' prices."""
 
     def __init__(self, subarray: SRAMSubarray, tech: TechnologyModel = TECH_45NM):
         self.subarray = subarray
         self.tech = tech
         self.stats = ExecutionStats()
 
-    def _charge(self, kind: str) -> None:
-        self.stats.charge(
-            kind,
-            self.tech.instruction_cycles(kind),
-            self.tech.instruction_energy_pj(kind),
-        )
-
     def run(self, program: Program) -> ExecutionStats:
-        """Execute every instruction; returns stats for *this run only*."""
-        before = self.stats.cycles
-        run_stats = ExecutionStats()
-        # Temporarily swap in a fresh stats object so per-run numbers are
-        # isolated, then merge into the lifetime counters.
-        lifetime = self.stats
-        self.stats = run_stats
-        try:
-            for instruction in program.instructions:
-                self.execute(instruction)
-        finally:
-            self.stats = lifetime
-        # Attribute section cycles using the program's recorded ranges and
-        # the per-instruction cycle table (1 cycle default).
-        cursor = 0
-        cycle_at = []
+        """Execute every instruction; returns stats for *this run only*.
+
+        The stats are the program's static price, also folded into the
+        lifetime :attr:`stats`.
+        """
         for instruction in program.instructions:
-            kind = _instruction_kind(instruction)
-            cursor += self.tech.instruction_cycles(kind)
-            cycle_at.append(cursor)
-        _attribute_sections(program, cycle_at, run_stats.section_cycles)
+            self.execute(instruction)
+        run_stats = profile_program(program, self.tech)
         self.stats.accumulate(run_stats)
-        assert self.stats.cycles >= before
         return run_stats
 
     def execute(self, instruction) -> None:
-        """Execute a single instruction (dispatch by type)."""
+        """Execute a single instruction (dispatch by type); charges nothing."""
         sub = self.subarray
         storage = sub.storage
         logic = sub.logic
@@ -155,7 +130,6 @@ class Executor:
             if instruction.invert:
                 flags = (~flags) & ((1 << sub.num_tiles) - 1)
             sub.flags = flags
-            self._charge("check")
 
         elif isinstance(instruction, CheckCarry):
             flags = sub.carry_out
@@ -163,11 +137,9 @@ class Executor:
                 flags = (~flags) & ((1 << sub.num_tiles) - 1)
             sub.flags = flags
             sub.carry_out = 0
-            self._charge("check")
 
         elif isinstance(instruction, SetFlags):
             sub.flags = instruction.mask & ((1 << sub.num_tiles) - 1)
-            self._charge("check")
 
         elif isinstance(instruction, Unary):
             if instruction.op is UnaryOp.ZERO:
@@ -182,7 +154,6 @@ class Executor:
             if instruction.set_lsb:
                 out |= _lsb_columns(sub)
             storage.write_row(instruction.dst, out)
-            self._charge("unary")
 
         elif isinstance(instruction, ShiftRow):
             value = storage.read_row(instruction.src)
@@ -191,8 +162,6 @@ class Executor:
                 value, instruction.direction is ShiftDirection.LEFT, segment
             )
             storage.write_row(instruction.dst, result.value)
-            self.stats.shift_count += 1
-            self._charge("shift")
 
         elif isinstance(instruction, LogicBinary):
             a = storage.read_row(instruction.src0)
@@ -211,7 +180,6 @@ class Executor:
             else:  # pragma: no cover - enum is exhaustive
                 raise ExecutionError(f"unknown binary op {op}")
             storage.write_row(instruction.dst, out)
-            self._charge("logic")
 
         elif isinstance(instruction, BinaryPair):
             a = storage.read_row(instruction.src0)
@@ -229,7 +197,6 @@ class Executor:
             storage.write_row(instruction.dst_xor, xor_out)
             sub.latch = and_out
             sub.carry_out = 0
-            self._charge("pair")
 
         elif isinstance(instruction, CarryStep):
             shifted = logic.shift_segmented(sub.latch, True, sub.tile_width)
@@ -237,18 +204,15 @@ class Executor:
             row = storage.read_row(instruction.src)
             storage.write_row(instruction.dst, logic.logic_xor(row, shifted.value))
             sub.latch = logic.logic_and(row, shifted.value)
-            self._charge("carry_step")
 
         elif isinstance(instruction, SetLatch):
             sub.latch = 0 if instruction.row is None else storage.read_row(instruction.row)
-            self._charge("set_latch")
 
         elif isinstance(instruction, CopyGated):
             gate = sub.expand_flags(sub.flags)
             current = storage.read_row(instruction.dst)
             incoming = storage.read_row(instruction.src)
             storage.write_row(instruction.dst, (current & ~gate) | (incoming & gate))
-            self._charge("copy_gated")
 
         else:
             raise ExecutionError(f"unknown instruction {instruction!r}")
@@ -257,12 +221,11 @@ class Executor:
 def profile_program(program: Program, tech: TechnologyModel = TECH_45NM) -> ExecutionStats:
     """Cost a program *without* executing it.
 
-    Cycles and energy are charged per instruction class from fixed
-    tables, so they are a pure function of the instruction mix — the
-    stats returned here are identical to what :meth:`Executor.run` would
-    report for the same program on any data (asserted in the tests).
-    The serving simulator uses this to price a kernel invocation once
-    per compiled program instead of interpreting millions of bitline
+    Cycles and energy are fixed per instruction class, so they are a
+    pure function of the instruction mix: this is what
+    :meth:`Executor.run` reports for the program on any data.  The
+    serving simulator uses it to price a kernel invocation once per
+    compiled program instead of interpreting millions of bitline
     operations per batch.
     """
     stats = ExecutionStats()
@@ -270,33 +233,23 @@ def profile_program(program: Program, tech: TechnologyModel = TECH_45NM) -> Exec
     types = list(map(type, instructions))
     cycles_of: Dict[type, int] = {}
     energy_of: Dict[type, float] = {}
-    # Classes in first-seen order, so op_counts keys keep the order
-    # per-instruction charging gives them.
+    # Classes in first-seen order, so op_counts keys follow the program.
     for cls, count in Counter(types).items():
         kind = _instruction_kind(instructions[types.index(cls)])
         cycles_of[cls] = tech.instruction_cycles(kind)
         energy_of[cls] = tech.instruction_energy_pj(kind)
         stats.op_counts[kind] = stats.op_counts.get(kind, 0) + count
-        if issubclass(cls, ShiftRow):
+        if kind == "shift":
             stats.shift_count += count
-    # The running sums still add one instruction at a time in program
-    # order, so the float energy total is bit-identical to charging
-    # each instruction through ExecutionStats.charge.
+    # The running sums add one instruction at a time in program order:
+    # the float energy total is the left-to-right sum over the program.
     cycle_at = list(accumulate(map(cycles_of.__getitem__, types)))
     stats.cycles = cycle_at[-1] if cycle_at else 0
     stats.energy_pj = reduce(add, map(energy_of.__getitem__, types), 0.0)
     stats.instructions = len(types)
-    _attribute_sections(program, cycle_at, stats.section_cycles)
-    return stats
-
-
-def _attribute_sections(program: Program, cycle_at, section_cycles: Dict[str, int]) -> None:
-    """Fold each section's cycle span into ``section_cycles`` in place.
-
-    ``cycle_at[i]`` is the cumulative cycle count after instruction
-    ``i`` — the one attribution rule shared by execution and static
-    profiling, which is what keeps the two paths cycle-identical.
-    """
+    # A section's cycles are the span of cycle_at (the cumulative count
+    # after each instruction) over its instruction range.
+    section_cycles = stats.section_cycles
     for label, start, end in program.sections:
         if end > len(cycle_at):
             raise ExecutionError(f"section {label!r} exceeds program length")
@@ -305,6 +258,7 @@ def _attribute_sections(program: Program, cycle_at, section_cycles: Dict[str, in
         section_cycles[label] = section_cycles.get(label, 0) + (
             end_cycles - start_cycles
         )
+    return stats
 
 
 def _lsb_columns(sub: SRAMSubarray) -> int:
@@ -316,21 +270,8 @@ def _lsb_columns(sub: SRAMSubarray) -> int:
 
 
 def _instruction_kind(instruction) -> str:
-    """Map an instruction to its technology-model class name."""
-    if isinstance(instruction, (Check, CheckCarry, SetFlags)):
-        return "check"
-    if isinstance(instruction, Unary):
-        return "unary"
-    if isinstance(instruction, ShiftRow):
-        return "shift"
-    if isinstance(instruction, LogicBinary):
-        return "logic"
-    if isinstance(instruction, BinaryPair):
-        return "pair"
-    if isinstance(instruction, CarryStep):
-        return "carry_step"
-    if isinstance(instruction, SetLatch):
-        return "set_latch"
-    if isinstance(instruction, CopyGated):
-        return "copy_gated"
-    raise ExecutionError(f"unknown instruction {instruction!r}")
+    """An instruction's technology-model class name (its class's ``kind``)."""
+    try:
+        return type(instruction).kind
+    except AttributeError:
+        raise ExecutionError(f"unknown instruction {instruction!r}") from None

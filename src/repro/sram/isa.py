@@ -18,6 +18,9 @@ differ:
   flags (the Fig 4d *Check* consumer): per-tile select.
 
 Every instruction is a frozen dataclass; programs are plain sequences.
+Each class names its technology-model cost class once, as the class
+attribute ``kind`` (``"check"``, ``"shift"``, ...), which is all that
+pricing (:func:`repro.sram.executor.profile_program`) reads.
 Instructions are never mutated and compare by ``==``, so the compiler
 interns them: the programs one engine compiles share one instance per
 distinct value (see :meth:`repro.core.layout.DataLayout.intern`).
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 
 class BinaryOp(enum.Enum):
@@ -68,6 +71,7 @@ class Check:
     used for sign tests).
     """
 
+    kind: ClassVar[str] = "check"
     row: int
     bit_index: int = 0
     invert: bool = False
@@ -82,6 +86,7 @@ class CheckCarry:
     which is the >= comparison result needed for conditional subtraction.
     """
 
+    kind: ClassVar[str] = "check"
     invert: bool = False
 
 
@@ -94,6 +99,7 @@ class SetFlags:
     data (spill-mode coefficient stores).
     """
 
+    kind: ClassVar[str] = "check"
     mask: int
 
 
@@ -108,6 +114,7 @@ class Unary:
     by conditional subtraction.
     """
 
+    kind: ClassVar[str] = "unary"
     op: UnaryOp
     dst: int
     src: int = 0
@@ -124,6 +131,7 @@ class ShiftRow:
     shift used to merge polynomial coefficients spilling across tiles.
     """
 
+    kind: ClassVar[str] = "shift"
     dst: int
     src: int
     direction: ShiftDirection
@@ -134,6 +142,7 @@ class ShiftRow:
 class LogicBinary:
     """Plain two-row logic op written back to ``dst``."""
 
+    kind: ClassVar[str] = "logic"
     op: BinaryOp
     dst: int
     src0: int
@@ -151,6 +160,7 @@ class BinaryPair:
     the ``+1`` of two's-complement subtraction.
     """
 
+    kind: ClassVar[str] = "pair"
     dst_xor: int
     src0: int
     src1: int
@@ -166,6 +176,7 @@ class CarryStep:
     ORed into the per-tile carry-out register (see :class:`CheckCarry`).
     """
 
+    kind: ClassVar[str] = "carry_step"
     dst: int
     src: int
 
@@ -174,6 +185,7 @@ class CarryStep:
 class SetLatch:
     """Load the SA latch from a row (or clear it with ``row=None``)."""
 
+    kind: ClassVar[str] = "set_latch"
     row: Union[int, None] = None
 
 
@@ -181,6 +193,7 @@ class SetLatch:
 class CopyGated:
     """Per-tile conditional copy: tiles with a set flag take ``src``."""
 
+    kind: ClassVar[str] = "copy_gated"
     dst: int
     src: int
 

@@ -5,8 +5,12 @@ Debugging microcode needs two views the executor alone does not give:
 - :func:`disassemble` — human-readable listing of a program, with
   section markers (what the CTRL/CMD subarray holds);
 - :class:`TracingExecutor` — an executor that additionally records, per
-  instruction, which rows changed and the peripheral state, with a ring
-  buffer so tracing a 300k-instruction NTT stays bounded.
+  instruction, which rows changed, the peripheral state and the
+  instruction's cycle cost, with a ring buffer so tracing a
+  300k-instruction NTT stays bounded.  The cost is the technology
+  model's fixed price for the instruction's ``kind``: the executor's
+  stats are the static price of the instruction mix, so per-entry
+  costs sum to :func:`~repro.sram.executor.profile_program`'s cycles.
 
 Both are used by the test suite to pin instruction-stream regressions
 and by developers porting the compiler to new layouts.
@@ -99,8 +103,8 @@ def disassemble(program: Program, limit: Optional[int] = None) -> str:
 class TraceEntry:
     """State delta of one executed instruction.
 
-    ``cycle_cost`` is the cycles this one instruction charged (from the
-    executor's technology model) — what lets
+    ``cycle_cost`` is this one instruction's cycles under the executor's
+    technology model — what lets
     :func:`repro.obs.tracer.program_events` place the entries on a
     wall-clock axis next to the serving-layer lifecycle events.
     """
@@ -128,7 +132,6 @@ class TracingExecutor(Executor):
 
     def execute(self, instruction) -> None:
         before = self.subarray.storage.snapshot()
-        cycles_before = self.stats.cycles
         super().execute(instruction)
         after = self.subarray.storage.snapshot()
         changed = tuple(
@@ -141,7 +144,7 @@ class TracingExecutor(Executor):
                 changed_rows=changed,
                 flags=self.subarray.flags,
                 latch=self.subarray.latch,
-                cycle_cost=self.stats.cycles - cycles_before,
+                cycle_cost=self.tech.instruction_cycles(type(instruction).kind),
             )
         )
         self._counter += 1

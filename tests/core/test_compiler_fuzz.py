@@ -9,10 +9,13 @@ every draw:
 
 - every compiled program passes ``check_program`` (PROG001-012);
 - executing the programs on the subarray gives the gold transform;
-- ``profile_program`` equals each executed ``ExecutionStats`` stat for
-  stat, dict key order included;
+- ``profile_program`` (which is also what ``Executor.run`` reports)
+  equals an independent reference price field for field, dict key
+  order included and energy float-for-float: a loop over the program
+  charging each instruction its class's cycles and pJ in program order,
+  with section spans read off the cumulative cycle count;
 - the engine's memoized ``profile`` equals a fresh ``price_programs``
-  and the merged executed stats, cold and warm;
+  and the merged reference prices, cold and warm;
 - equal instructions across the kernel's programs are one object, and a
   second engine built with the same arguments compiles equal programs
   that share no instruction object with the first (interning is per
@@ -20,6 +23,7 @@ every draw:
 """
 
 import random
+from dataclasses import fields
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -33,6 +37,7 @@ from repro.ntt.params import NTTParams
 from repro.ntt.transform import intt_negacyclic, ntt_negacyclic, polymul_negacyclic
 from repro.sram.cost import CostReport
 from repro.sram.executor import ExecutionStats, profile_program
+from repro.sram.isa import ShiftRow
 from repro.utils.primes import find_ntt_prime
 
 GOLD = {
@@ -67,10 +72,29 @@ def engines(draw):
     return engine, draw(st.integers(min_value=0, max_value=2**32))
 
 
-def assert_same_stats(static: ExecutionStats, executed: ExecutionStats) -> None:
-    assert static == executed
-    assert list(static.op_counts) == list(executed.op_counts)
-    assert list(static.section_cycles) == list(executed.section_cycles)
+def reference_price(program, tech) -> ExecutionStats:
+    """Charge each instruction in program order; spans from the running total."""
+    stats = ExecutionStats()
+    cycle_at = []
+    for instruction in program.instructions:
+        kind = type(instruction).kind
+        stats.cycles += tech.instruction_cycles(kind)
+        stats.energy_pj += tech.instruction_energy_pj(kind)
+        stats.instructions += 1
+        stats.op_counts[kind] = stats.op_counts.get(kind, 0) + 1
+        stats.shift_count += isinstance(instruction, ShiftRow)
+        cycle_at.append(stats.cycles)
+    for label, start, end in program.sections:
+        span = (cycle_at[end - 1] if end else 0) - (cycle_at[start - 1] if start else 0)
+        stats.section_cycles[label] = stats.section_cycles.get(label, 0) + span
+    return stats
+
+
+def assert_same_stats(static: ExecutionStats, reference: ExecutionStats) -> None:
+    for f in fields(ExecutionStats):  # energy_pj compares float-exact
+        assert getattr(static, f.name) == getattr(reference, f.name), f.name
+    assert list(static.op_counts) == list(reference.op_counts)
+    assert list(static.section_cycles) == list(reference.section_cycles)
 
 
 def assert_same_cost(left: CostReport, right: CostReport) -> None:
@@ -109,14 +133,15 @@ def test_generated_kernels_check_clean_execute_gold_and_price_exactly(draw, op):
 
     payloads = [poly() for _ in range(engine.batch)]
     engine.load(payloads)
-    executed = []
+    references = []
     for program in kernel.programs:
         engine.subarray.reset_peripherals()
-        executed.append(engine.executor.run(program))
-        assert_same_stats(profile_program(program, engine.tech), executed[-1])
+        engine.executor.run(program)
+        references.append(reference_price(program, engine.tech))
+        assert_same_stats(profile_program(program, engine.tech), references[-1])
     assert engine.results() == [GOLD[op](p, operand, params) for p in payloads]
 
     fresh = price_programs(kernel.programs, engine.tech)
-    ran = CostReport.from_stats(ExecutionStats.merge(*executed), engine.tech)
+    priced = CostReport.from_stats(ExecutionStats.merge(*references), engine.tech)
     assert_same_cost(engine.profile(kernel), fresh)  # cold
-    assert_same_cost(engine.profile(kernel), ran)  # from the engine's memo
+    assert_same_cost(engine.profile(kernel), priced)  # from the engine's memo

@@ -64,13 +64,17 @@ class TestHistogram:
         assert h.values == values
 
     def test_percentile_is_nearest_rank(self):
-        from repro.serve.metrics import percentile
+        import repro.obs.registry
+        import repro.serve.metrics
 
+        # One nearest-rank routine, re-exported by the serve layer.
+        assert repro.serve.metrics.percentile is repro.obs.registry.percentile
         h = MetricsRegistry().histogram("serve.latency_ms")
         for v in (5.0, 1.0, 3.0, 2.0, 4.0):
             h.observe(v)
-        for q in (0, 50, 95, 99, 100):
-            assert h.percentile(q) == percentile([5.0, 1.0, 3.0, 2.0, 4.0], q)
+        expected = {0: 1.0, 20: 1.0, 21: 2.0, 50: 3.0, 95: 5.0, 99: 5.0, 100: 5.0}
+        for q, value in expected.items():
+            assert h.percentile(q) == value
 
     def test_bucket_counts_cumulative_with_inf(self):
         h = MetricsRegistry().histogram("h", buckets=(1.0, 10.0))

@@ -14,6 +14,8 @@ from repro.obs import (
     program_events,
 )
 from repro.sram.energy import TECH_45NM
+from repro.sram.executor import profile_program
+from repro.sram.program import Program
 from repro.sram.subarray import SRAMSubarray
 from repro.sram.tracer import TracingExecutor
 
@@ -77,12 +79,16 @@ class TestProgramEvents:
         from repro.sram.isa import SetFlags, Unary, UnaryOp
 
         sub.storage.write_row(0, 0xAA)
-        ex.execute(Unary(UnaryOp.COPY, 1, 0))
-        ex.execute(SetFlags(0b1))
-        ex.execute(Unary(UnaryOp.NOT, 2, 1))
+        program = Program("steps")
+        program.emit(Unary(UnaryOp.COPY, 1, 0))
+        program.emit(SetFlags(0b1))
+        program.emit(Unary(UnaryOp.NOT, 2, 1))
+        for instruction in program.instructions:
+            ex.execute(instruction)
         entries = list(ex.trace)
         assert all(e.cycle_cost > 0 for e in entries)
-        assert sum(e.cycle_cost for e in entries) == ex.stats.cycles
+        assert sum(e.cycle_cost for e in entries) == \
+            profile_program(program, TECH_45NM).cycles
 
         events = program_events(entries, TECH_45NM, base_t_s=1.0,
                                 lane=3, batch_id=42)
@@ -104,8 +110,12 @@ class TestProgramEvents:
         ex = TracingExecutor(sub)
         from repro.sram.isa import SetFlags
 
+        program = Program("flags")
         for i in range(5):
-            ex.execute(SetFlags(i % 2))
+            program.emit(SetFlags(i % 2))
+        for instruction in program.instructions:
+            ex.execute(instruction)
         events = program_events(ex.trace, TECH_45NM)
         last = events[-1]
-        assert last.attrs["cycle_end"] == ex.stats.cycles
+        assert last.attrs["cycle_end"] == \
+            profile_program(program, TECH_45NM).cycles

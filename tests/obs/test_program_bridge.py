@@ -16,6 +16,7 @@ from repro.core.layout import DataLayout
 from repro.core.modmul import emit_modmul
 from repro.obs import RecordingTracer, chrome_trace, program_events
 from repro.sram.energy import TECH_45NM
+from repro.sram.executor import profile_program
 from repro.sram.program import Program
 from repro.sram.subarray import SRAMSubarray
 from repro.sram.tracer import TracingExecutor
@@ -50,8 +51,12 @@ class TestProgramEventsFromRealPrograms:
         assert all(e.cycle_cost >= 0 for e in entries)
         assert any(e.cycle_cost > 0 for e in entries)
         # The ring buffer holds the tail of the program; its cycles are
-        # a suffix of the executor's total.
-        assert sum(e.cycle_cost for e in entries) <= ex.stats.cycles
+        # the price of that suffix, within the whole program's price.
+        tail = Program("tail")
+        tail.extend(program.instructions[-len(entries):])
+        traced = sum(e.cycle_cost for e in entries)
+        assert traced == profile_program(tail, TECH_45NM).cycles
+        assert traced <= profile_program(program, TECH_45NM).cycles
 
     def test_events_are_contiguous_on_the_cycle_axis(self):
         _, ex = _traced_program_run()

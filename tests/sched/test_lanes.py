@@ -66,10 +66,8 @@ class TestPlacement:
         assert lanes.idle_count(0.0) == 2
         lanes.place("a", 0.0, 1.0)
         assert lanes.idle_count(0.0) == 1
-        assert lanes.idle_lane(0.0) == 1
         lanes.place("a", 0.0, 2.0)
         assert lanes.idle_count(0.5) == 0
-        assert lanes.idle_lane(0.5) is None
         assert lanes.earliest_free_s() == 1.0
 
     def test_report_floors_at_one_lane(self):

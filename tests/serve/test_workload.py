@@ -6,24 +6,25 @@ from repro.crypto.he import default_relin_base, relin_digit_count
 from repro.errors import ParameterError
 from repro.ntt.params import get_params
 from repro.serve.workload import (
-    SCENARIOS,
     MixComponent,
     Scenario,
     _materialize,
+    available_scenarios,
     bursty_trace,
+    get_scenario,
     poisson_trace,
 )
 
 
 class TestScenarios:
     def test_known_scenarios(self):
-        assert set(SCENARIOS) == {
+        assert set(available_scenarios()) == {
             "ntt", "kyber", "dilithium", "he", "he-mul", "mixed",
             "mixed-slo", "mixed-deep", "cluster-mixed",
         }
 
     def test_weights_validated(self):
-        comp = SCENARIOS["kyber"].components[0]
+        comp = get_scenario("kyber").components[0]
         with pytest.raises(ParameterError, match="weights"):
             Scenario("broken", (comp,) * 2)  # sums to 2.0
 
@@ -32,33 +33,26 @@ class TestScenarios:
             poisson_trace("no-such-mix", 100, 0.1)
 
     def test_scenario_registry_round_trip(self):
-        from repro.serve import (
-            available_scenarios,
-            get_scenario,
-            register_scenario,
-            unregister_scenario,
-        )
+        from repro.serve import register_scenario, unregister_scenario
 
-        custom = Scenario("custom-test", SCENARIOS["kyber"].components)
+        custom = Scenario("custom-test", get_scenario("kyber").components)
         register_scenario("custom-test", lambda: custom)
         try:
             assert "custom-test" in available_scenarios()
             assert get_scenario("custom-test") is custom
-            assert SCENARIOS["custom-test"] is custom  # mapping view tracks
             trace = poisson_trace("custom-test", 400, 0.02, seed=1)
             assert trace
         finally:
             unregister_scenario("custom-test")
         assert "custom-test" not in available_scenarios()
-        assert "custom-test" not in SCENARIOS
+        with pytest.raises(ParameterError, match="unknown scenario"):
+            get_scenario("custom-test")
 
     def test_scenario_factory_must_build_a_scenario(self):
         from repro.serve import register_scenario, unregister_scenario
 
         register_scenario("broken-test", lambda: "not a scenario")
         try:
-            from repro.serve import get_scenario
-
             with pytest.raises(ParameterError, match="Scenario"):
                 get_scenario("broken-test")
         finally:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
 from repro.sram.energy import TECH_45NM
-from repro.sram.executor import Executor
+from repro.sram.executor import ExecutionStats, Executor, profile_program
 from repro.sram.isa import (
     BinaryOp,
     BinaryPair,
@@ -128,10 +128,16 @@ class TestShiftRow:
         assert sub.read_word(0, 1) == 0
 
     def test_shift_counter(self):
+        # Single-step execute() charges nothing; the shift count is the
+        # static price of the executed instructions.
         ex, sub = make_executor()
-        ex.execute(ShiftRow(0, 0, ShiftDirection.LEFT))
-        ex.execute(ShiftRow(0, 0, ShiftDirection.RIGHT))
-        assert ex.stats.shift_count == 2
+        p = Program("shifts")
+        p.emit(ShiftRow(0, 0, ShiftDirection.LEFT))
+        p.emit(ShiftRow(0, 0, ShiftDirection.RIGHT))
+        for instruction in p.instructions:
+            ex.execute(instruction)
+        assert ex.stats == ExecutionStats()
+        assert profile_program(p, TECH_45NM).shift_count == 2
 
 
 class TestAdderMicrocode:
