@@ -12,6 +12,10 @@ is four methods:
   story: handles are cached and shared across batches).
 - :meth:`Backend.execute` — run one handle over a list of payload
   polynomials, returning one canonical coefficient list per payload.
+  A replay calls it after its event loop, not per dispatch: a pure
+  backend (``stateful=False``) gets the rows of many batches of one
+  kernel in chunks, so its results must not depend on which other
+  rows share the call; a stateful one gets one batch per call.
 - :meth:`Backend.profile` — the handle's :class:`CostReport`: the
   static price of the compiled programs' instruction mix, which is what
   the executor's stats are, so every backend reports byte-identical
@@ -105,12 +109,17 @@ def price_programs(programs: Sequence[Program], tech: TechnologyModel,
     """
     if memo is None:
         memo = {}
-    stats = ExecutionStats.merge(*(_program_stats(p, tech, memo) for p in programs))
+    stats = ExecutionStats.merge(*(memo_profile(p, tech, memo) for p in programs))
     return CostReport.from_stats(stats, tech).replicate(replicas)
 
 
-def _program_stats(program: Program, tech: TechnologyModel,
-                   memo: Dict[int, tuple]) -> ExecutionStats:
+def memo_profile(program: Program, tech: TechnologyModel,
+                 memo: Dict[int, tuple]) -> ExecutionStats:
+    """``profile_program(program, tech)``, computed once per ``memo``.
+
+    ``memo`` is keyed on program identity.  The returned stats are the
+    memo's own: merge them, never change them in place.
+    """
     entry = memo.get(id(program))
     if entry is None:
         # Holding the program keeps its id from being reused.

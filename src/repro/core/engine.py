@@ -28,7 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.backends.base import BackendCapabilities, CompiledKernel, KERNEL_OPS, price_programs
+from repro.backends.base import (
+    KERNEL_OPS,
+    BackendCapabilities,
+    CompiledKernel,
+    memo_profile,
+    price_programs,
+)
 from repro.core.layout import DataLayout
 from repro.core.scheduler import compile_intt, compile_ntt, compile_pointwise_mul
 from repro.core.tiles import container_width
@@ -142,7 +148,7 @@ class BPNTTEngine:
         self._table = TwiddleTable(params)
         self._programs = {}
         # id(program) -> (program, ExecutionStats): each program this
-        # engine compiled is priced once (see profile).
+        # engine compiled is priced once (see profile and _execute).
         self._prices = {}
         self._kernels = {}
         self._loaded = False
@@ -245,7 +251,8 @@ class BPNTTEngine:
         if not self._loaded:
             raise ParameterError("no data loaded; call load() first")
         self.subarray.reset_peripherals()
-        return self.executor.run(program)
+        return self.executor.run(
+            program, memo_profile(program, self.tech, self._prices))
 
     def _run(self, program: Program, kernel: str) -> NTTRunReport:
         return self._report(kernel, self._execute(program))

@@ -109,10 +109,6 @@ class PolyBatch:
         """Latest instant this batch may keep waiting."""
         return self.oldest_arrival_s + policy.max_wait_s
 
-    def payloads(self) -> List[List[int]]:
-        """Coefficient lists in request order (engine ``load()`` shape)."""
-        return [list(r.payload) for r in self.requests]
-
 
 class CoalescingBatcher:
     """Groups arriving requests into per-group open batches.

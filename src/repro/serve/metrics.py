@@ -30,7 +30,7 @@ from repro.errors import ParameterError
 # percentile lives with Histogram; serve callers keep importing it here.
 from repro.obs.registry import Histogram, Instrument, MetricsRegistry, percentile  # noqa: F401
 from repro.obs.slo import Alert, format_alerts
-from repro.serve.request import Response
+from repro.serve.request import Request, Response
 from repro.utils import jsonout
 
 
@@ -171,11 +171,12 @@ class ServeReport:
 class MetricsRecorder:
     """Keeps a replay's records and records each into the registry.
 
-    The simulator hands every response, drop and batch over as it
-    happens; :func:`aggregate` feeds standalone record lists through the
-    same calls.  Each ``(name, labels)`` handle is resolved once, on
-    first use, so a series exists only once something was recorded into
-    it.  Observation order is record order, so every histogram's running
+    The simulator hands every drop and batch over as it happens, and
+    every served request at dispatch (:meth:`served`), keeping its
+    :class:`Response` once the result exists; :func:`aggregate` feeds
+    standalone record lists through :meth:`response` and the rest.
+    Each ``(name, labels)`` handle is resolved once, on first use, so a
+    series exists only once something was recorded into it.  Observation order is record order, so every histogram's running
     sum reproduces ``sum(list)`` float-for-float.
     """
 
@@ -195,21 +196,34 @@ class MetricsRecorder:
 
     def response(self, r: Response) -> None:
         self.responses.append(r)
-        request, handle = r.request, self._handle
-        latency_ms = r.latency_s * 1e3
+        self.served(r.request, r.start_s, r.finish_s, r.energy_nj)
+
+    def served(self, request: Request, start_s: float, finish_s: float,
+               energy_nj: float) -> None:
+        """Record a served request into the registry alone.
+
+        The simulator calls this at dispatch and keeps the
+        :class:`Response` once the result exists; :meth:`response` does
+        both at once.  The timings are :class:`Response`'s properties,
+        computed the same way.
+        """
+        handle = self._handle
+        latency_ms = (finish_s - request.arrival_s) * 1e3
+        queue_s = start_s - request.arrival_s
+        service_s = finish_s - start_s
         for label in (("", None), ("kind", request.kind)):
             handle("counter", "serve.requests", *label).inc()
             handle("histogram", "serve.latency_ms", *label).observe(latency_ms)
-            handle("histogram", "serve.queue_s", *label).observe(r.queue_s)
-            handle("histogram", "serve.service_s", *label).observe(r.service_s)
-            handle("histogram", "serve.energy_nj", *label).observe(r.energy_nj)
+            handle("histogram", "serve.queue_s", *label).observe(queue_s)
+            handle("histogram", "serve.service_s", *label).observe(service_s)
+            handle("histogram", "serve.energy_nj", *label).observe(energy_nj)
         tenant = ("tenant", request.tenant)
         handle("counter", "serve.tenant_served", *tenant).inc()
         handle("histogram", "serve.tenant_latency_ms", *tenant).observe(latency_ms)
-        handle("histogram", "serve.tenant_energy_nj", *tenant).observe(r.energy_nj)
+        handle("histogram", "serve.tenant_energy_nj", *tenant).observe(energy_nj)
         if request.deadline_s is not None:
             handle("counter", "serve.deadline_offered", *tenant).inc()
-            if r.finish_s <= request.deadline_s:
+            if finish_s <= request.deadline_s:
                 handle("counter", "serve.deadline_met", *tenant).inc()
 
     def drop(self, d: DropRecord) -> None:

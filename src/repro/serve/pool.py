@@ -27,22 +27,36 @@ them); the built-ins are:
 Stateful backends (real subarrays) get one private instance per lane;
 pure backends share a single instance across every lane.
 :func:`repro.backends.available_backends` lists the registered names.
+
+Serving splits in two.  :meth:`EnginePool.validate` checks and prices a
+batch when it dispatches; :meth:`EnginePool.execute_batches` computes
+the results of any number of validated batches later.  A replay runs
+it once, after its event loop: a pure backend's batches are grouped per
+kernel and their rows run in chunks of at most
+:data:`EXECUTE_CHUNK_COEFFS` coefficients, and a stateful backend runs
+each batch on its lane in dispatch order.  :meth:`EnginePool.serve` is
+both steps on one batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backends import get_backend
 from repro.backends.base import Backend
 from repro.core.engine import BPNTTEngine
-from repro.errors import ParameterError
+from repro.errors import BackendError, ParameterError
 from repro.ntt.params import get_params
 from repro.obs.tracer import NULL_TRACER, TraceEvent
 from repro.serve.batcher import PolyBatch
 from repro.sram.cost import CostReport
 from repro.sram.energy import TECH_45NM, TechnologyModel
+
+#: Most payload coefficients one pure-backend ``execute`` call runs when
+#: :meth:`EnginePool.execute_batches` chunks a kernel's rows: 64 rows of
+#: a 1024-point ring, 256 of a 256-point one.
+EXECUTE_CHUNK_COEFFS = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -219,17 +233,18 @@ class EnginePool:
 
     # -- serving -----------------------------------------------------------
 
-    def serve(self, batch: PolyBatch, *, backend: Optional[str] = None,
-              lane: int) -> Tuple[List[List[int]], ServiceProfile, int]:
-        """Serve one batch on ``lane``; returns (results, profile, lane).
+    def validate(self, batch: PolyBatch, *, backend: Optional[str] = None,
+                 lane: int) -> ServiceProfile:
+        """Check that ``lane`` can run ``batch``; returns its price.
 
-        ``results`` is one coefficient list per live request, in batch
-        order.  ``backend`` names any registered execution backend
-        (default ``"model"``).  All backends charge the same profile.
+        Raises :class:`~repro.errors.ParameterError` for an unknown
+        backend, a lane out of range, a batch over capacity or an op the
+        backend does not advertise.  Nothing runs: results come from
+        :meth:`execute_batches`.
         """
         name = backend if backend is not None else "model"
         get_backend(name)  # raises BackendError when the name is unknown
-        params_name, op, operand = batch.key
+        params_name, op, _ = batch.key
         if not 0 <= lane < self.config.size:
             raise ParameterError(
                 f"lane {lane} out of range for pool size {self.config.size}"
@@ -240,8 +255,7 @@ class EnginePool:
                 f"batch of {batch.size} exceeds invocation capacity "
                 f"{profile.capacity} for {params_name!r}"
             )
-        impl = self.backend_lanes(name, params_name)[lane]
-        caps = impl.capabilities()
+        caps = self.backend_lanes(name, params_name)[lane].capabilities()
         if op not in caps.ops:
             raise ParameterError(
                 f"backend {name!r} does not support op {op!r}; "
@@ -254,6 +268,71 @@ class EnginePool:
                 f"batch of {batch.size} exceeds backend {name!r} capacity "
                 f"{caps.batch} for {params_name!r}"
             )
-        kernel = impl.compile(op, operand)
-        results = impl.execute(kernel, batch.payloads())
+        return profile
+
+    def execute_batches(self, pending: Sequence[Tuple[PolyBatch, int]], *,
+                        backend: Optional[str] = None
+                        ) -> List[List[Tuple[int, ...]]]:
+        """Results of validated ``(batch, lane)`` pairs, one list per batch.
+
+        Each list holds one coefficient tuple per live request, in batch
+        order.  A stateful backend runs one ``execute`` per batch on its
+        lane, in ``pending`` order, because a lane is a subarray the
+        batch is loaded into.  A pure backend computes every row the
+        same way whatever batch or call it rides in, so its batches are
+        grouped per instance and batch key, and their payload rows run
+        through ``execute`` in chunks of at most
+        :data:`EXECUTE_CHUNK_COEFFS` coefficients.  One call then
+        amortizes its fixed host cost over many batches, and the chunk
+        bound keeps the arrays of a batched kernel small.
+        """
+        name = backend if backend is not None else "model"
+        results: List[List[Tuple[int, ...]]] = [[] for _ in pending]
+        groups: Dict[Tuple[int, tuple], List[int]] = {}
+        for index, (batch, lane) in enumerate(pending):
+            impl = self.backend_lanes(name, batch.key[0])[lane]
+            if impl.capabilities().stateful:
+                results[index] = self._run(
+                    name, impl, batch.key, [r.payload for r in batch.requests])
+            else:
+                groups.setdefault((id(impl), batch.key), []).append(index)
+        for (_, key), indices in groups.items():
+            impl = self.backend_lanes(name, key[0])[pending[indices[0]][1]]
+            rows = [request.payload for index in indices
+                    for request in pending[index][0].requests]
+            step = max(1, EXECUTE_CHUNK_COEFFS // len(rows[0]))
+            out: List[Tuple[int, ...]] = []
+            for start in range(0, len(rows), step):
+                out += self._run(name, impl, key, rows[start:start + step])
+            start = 0
+            for index in indices:
+                end = start + pending[index][0].size
+                results[index] = out[start:end]
+                start = end
+        return results
+
+    @staticmethod
+    def _run(name: str, impl: Backend, key: tuple,
+             rows: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
+        _, op, operand = key
+        out = list(map(tuple, impl.execute(impl.compile(op, operand), rows)))
+        if len(out) != len(rows):
+            raise BackendError(
+                f"backend {name!r} returned {len(out)} results for "
+                f"{len(rows)} payloads"
+            )
+        return out
+
+    def serve(self, batch: PolyBatch, *, backend: Optional[str] = None,
+              lane: int) -> Tuple[List[Tuple[int, ...]], ServiceProfile, int]:
+        """Serve one batch on ``lane``; returns (results, profile, lane).
+
+        :meth:`validate`, then :meth:`execute_batches` on this one
+        batch: the replay's path, one batch at a time.  ``results`` is
+        one coefficient tuple per live request, in batch order.
+        ``backend`` names any registered execution backend (default
+        ``"model"``).  All backends charge the same profile.
+        """
+        profile = self.validate(batch, backend=backend, lane=lane)
+        results = self.execute_batches([(batch, lane)], backend=backend)[0]
         return results, profile, lane

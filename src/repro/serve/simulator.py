@@ -12,6 +12,15 @@ registered execution backend serves the batch — so queueing delay,
 service delay and energy-per-request are all grounded in the paper's
 latency model rather than in host wall-clock.
 
+A dispatch validates, prices and places its batch, but computes no
+result: results feed no scheduling, timing or energy decision.  Once
+the event loop is done, :meth:`~repro.serve.pool.EnginePool.execute_batches`
+runs every dispatched batch: a pure backend's rows in cross-batch
+chunks per kernel (one call amortized over many batches, as one
+instruction stream is amortized over a subarray's tiles), a stateful
+backend's batches one by one on their lanes.  Each response gets its
+result then, so the report is what executing at dispatch would give.
+
 The replay is deterministic: same trace, same pool, same scheduler
 config, byte-identical report — including the drop set, per-tenant
 stats and queue-depth timeline.  A fresh scheduler instance is built
@@ -20,7 +29,7 @@ per replay, so nothing accumulates between calls.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ParameterError
 from repro.obs.tracer import NULL_TRACER, TraceEvent, Tracer
@@ -98,9 +107,14 @@ class ServingSimulator:
         def record_depth(now_s: float) -> None:
             depth_gauge.sample(now_s, scheduler.waiting())
 
+        # Per dispatch: (batch, pool lane) to execute after the loop, and
+        # the fields of the batch's responses, built once results exist.
+        pending: List[Tuple[PolyBatch, int]] = []
+        dispatched: List[Tuple[float, float, float, int, int]] = []
+
         def dispatch(batch: PolyBatch, now_s: float) -> None:
             placement = scheduler.place(batch, now_s)
-            results, profile, _ = self.pool.serve(
+            profile = self.pool.validate(
                 batch, backend=self.backend, lane=placement.pool_lane
             )
             start = placement.start_s
@@ -110,6 +124,9 @@ class ServingSimulator:
             # profile.capacity slots even when the policy caps the batch
             # below it, and energy is charged accordingly.
             physical_padding = profile.capacity - batch.size
+            pending.append((batch, placement.pool_lane))
+            dispatched.append((start, finish, energy_per_request,
+                               placement.lane, physical_padding))
             if tracer.enabled:
                 tracer.emit(TraceEvent(
                     phase="dispatch", t_s=now_s, batch_id=batch.batch_id,
@@ -118,19 +135,8 @@ class ServingSimulator:
                            "size": batch.size, "capacity": profile.capacity,
                            "start_s": start, "energy_nj": profile.energy_nj},
                 ))
-            for request, result in zip(batch.requests, results):
-                recorder.response(
-                    Response(
-                        request=request,
-                        result=tuple(result),
-                        start_s=start,
-                        finish_s=finish,
-                        energy_nj=energy_per_request,
-                        engine_index=placement.lane,
-                        batch_size=batch.size,
-                        batch_padding=physical_padding,
-                    )
-                )
+            for request in batch.requests:
+                recorder.served(request, start, finish, energy_per_request)
                 if tracer.enabled:
                     tracer.emit(TraceEvent(
                         phase="respond", t_s=finish,
@@ -215,6 +221,25 @@ class ServingSimulator:
                 for batch in scheduler.flush(end_s):
                     dispatch(batch, end_s)
                 record_depth(end_s)
+
+        # Results feed no decision of the loop, so every batch runs only
+        # now, and pure backends chunk their rows across batches.
+        results = self.pool.execute_batches(pending, backend=self.backend)
+        for (batch, _), fields, rows in zip(pending, dispatched, results):
+            start, finish, energy_per_request, lane, padding = fields
+            recorder.responses.extend(
+                Response(
+                    request=request,
+                    result=result,
+                    start_s=start,
+                    finish_s=finish,
+                    energy_nj=energy_per_request,
+                    engine_index=lane,
+                    batch_size=batch.size,
+                    batch_padding=padding,
+                )
+                for request, result in zip(batch.requests, rows)
+            )
 
         lanes = scheduler.lane_report()
         # Streaming tracers (WindowedAggregator / SLOTracer / Sampling)

@@ -55,6 +55,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.crypto.he import default_relin_base, relin_digit_count
@@ -238,7 +240,15 @@ _REGISTRY.register("cluster-mixed", "repro.cluster.workload:cluster_mixed")
 
 
 def _random_poly(n: int, q: int, rng: random.Random) -> Tuple[int, ...]:
-    return tuple(rng.randrange(q) for _ in range(n))
+    """``tuple(rng.randrange(q) for _ in range(n))``, drawn faster.
+
+    ``randrange(q)`` draws ``getrandbits(q.bit_length())`` until a value
+    falls below ``q``.  Running that same rejection loop as one
+    iterator chain draws the same values and leaves ``rng`` in the same
+    state, without a Python-level call per coefficient.
+    """
+    draws = iter(partial(rng.getrandbits, q.bit_length()), -1)
+    return tuple(islice(filter(q.__gt__, draws), n))
 
 
 def _operand_pools(scenario: Scenario, rng: random.Random) -> Dict[str, List[Tuple[int, ...]]]:

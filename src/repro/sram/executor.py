@@ -27,9 +27,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import add
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.errors import ExecutionError
 from repro.sram.energy import TECH_45NM, TechnologyModel
@@ -106,15 +106,22 @@ class Executor:
         self.tech = tech
         self.stats = ExecutionStats()
 
-    def run(self, program: Program) -> ExecutionStats:
+    def run(self, program: Program,
+            price: Optional[ExecutionStats] = None) -> ExecutionStats:
         """Execute every instruction; returns stats for *this run only*.
 
         The stats are the program's static price, also folded into the
-        lifetime :attr:`stats`.
+        lifetime :attr:`stats`.  ``price`` is that price when the caller
+        already holds it (an engine keeps one per compiled program);
+        otherwise the program is priced here.  Either way the returned
+        stats are a fresh object the caller may keep or change.
         """
         for instruction in program.instructions:
             self.execute(instruction)
-        run_stats = profile_program(program, self.tech)
+        if price is None:
+            run_stats = profile_program(program, self.tech)
+        else:
+            run_stats = ExecutionStats.merge(price)
         self.stats.accumulate(run_stats)
         return run_stats
 
@@ -243,20 +250,35 @@ def profile_program(program: Program, tech: TechnologyModel = TECH_45NM) -> Exec
             stats.shift_count += count
     # The running sums add one instruction at a time in program order:
     # the float energy total is the left-to-right sum over the program.
-    cycle_at = list(accumulate(map(cycles_of.__getitem__, types)))
-    stats.cycles = cycle_at[-1] if cycle_at else 0
     stats.energy_pj = reduce(add, map(energy_of.__getitem__, types), 0.0)
-    stats.instructions = len(types)
-    # A section's cycles are the span of cycle_at (the cumulative count
-    # after each instruction) over its instruction range.
-    section_cycles = stats.section_cycles
-    for label, start, end in program.sections:
-        if end > len(cycle_at):
+    stats.instructions = length = len(types)
+    sections = program.sections
+    for label, start, end in sections:
+        if end > length:
             raise ExecutionError(f"section {label!r} exceeds program length")
-        start_cycles = cycle_at[start - 1] if start else 0
-        end_cycles = cycle_at[end - 1] if end else 0
+        if not 0 <= start <= end:
+            raise ExecutionError(f"section {label!r} spans [{start}, {end})")
+    # before(i) is the running cycle count over the first i instructions;
+    # only the section bounds and the total read it.
+    if len(set(cycles_of.values())) <= 1:
+        # Every class costs the same: no pass over the program at all.
+        before = next(iter(cycles_of.values()), 0).__mul__
+    else:
+        # Keep the running count at the bounds only: one int per
+        # instruction would be millions on a big ring.
+        bounds = {length}
+        bounds.update(*((start, end) for _, start, end in sections))
+        kept = bytearray(length + 1)
+        for index in bounds:
+            kept[index] = 1
+        before = dict(zip(sorted(bounds), compress(
+            accumulate(map(cycles_of.__getitem__, types), initial=0),
+            kept))).__getitem__
+    stats.cycles = before(length)
+    section_cycles = stats.section_cycles
+    for label, start, end in sections:
         section_cycles[label] = section_cycles.get(label, 0) + (
-            end_cycles - start_cycles
+            before(end) - before(start)
         )
     return stats
 

@@ -17,6 +17,8 @@ This module is purely combinational; the stateful latch lives in
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.errors import ParameterError
 from repro.utils.bitops import mask
 
@@ -29,6 +31,8 @@ class SenseAmpLogic:
             raise ParameterError(f"column count must be positive, got {cols}")
         self.cols = cols
         self._mask = mask(cols)
+        # segment width -> a 1 in the LSB column of every segment
+        self._segment_lsbs: Dict[int, int] = {}
 
     def logic_and(self, a: int, b: int) -> int:
         """Bitline AND (all activated cells '1')."""
@@ -56,6 +60,10 @@ class SenseAmpLogic:
 
         ``segment == 0`` means an unsegmented, array-wide shift (used to
         merge coefficients that spill into an adjacent tile).
+
+        The whole row shifts at once: the columns whose bit would leave
+        its segment (every segment's MSB on a left shift, its LSB on a
+        right one) are masked off first, so no bit crosses a boundary.
         """
         if segment < 0 or (segment and self.cols % segment):
             raise ParameterError(
@@ -69,30 +77,45 @@ class SenseAmpLogic:
                 shifted = value >> 1
                 out_bits = value & 1
             return ShiftResult(shifted, out_bits)
-        seg_mask = mask(segment)
-        shifted = 0
-        out_bits = 0
-        for tile in range(self.cols // segment):
-            chunk = (value >> (tile * segment)) & seg_mask
-            if left:
-                out = chunk >> (segment - 1)
-                chunk = (chunk << 1) & seg_mask
-            else:
-                out = chunk & 1
-                chunk >>= 1
-            shifted |= chunk << (tile * segment)
-            out_bits |= out << tile
-        return ShiftResult(shifted, out_bits)
+        lsb = self._segment_lsbs.get(segment)
+        if lsb is None:
+            lsb = self._segment_lsbs[segment] = sum(
+                1 << col for col in range(0, self.cols, segment))
+        if left:
+            edge = value & (lsb << (segment - 1))
+            return ShiftResult(((value & self._mask) ^ edge) << 1,
+                               edge=edge >> (segment - 1), segment=segment)
+        edge = value & lsb
+        return ShiftResult(((value & self._mask) ^ edge) >> 1,
+                           edge=edge, segment=segment)
 
 
 class ShiftResult:
-    """A shifted row plus the per-segment bits that fell off the edge."""
+    """A shifted row plus the per-segment bits that fell off the edge.
 
-    __slots__ = ("value", "out_bits")
+    ``out_bits`` holds segment ``t``'s lost bit at bit ``t``.  A
+    segmented shift keeps those bits at their segments' LSB columns
+    (``edge``) and packs them only when ``out_bits`` is read, which
+    only a carry step does.
+    """
 
-    def __init__(self, value: int, out_bits: int):
+    __slots__ = ("value", "_out_bits", "_edge", "_segment")
+
+    def __init__(self, value: int, out_bits: int = 0, *, edge: int = 0,
+                 segment: int = 0):
         self.value = value
-        self.out_bits = out_bits
+        self._out_bits = out_bits
+        self._edge = edge
+        self._segment = segment
+
+    @property
+    def out_bits(self) -> int:
+        edge, packed = self._edge, self._out_bits
+        while edge:
+            low = edge & -edge
+            packed |= 1 << ((low.bit_length() - 1) // self._segment)
+            edge ^= low
+        return packed
 
     def __repr__(self) -> str:
         return f"ShiftResult(value={self.value:#x}, out_bits={self.out_bits:#x})"

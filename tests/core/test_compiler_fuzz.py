@@ -13,7 +13,9 @@ every draw:
   equals an independent reference price field for field, dict key
   order included and energy float-for-float: a loop over the program
   charging each instruction its class's cycles and pJ in program order,
-  with section spans read off the cumulative cycle count;
+  with section spans read off the cumulative cycle count.  It is
+  checked under the default technology, where every class costs one
+  cycle, and under one whose classes cost different cycle counts;
 - the engine's memoized ``profile`` equals a fresh ``price_programs``
   and the merged reference prices, cold and warm;
 - equal instructions across the kernel's programs are one object, and a
@@ -36,9 +38,14 @@ from repro.errors import ParameterError
 from repro.ntt.params import NTTParams
 from repro.ntt.transform import intt_negacyclic, ntt_negacyclic, polymul_negacyclic
 from repro.sram.cost import CostReport
+from repro.sram.energy import DEFAULT_CYCLES, TechnologyModel
 from repro.sram.executor import ExecutionStats, profile_program
 from repro.sram.isa import ShiftRow
 from repro.utils.primes import find_ntt_prime
+
+#: Every instruction class at a different cycle count (1, 2, 3, ...).
+SKEWED_TECH = TechnologyModel(
+    cycles={kind: cost for cost, kind in enumerate(DEFAULT_CYCLES, 1)})
 
 GOLD = {
     "ntt": lambda payload, operand, params: ntt_negacyclic(payload, params),
@@ -139,6 +146,9 @@ def test_generated_kernels_check_clean_execute_gold_and_price_exactly(draw, op):
         engine.executor.run(program)
         references.append(reference_price(program, engine.tech))
         assert_same_stats(profile_program(program, engine.tech), references[-1])
+        # Unequal per-class cycles take the running-count path.
+        assert_same_stats(profile_program(program, SKEWED_TECH),
+                          reference_price(program, SKEWED_TECH))
     assert engine.results() == [GOLD[op](p, operand, params) for p in payloads]
 
     fresh = price_programs(kernel.programs, engine.tech)

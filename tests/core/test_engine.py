@@ -195,6 +195,45 @@ class TestReports:
         c2 = eng.ntt().cycles
         assert c1 == c2  # data-independent schedule
 
+    def test_a_second_run_prices_nothing(self, monkeypatch):
+        """Runs reuse the engine's memoized program price: the executor
+        interprets, and the lifetime stats are what pricing every run
+        would give."""
+        from repro.backends import base as backends_base
+        from repro.sram import executor as executor_module
+        from repro.sram.executor import ExecutionStats
+
+        priced = []
+
+        def counting(program, tech):
+            priced.append(program)
+            return profile_program(program, tech)
+
+        monkeypatch.setattr(backends_base, "profile_program", counting)
+        monkeypatch.setattr(executor_module, "profile_program", counting)
+        eng = BPNTTEngine(SMALL, width=8, rows=32, cols=32)
+        polys = random_batch(eng, 15)
+        eng.load(polys)
+        first = eng.ntt()
+        assert len(priced) == 1
+        eng.load(polys)
+        second = eng.ntt()
+        assert len(priced) == 1
+        one = [1] + [0] * (SMALL.n - 1)
+        eng.polymul_with(one)
+        assert len(priced) == 3  # the pointwise program, then intt
+        assert first == second
+        programs = [eng.compiled_program("ntt")] * 3 + [
+            eng.pointwise_program(ntt_negacyclic(one, SMALL)),
+            eng.compiled_program("intt")]
+        assert eng.executor.stats == ExecutionStats.merge(
+            *(profile_program(program, eng.tech) for program in programs))
+        # A run hands back its own copy, never the memo's stats.
+        eng.load(polys)
+        run = eng._execute(eng.compiled_program("ntt"))
+        run.cycles += 1
+        assert eng.profile(eng.compile("ntt")).cycles == first.cycles
+
     def test_section_breakdown_covers_modmul(self):
         eng = BPNTTEngine(SMALL, width=8, rows=32, cols=32)
         eng.load(random_batch(eng, 14))

@@ -86,13 +86,6 @@ class TestPolyBatch:
                           requests=requests)
         assert batch.oldest_arrival_s == 0.1
 
-    def test_payloads_in_request_order(self, tiny_request):
-        batch = PolyBatch(key=tiny_request(0).batch_key, capacity=3)
-        r0, r1 = tiny_request(0), tiny_request(1)
-        batch.add(r0)
-        batch.add(r1)
-        assert batch.payloads() == [list(r0.payload), list(r1.payload)]
-
 
 class TestCoalescing:
     def test_full_batch_closes_immediately(self, batcher, tiny_request):

@@ -1,6 +1,10 @@
 """Traffic generators: rates, mixes, operand pooling, determinism."""
 
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.crypto.he import default_relin_base, relin_digit_count
 from repro.errors import ParameterError
@@ -9,6 +13,7 @@ from repro.serve.workload import (
     MixComponent,
     Scenario,
     _materialize,
+    _random_poly,
     available_scenarios,
     bursty_trace,
     get_scenario,
@@ -241,3 +246,19 @@ class TestSLOScenario:
         trace = poisson_trace("mixed", 1500, 0.1, seed=3)
         assert all(r.deadline_s is None for r in trace)
         assert {r.tenant for r in trace} == {"kyber", "dilithium", "he"}
+
+
+class TestRandomPoly:
+    """The coefficient draw is ``randrange``'s, value for value."""
+
+    @given(n=st.integers(0, 300),
+           q=st.one_of(st.integers(1, 2**40),
+                       st.sampled_from([get_params(name).q for name in
+                                        ("kyber-v1", "dilithium", "he-16bit",
+                                         "he-29bit")])),
+           seed=st.integers(0, 2**32))
+    def test_same_tuple_and_rng_state_as_randrange(self, n, q, seed):
+        fast, reference = random.Random(seed), random.Random(seed)
+        assert _random_poly(n, q, fast) == tuple(
+            reference.randrange(q) for _ in range(n))
+        assert fast.getstate() == reference.getstate()

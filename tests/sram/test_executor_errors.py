@@ -40,6 +40,15 @@ class TestErrorPaths:
         with pytest.raises(ExecutionError):
             ex.run(p)
 
+    @pytest.mark.parametrize("start, end", [(-1, 1), (1, 0)])
+    def test_reversed_or_negative_section_rejected(self, start, end):
+        ex, _ = make()
+        p = Program("bad")
+        p.emit(Unary(UnaryOp.ZERO, 0))
+        p.sections.append(("phantom", start, end))
+        with pytest.raises(ExecutionError, match="spans"):
+            ex.run(p)
+
 
 class TestCarryInSemantics:
     def test_carry_in_flips_lsb_and_ors_latch(self):

@@ -85,3 +85,40 @@ class TestSegmentedShift:
         lo, hi = v & 0xFF, v >> 8
         assert r.value == (((hi << 1) & 0xFF) << 8) | ((lo << 1) & 0xFF)
         assert r.out_bits == ((hi >> 7) << 1) | (lo >> 7)
+
+
+def _loop_shift(value, left, cols, segment):
+    """The per-tile reference: cut each segment out, shift it, put it back."""
+    seg_mask = (1 << segment) - 1
+    shifted = out_bits = 0
+    for tile in range(cols // segment):
+        chunk = (value >> (tile * segment)) & seg_mask
+        if left:
+            out, chunk = chunk >> (segment - 1), (chunk << 1) & seg_mask
+        else:
+            out, chunk = chunk & 1, chunk >> 1
+        shifted |= chunk << (tile * segment)
+        out_bits |= out << tile
+    return shifted, out_bits
+
+
+@st.composite
+def _shift_draws(draw):
+    segment = draw(st.integers(1, 40))
+    cols = segment * draw(st.integers(1, 16))
+    value = draw(st.one_of(
+        st.integers(0, (1 << cols) - 1),
+        st.sampled_from((0, (1 << cols) - 1)),
+        # One bit set per segment, at the edge the shift drops.
+        st.sampled_from((sum(1 << c for c in range(0, cols, segment)),
+                         sum(1 << c for c in range(segment - 1, cols, segment))))))
+    return cols, segment, value, draw(st.booleans())
+
+
+class TestSegmentedShiftAgainstLoop:
+    @given(_shift_draws())
+    def test_mask_shift_equals_per_tile_loop(self, draw):
+        cols, segment, value, left = draw
+        result = SenseAmpLogic(cols).shift_segmented(value, left, segment)
+        assert (result.value, result.out_bits) == _loop_shift(
+            value, left, cols, segment)
