@@ -53,8 +53,8 @@ def test_table1_report(measured, artifact_writer, benchmark):
 
     # Benchmark: one full 256-point batch NTT on the simulator.
     def run_ntt():
-        engine.subarray.reset_peripherals()
-        return engine.executor.run(engine.compiled_program("ntt")).cycles
+        engine.gang[0].subarray.reset_peripherals()
+        return engine.gang[0].run(engine.compiled_program("ntt")).cycles
 
     cycles = benchmark.pedantic(run_ntt, rounds=1, iterations=1)
     assert cycles == report.cycles

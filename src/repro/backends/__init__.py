@@ -10,9 +10,10 @@ a string-keyed registry, and a shared
 
 Built-in backends:
 
-- ``sram`` — the subarray interpreter (:class:`~repro.core.engine.BPNTTEngine`
-  or :class:`~repro.core.multiarray.BankedEngine`, which implement the
-  protocol natively).  Exact, used to pin the others.
+- ``sram`` — the subarray interpreter: :class:`~repro.core.engine.BPNTTEngine`
+  itself, a gang of ``subarrays`` data subarrays that implements the
+  protocol natively and is registered as its own factory.  Exact, used
+  to pin the others.
 - ``model`` — gold transforms for results, compiled programs for
   pricing; cycle-identical to ``sram`` at a fraction of the host time.
   Results are batched (one vectorized numpy schedule per batch) for
@@ -54,7 +55,7 @@ from repro.sram.cost import CostReport
 # never imports repro.core — which is what lets the engines themselves
 # import the protocol types above.
 register_backend("model", "repro.backends.model:ModelBackend", replace=True)
-register_backend("sram", "repro.backends.sram:build_sram_backend", replace=True)
+register_backend("sram", "repro.core.engine:BPNTTEngine", replace=True)
 if find_spec("numpy") is not None:
     register_backend("numpy", "repro.backends.numpy_gold:NumpyBackend", replace=True)
 

@@ -24,8 +24,9 @@ is four methods:
 Backends are constructed by registry factories with the uniform
 signature ``factory(params, *, rows, cols, subarrays, tech, template,
 width)`` (see :mod:`repro.backends.registry`); ``template`` optionally
-shares a caller-owned :class:`~repro.core.engine.BPNTTEngine` so its
-compiled-program cache prices every backend from one compilation.
+shares a caller-owned :class:`~repro.core.engine.BPNTTEngine`'s program
+store, so every backend and every lane compiles and prices from one
+compilation.
 
 This module sits *below* ``repro.core``: it may import only the sram
 layer, which is what lets the engines themselves implement the
@@ -131,7 +132,7 @@ def memo_profile(program: Program, tech: TechnologyModel,
 class Backend(Protocol):
     """Structural interface of an execution backend.
 
-    ``BPNTTEngine`` and ``BankedEngine`` implement this directly; pure
+    ``BPNTTEngine`` implements this directly at any gang width; pure
     substrates (gold model, numpy) wrap a template engine for pricing.
     """
 

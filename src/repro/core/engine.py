@@ -1,13 +1,27 @@
 """BPNTTEngine — the public face of the accelerator.
 
-Wraps a subarray + layout + compiled programs behind a polynomial-level
-API: load a batch, run ``ntt()`` / ``intt()`` / ``polymul_pointwise()``,
-read results, and collect a :class:`NTTRunReport` with the cycle,
-latency, energy and derived Table-I metrics.
+Wraps a gang of subarrays + layout + compiled programs behind a
+polynomial-level API: load a batch, run ``ntt()`` / ``intt()`` /
+``polymul_pointwise()``, read results, and collect a
+:class:`NTTRunReport` with the cycle, latency, energy and derived
+Table-I metrics.
+
+An engine gangs ``subarrays`` data subarrays (§V-E: "larger subarray or
+interconnection of multiple subarrays").  Each one runs the *same*
+compiled program on its own polynomials in lockstep, so the gang
+completes ``subarrays x per_subarray_batch`` transforms in one kernel
+latency: throughput scales with area while latency stays flat.  The
+data subarrays share one CTRL/CMD subarray (Fig 4b), which stores each
+program once.  The engine compiles and prices a program once whatever
+the gang width, and ``template`` extends that one program store over
+several engines (the serving pool's lanes).  Area charges the CTRL/CMD
+subarray once more than one data subarray shares it; per-transform
+energy does not, matching the paper's accounting.
 
 The engine also implements the :class:`repro.backends.base.Backend`
-protocol (``capabilities`` / ``compile`` / ``execute`` / ``profile``),
-which is how the serving pool drives it through the backend registry.
+protocol (``capabilities`` / ``compile`` / ``execute`` / ``profile``)
+and takes the registry's uniform factory signature, which is how the
+serving pool drives it as the ``sram`` backend.
 
 Example (a small ring so the doctest compiles in milliseconds):
 
@@ -25,8 +39,9 @@ Example (a small ring so the doctest compiles in milliseconds):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.backends.base import (
     KERNEL_OPS,
@@ -38,7 +53,7 @@ from repro.backends.base import (
 from repro.core.layout import DataLayout
 from repro.core.scheduler import compile_intt, compile_ntt, compile_pointwise_mul
 from repro.core.tiles import container_width
-from repro.errors import ParameterError, VerificationError
+from repro.errors import CapacityError, ParameterError, VerificationError
 from repro.ntt.params import NTTParams
 from repro.ntt.twiddles import TwiddleTable
 from repro.sram.cost import CostReport
@@ -101,36 +116,31 @@ class NTTRunReport:
         )
 
 
-def run_compiled_kernel(engine, kernel: CompiledKernel,
-                        payloads: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Load ``payloads``, dispatch one compiled kernel, read back the
-    live slots — the one ``Backend.execute`` body shared by
-    :class:`BPNTTEngine` and the banked engine (anything exposing
-    ``load``/``ntt``/``intt``/``polymul_with_hat``/``results``)."""
-    engine.load(payloads)
-    if kernel.op == "ntt":
-        engine.ntt()
-    elif kernel.op == "intt":
-        engine.intt()
-    else:
-        engine.polymul_with_hat(list(kernel.operand_hat))
-    return engine.results()[: len(payloads)]
-
-
 class BPNTTEngine:
-    """One subarray configured as a batched NTT accelerator."""
+    """A gang of subarrays configured as one batched NTT accelerator.
+
+    ``gang`` holds one :class:`~repro.sram.executor.Executor` per data
+    subarray (``gang[i].subarray`` is the storage); ``subarrays`` is
+    its width.  ``template`` shares another engine's layout, twiddles,
+    compiled programs, kernel handles and prices, and must have the
+    same ring, geometry and technology.
+    """
 
     def __init__(
         self,
         params: NTTParams,
         *,
-        width: Optional[int] = None,
         rows: int = 256,
         cols: int = 256,
+        subarrays: int = 1,
         tech: TechnologyModel = TECH_45NM,
+        template: Optional["BPNTTEngine"] = None,
+        width: Optional[int] = None,
     ):
         if not params.negacyclic:
             raise ParameterError("the in-SRAM engine implements negacyclic rings")
+        if subarrays < 1:
+            raise ParameterError(f"subarrays must be >= 1, got {subarrays}")
         self.params = params
         self.width = width or container_width(params.q)
         if self.width > cols:
@@ -139,27 +149,51 @@ class BPNTTEngine:
             )
         self.tech = tech
         self.physical_cols = cols
-        self.layout = DataLayout(rows, cols, self.width, params.n)
-        # The subarray is built over the *used* columns; leftover columns
+        self.subarrays = subarrays
+        if template is None:
+            self.layout = DataLayout(rows, cols, self.width, params.n)
+            self._table = TwiddleTable(params)
+            self._programs = {}
+            # id(program) -> (program, ExecutionStats): each program in
+            # the store is priced once (see profile and _execute).
+            self._prices = {}
+            self._kernels = {}
+        else:
+            ours = (params, rows, cols, self.width, tech)
+            theirs = (template.params, template.layout.rows,
+                      template.physical_cols, template.width, template.tech)
+            if ours != theirs:
+                raise ParameterError(
+                    "template (params, rows, cols, width, tech) "
+                    f"{theirs} does not match {ours}"
+                )
+            self.layout = template.layout
+            self._table = template._table
+            self._programs = template._programs
+            self._prices = template._prices
+            self._kernels = template._kernels
+        # Each subarray is built over the *used* columns; leftover columns
         # exist physically (and are charged in the area model) but hold
         # no tiles.
-        self.subarray = SRAMSubarray(rows, self.layout.used_cols, self.width)
-        self.executor = Executor(self.subarray, tech)
-        self._table = TwiddleTable(params)
-        self._programs = {}
-        # id(program) -> (program, ExecutionStats): each program this
-        # engine compiled is priced once (see profile and _execute).
-        self._prices = {}
-        self._kernels = {}
+        self.gang: Tuple[Executor, ...] = tuple(
+            Executor(SRAMSubarray(rows, self.layout.used_cols, self.width), tech)
+            for _ in range(subarrays)
+        )
+        for executor in self.gang:
+            executor.subarray.broadcast_word(self.layout.scratch.mod, params.q)
         self._loaded = False
-        self.subarray.broadcast_word(self.layout.scratch.mod, params.q)
 
     # -- capacity ---------------------------------------------------------
 
     @property
-    def batch(self) -> int:
-        """Polynomials processed per kernel invocation."""
+    def per_subarray_batch(self) -> int:
+        """Polynomials one subarray holds."""
         return self.layout.batch
+
+    @property
+    def batch(self) -> int:
+        """Polynomials processed per kernel invocation (whole gang)."""
+        return self.layout.batch * self.subarrays
 
     @property
     def twiddle_table(self) -> TwiddleTable:
@@ -169,56 +203,63 @@ class BPNTTEngine:
 
     @property
     def area_mm2(self) -> float:
-        """Silicon area of the (physical) subarray."""
-        return self.tech.subarray_area_mm2(self.layout.rows, self.physical_cols)
+        """Silicon area of the (physical) subarrays, plus the shared
+        CTRL/CMD subarray of a gang."""
+        per = self.tech.subarray_area_mm2(self.layout.rows, self.physical_cols)
+        return per if self.subarrays == 1 else per * (self.subarrays + 1)
 
     # -- data movement ----------------------------------------------------
 
-    def load(self, polynomials: Sequence[Sequence[int]]) -> None:
-        """Host-write a batch of polynomials into the subarray.
+    def _slots(self) -> List[Tuple[SRAMSubarray, int]]:
+        """(subarray, local slot) of every slot, in load order."""
+        return [(executor.subarray, slot) for executor in self.gang
+                for slot in range(self.layout.batch)]
 
-        Fewer than ``batch`` polynomials leaves the remaining slots
+    def load(self, polynomials: Sequence[Sequence[int]]) -> None:
+        """Host-write a batch of polynomials into the gang.
+
+        Slot ``s`` lands on subarray ``s // per_subarray_batch``.  Fewer
+        than ``batch`` polynomials leaves the remaining slots
         zero-filled ("place coefficients from other polynomials in unused
         rows" is the paper's suggestion for the converse case).
         """
         if len(polynomials) > self.batch:
-            raise ParameterError(
+            raise CapacityError(
                 f"{len(polynomials)} polynomials exceed the batch capacity {self.batch}"
             )
         q = self.params.q
         n = self.params.n
-        for slot in range(self.batch):
-            coeffs = polynomials[slot] if slot < len(polynomials) else [0] * n
+        layout = self.layout
+        for index, (subarray, slot) in enumerate(self._slots()):
+            coeffs = polynomials[index] if index < len(polynomials) else [0] * n
             if len(coeffs) != n:
                 raise ParameterError(
-                    f"polynomial {slot} has {len(coeffs)} coefficients, expected {n}"
+                    f"polynomial {index} has {len(coeffs)} coefficients, expected {n}"
                 )
-            for index, coeff in enumerate(coeffs):
-                loc = self.layout.locate(index)
-                tile = self.layout.tile_of(slot, index)
-                self.subarray.write_word(loc.row, tile, coeff % q)
+            for position, coeff in enumerate(coeffs):
+                subarray.write_word(layout.locate(position).row,
+                                    layout.tile_of(slot, position), coeff % q)
         self._loaded = True
 
     def results(self) -> List[List[int]]:
-        """Read every slot's polynomial back out of the subarray."""
-        out = []
-        for slot in range(self.batch):
-            coeffs = []
-            for index in range(self.params.n):
-                loc = self.layout.locate(index)
-                tile = self.layout.tile_of(slot, index)
-                coeffs.append(self.subarray.read_word(loc.row, tile))
-            out.append(coeffs)
-        return out
+        """Read every slot's polynomial back out of the gang."""
+        layout = self.layout
+        return [
+            [subarray.read_word(layout.locate(position).row,
+                                layout.tile_of(slot, position))
+             for position in range(self.params.n)]
+            for subarray, slot in self._slots()
+        ]
 
     # -- kernels -----------------------------------------------------------
 
     def compiled_program(self, kernel: str) -> Program:
         """The cached instruction stream for ``"ntt"`` or ``"intt"``.
 
-        Compilation happens once per engine; the CTRL/CMD subarray
-        stores one program per kernel regardless of how many batches it
-        serves (the serving pool leans on this for program reuse).
+        Compilation happens once per program store; the CTRL/CMD
+        subarray stores one program per kernel regardless of how many
+        subarrays run it or batches it serves (the serving pool leans
+        on this for program reuse).
         """
         if kernel not in self._programs:
             if kernel == "ntt":
@@ -248,19 +289,23 @@ class BPNTTEngine:
         return self._programs[key]
 
     def _execute(self, program: Program) -> ExecutionStats:
+        """Price ``program`` once, run it on every subarray; returns one
+        subarray's stats."""
         if not self._loaded:
             raise ParameterError("no data loaded; call load() first")
-        self.subarray.reset_peripherals()
-        return self.executor.run(
-            program, memo_profile(program, self.tech, self._prices))
+        price = memo_profile(program, self.tech, self._prices)
+        for executor in self.gang:
+            executor.subarray.reset_peripherals()
+            stats = executor.run(program, price)
+        return stats
 
     def _run(self, program: Program, kernel: str) -> NTTRunReport:
         return self._report(kernel, self._execute(program))
 
     def _report(self, kernel: str, stats: ExecutionStats) -> NTTRunReport:
-        return NTTRunReport.from_cost(
-            kernel, self.batch, CostReport.from_stats(stats, self.tech)
-        )
+        cost = CostReport.from_stats(stats, self.tech)
+        return NTTRunReport.from_cost(kernel, self.batch,
+                                      cost.replicate(self.subarrays))
 
     def ntt(self) -> NTTRunReport:
         """Run the forward NTT over the loaded batch (in place)."""
@@ -298,17 +343,21 @@ class BPNTTEngine:
 
     # -- the execution-backend protocol -------------------------------------
     #
-    # One subarray *is* the reference "sram" backend: the registry's
-    # factory (repro.backends.sram) hands instances of this class (or
-    # BankedEngine) straight to the serving pool.
+    # The gang *is* the reference "sram" backend: the registry hands
+    # instances of this class straight to the serving pool.
 
     backend_name = "sram"
 
     def capabilities(self) -> BackendCapabilities:
         """Backend-protocol facts: exact interpreter, one lane per instance."""
+        if self.subarrays == 1:
+            description = "bitline-accurate subarray interpreter (exact, slow)"
+        else:
+            description = (f"bitline-accurate interpreter, {self.subarrays} "
+                           "data subarrays in lockstep")
         return BackendCapabilities(
             name=self.backend_name,
-            description="bitline-accurate subarray interpreter (exact, slow)",
+            description=description,
             batch=self.batch,
             stateful=True,
         )
@@ -364,21 +413,27 @@ class BPNTTEngine:
     def execute(self, kernel: CompiledKernel,
                 payloads: Sequence[Sequence[int]]) -> List[List[int]]:
         """Load ``payloads``, interpret the kernel, read back the live slots."""
-        return run_compiled_kernel(self, kernel, payloads)
+        self.load(payloads)
+        for program in kernel.programs:
+            self._execute(program)
+        return self.results()[: len(payloads)]
 
     def profile(self, kernel: CompiledKernel) -> CostReport:
         """Static price of one invocation (identical to executing it).
 
-        Each program is priced once per engine: the shared ``ntt`` and
-        ``intt`` programs of every ``polymul`` kernel reuse their first
-        price, and only a new operand's pointwise program is profiled.
+        Each program is priced once per program store: the shared
+        ``ntt`` and ``intt`` programs of every ``polymul`` kernel reuse
+        their first price, and only a new operand's pointwise program is
+        profiled.  The price is one subarray's, replicated across the
+        gang.
         """
-        return price_programs(kernel.programs, self.tech, memo=self._prices)
+        return price_programs(kernel.programs, self.tech,
+                              replicas=self.subarrays, memo=self._prices)
 
     # -- verification -------------------------------------------------------
 
     def verify_against_gold(self, inputs: Sequence[Sequence[int]]) -> None:
-        """Assert the subarray contents equal ``NTT(inputs)`` (gold model).
+        """Assert the gang's contents equal ``NTT(inputs)`` (gold model).
 
         Intended for tests and examples: call after :meth:`ntt` with the
         polynomials originally loaded.
@@ -398,5 +453,13 @@ class BPNTTEngine:
     def __repr__(self) -> str:
         return (
             f"BPNTTEngine({self.params!r}, width={self.width}, "
-            f"batch={self.batch}, spill={self.layout.uses_spill})"
+            f"batch={self.batch}, subarrays={self.subarrays}, "
+            f"spill={self.layout.uses_spill})"
         )
+
+
+def subarrays_needed(total_transforms: int, per_subarray_batch: int) -> int:
+    """Data subarrays required to run a workload in one kernel latency."""
+    if total_transforms <= 0 or per_subarray_batch <= 0:
+        raise ParameterError("counts must be positive")
+    return math.ceil(total_transforms / per_subarray_batch)

@@ -123,7 +123,10 @@ def verify_backend_results(backend: str = "model", trials_per_config: int = 1,
     rings; results must match the gold transforms and the invocation
     must profile to a positive cycle count.  The 64-point ring with a
     31-bit modulus reaches the batched numpy kernels of ``model`` and
-    ``numpy`` at the edge of their int64 bound.
+    ``numpy`` at the edge of their int64 bound.  On the 8-point ring the
+    backend is also built with ``subarrays=2``: the gang's results must
+    match gold too, and its price must be the single subarray's
+    ``replicate(2)``.
     """
     from repro.backends import create_backend
     from repro.ntt.transform import intt_negacyclic, polymul_negacyclic
@@ -134,35 +137,41 @@ def verify_backend_results(backend: str = "model", trials_per_config: int = 1,
     rng = random.Random(seed)
     for params in configs:
         width = max(8, params.coeff_bits + 1)
-        impl = create_backend(
-            backend, params, width=width,
-            rows=max(32, params.n + 8), cols=4 * width,
-        )
-        batch = impl.capabilities().batch
+        impls = [
+            create_backend(backend, params, width=width, subarrays=subarrays,
+                           rows=max(32, params.n + 8), cols=4 * width)
+            for subarrays in ((1, 2) if params.n == 8 else (1,))
+        ]
         for op in ("ntt", "intt", "polymul"):
             operand = None
             if op == "polymul":
                 operand = [rng.randrange(params.q) for _ in range(params.n)]
-            kernel = impl.compile(op, operand)
-            for _ in range(trials_per_config):
-                report.trials += 1
-                payloads = [
-                    [rng.randrange(params.q) for _ in range(params.n)]
-                    for _ in range(batch)
-                ]
-                results = impl.execute(kernel, payloads)
-                if op == "ntt":
-                    expected = [ntt_negacyclic(p, params) for p in payloads]
-                elif op == "intt":
-                    expected = [intt_negacyclic(p, params) for p in payloads]
-                else:
-                    expected = [
-                        polymul_negacyclic(p, operand, params) for p in payloads
+            prices = []
+            for subarrays, impl in enumerate(impls, start=1):
+                kernel = impl.compile(op, operand)
+                prices.append(impl.profile(kernel))
+                for _ in range(trials_per_config):
+                    report.trials += 1
+                    payloads = [
+                        [rng.randrange(params.q) for _ in range(params.n)]
+                        for _ in range(impl.capabilities().batch)
                     ]
-                if [list(r) for r in results] != expected:
-                    report.record(f"{backend} {op} mismatch {params!r}", seed)
-                if impl.profile(kernel).cycles <= 0:
-                    report.record(f"{backend} {op} priced at zero cycles", seed)
+                    if op == "polymul":
+                        expected = [polymul_negacyclic(p, operand, params)
+                                    for p in payloads]
+                    else:
+                        gold = ntt_negacyclic if op == "ntt" else intt_negacyclic
+                        expected = [gold(p, params) for p in payloads]
+                    results = impl.execute(kernel, payloads)
+                    if [list(r) for r in results] != expected:
+                        report.record(f"{backend} x{subarrays} {op} mismatch "
+                                      f"{params!r}", seed)
+            if prices[0].cycles <= 0:
+                report.record(f"{backend} {op} priced at zero cycles", seed)
+            if prices[1:] and prices[1] != prices[0].replicate(2):
+                report.record(
+                    f"{backend} x2 {op} price is not the single subarray's "
+                    f"replicate(2) {params!r}", seed)
     return report
 
 

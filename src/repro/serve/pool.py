@@ -8,25 +8,16 @@ subarray's "store the program once" story lifted to the serving layer.
 The scheduler picks the lane of every batch (:mod:`repro.sched`).
 
 Any registered backend can serve a batch (``repro.cli backends`` lists
-them); the built-ins are:
+them; :mod:`repro.backends` describes the built-ins ``model``, ``sram``
+and ``numpy``).  Each invocation is priced once per (backend, key) by a
+cached :class:`ServiceProfile`: the cycle/energy totals of the compiled
+programs, statically costed through ``Backend.profile``.
 
-- ``model`` (default): results come from the gold transforms (one
-  batched schedule per batch for rings of ``n >= 64`` with moduli of at
-  most 31 bits when numpy imports, the scalar loop otherwise), and the
-  invocation is priced by a cached :class:`ServiceProfile` — the
-  cycle/energy totals of the *actual compiled programs*, statically
-  costed through ``Backend.profile``.  Cost is fixed per instruction
-  class, so the subarray interpreter's stats *are* this static price:
-  the same cycles and energy, at a tiny fraction of the host time.
-- ``sram``: the batch is loaded into the lane's subarray and the
-  kernels are interpreted bitline-by-bitline.  Slow, exact, and used by
-  the tests to pin the other backends to the hardware path.
-- ``numpy``: the gold model batched on every ring (moduli up to 31
-  bits), priced by the same cost tables.
-
-Stateful backends (real subarrays) get one private instance per lane;
-pure backends share a single instance across every lane.
-:func:`repro.backends.available_backends` lists the registered names.
+Every lane is built over the pool's template engine for its parameter
+set, so all lanes of all backends compile and price each program once.
+Stateful backends (``sram``: real subarrays) get one private instance
+per lane, all over the template's single program store; pure backends
+share a single instance across every lane.
 
 Serving splits in two.  :meth:`EnginePool.validate` checks and prices a
 batch when it dispatches; :meth:`EnginePool.execute_batches` computes
@@ -133,23 +124,19 @@ class EnginePool:
         """The pool's reference engine for a parameter set.
 
         Built lazily and kept for the life of the pool; it owns the
-        compiled-program cache every backend's profile is priced from.
-        (For single-subarray sram lanes it also serves as lane 0.)
+        program store (compiled programs, kernel handles and prices)
+        every lane of every backend is built over.
         """
         if params_name not in self._templates:
-            self._templates[params_name] = self._build_single(params_name)
+            self._templates[params_name] = BPNTTEngine(
+                get_params(params_name),
+                rows=self.config.rows,
+                cols=self.config.cols,
+                tech=self.config.tech,
+            )
         return self._templates[params_name]
 
-    def _build_single(self, params_name: str) -> BPNTTEngine:
-        return BPNTTEngine(
-            get_params(params_name),
-            rows=self.config.rows,
-            cols=self.config.cols,
-            tech=self.config.tech,
-        )
-
-    def _create_backend(self, backend: str, params_name: str, *,
-                        share_template: bool) -> Backend:
+    def _create_backend(self, backend: str, params_name: str) -> Backend:
         factory = get_backend(backend)
         return factory(
             get_params(params_name),
@@ -157,29 +144,23 @@ class EnginePool:
             cols=self.config.cols,
             subarrays=self.config.subarrays,
             tech=self.config.tech,
-            template=self.template(params_name) if share_template else None,
+            template=self.template(params_name),
         )
 
     def backend_lanes(self, backend: str, params_name: str) -> List[Backend]:
         """All ``size`` lane instances of one backend (built on first use).
 
-        Stateful backends get fresh instances for the remaining lanes;
-        pure backends are shared across all of them.
+        Stateful backends get one instance per lane; pure backends are
+        shared across all of them.
         """
         key = (backend, params_name)
         if key not in self._lanes:
-            # Lane 0 is offered the pool's template so backends that can
-            # share its compiled-program cache do (model/numpy always;
-            # sram only at subarrays == 1 — a banked gang compiles its
-            # own, per-subarray, exactly as before this seam existed).
-            first = self._create_backend(backend, params_name, share_template=True)
+            first = self._create_backend(backend, params_name)
             stateful = first.capabilities().stateful
             lanes: List[Backend] = [first]
             while len(lanes) < self.config.size:
-                lanes.append(
-                    self._create_backend(backend, params_name, share_template=False)
-                    if stateful else first
-                )
+                lanes.append(self._create_backend(backend, params_name)
+                             if stateful else first)
             self._lanes[key] = lanes
         return self._lanes[key]
 

@@ -159,7 +159,7 @@ class Executor:
             else:  # pragma: no cover - enum is exhaustive
                 raise ExecutionError(f"unknown unary op {instruction.op}")
             if instruction.set_lsb:
-                out |= _lsb_columns(sub)
+                out |= sub.lsb_columns
             storage.write_row(instruction.dst, out)
 
         elif isinstance(instruction, ShiftRow):
@@ -198,7 +198,7 @@ class Executor:
             if instruction.carry_in:
                 # Bit 0 of every tile becomes a full-adder position with
                 # carry-in 1: sum LSB flips, latch LSB takes OR polarity.
-                lsb = _lsb_columns(sub)
+                lsb = sub.lsb_columns
                 xor_out ^= lsb
                 and_out = (and_out & ~lsb) | (logic.logic_or(a, b) & lsb)
             storage.write_row(instruction.dst_xor, xor_out)
@@ -281,14 +281,6 @@ def profile_program(program: Program, tech: TechnologyModel = TECH_45NM) -> Exec
             before(end) - before(start)
         )
     return stats
-
-
-def _lsb_columns(sub: SRAMSubarray) -> int:
-    """Mask with a 1 in the LSB column of every tile."""
-    mask_bits = 0
-    for tile in range(sub.num_tiles):
-        mask_bits |= 1 << (tile * sub.tile_width)
-    return mask_bits
 
 
 def _instruction_kind(instruction) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.errors import ParameterError
-from repro.utils.bitops import mask
+from repro.utils.bitops import gather_bits, mask, spread_bits
 
 
 class SenseAmpLogic:
@@ -50,6 +50,14 @@ class SenseAmpLogic:
         """XOR = NOR(AND, NOR) per Fig 3(b)."""
         return self.logic_nor(self.logic_and(a, b), self.logic_nor(a, b))
 
+    def segment_lsbs(self, segment: int) -> int:
+        """A 1 in the LSB column of every ``segment``-wide segment."""
+        lsb = self._segment_lsbs.get(segment)
+        if lsb is None:
+            lsb = self._segment_lsbs[segment] = spread_bits(
+                mask(self.cols // segment), segment)
+        return lsb
+
     def shift_segmented(self, value: int, left: bool, segment: int) -> "ShiftResult":
         """Shift by one bit with zero fill at segment boundaries.
 
@@ -77,10 +85,7 @@ class SenseAmpLogic:
                 shifted = value >> 1
                 out_bits = value & 1
             return ShiftResult(shifted, out_bits)
-        lsb = self._segment_lsbs.get(segment)
-        if lsb is None:
-            lsb = self._segment_lsbs[segment] = sum(
-                1 << col for col in range(0, self.cols, segment))
+        lsb = self._segment_lsbs.get(segment) or self.segment_lsbs(segment)
         if left:
             edge = value & (lsb << (segment - 1))
             return ShiftResult(((value & self._mask) ^ edge) << 1,
@@ -110,12 +115,9 @@ class ShiftResult:
 
     @property
     def out_bits(self) -> int:
-        edge, packed = self._edge, self._out_bits
-        while edge:
-            low = edge & -edge
-            packed |= 1 << ((low.bit_length() - 1) // self._segment)
-            edge ^= low
-        return packed
+        if not self._edge:
+            return self._out_bits
+        return self._out_bits | gather_bits(self._edge, self._segment)
 
     def __repr__(self) -> str:
         return f"ShiftResult(value={self.value:#x}, out_bits={self.out_bits:#x})"

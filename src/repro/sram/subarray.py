@@ -21,7 +21,7 @@ from __future__ import annotations
 from repro.errors import LayoutError, ParameterError
 from repro.sram.bitmatrix import BitMatrix
 from repro.sram.senseamp import SenseAmpLogic
-from repro.utils.bitops import mask
+from repro.utils.bitops import gather_bits, mask, spread_bits
 
 
 class SRAMSubarray:
@@ -43,6 +43,9 @@ class SRAMSubarray:
         self.carry_out = 0       # per-tile sticky carry-out (one bit per tile)
         self._col_mask = mask(cols)
         self._tile_mask = mask(self.num_tiles)
+        self._tile_fill = mask(tile_width)
+        #: A 1 in the LSB column of every tile (the sense amps' own mask).
+        self.lsb_columns = self.logic.segment_lsbs(tile_width)
 
     # -- tile-addressed data access (host side, not part of programs) ----
 
@@ -82,12 +85,8 @@ class SRAMSubarray:
         This is the gating mask applied to operand 1 by the predicate
         latch hardware.
         """
-        expanded = 0
-        tile_fill = mask(self.tile_width)
-        for tile in range(self.num_tiles):
-            if (flags >> tile) & 1:
-                expanded |= tile_fill << (tile * self.tile_width)
-        return expanded
+        return (spread_bits(flags & self._tile_mask, self.tile_width)
+                * self._tile_fill)
 
     def extract_tile_bits(self, row_value: int, bit_index: int) -> int:
         """Collect bit ``bit_index`` of every tile into a flag vector."""
@@ -95,12 +94,8 @@ class SRAMSubarray:
             raise LayoutError(
                 f"bit index {bit_index} out of tile range [0, {self.tile_width})"
             )
-        flags = 0
-        for tile in range(self.num_tiles):
-            col = tile * self.tile_width + bit_index
-            if (row_value >> col) & 1:
-                flags |= 1 << tile
-        return flags
+        return gather_bits((row_value >> bit_index) & self.lsb_columns,
+                           self.tile_width)
 
     def reset_peripherals(self) -> None:
         """Clear latch, flags and carry-out (program prologue state)."""

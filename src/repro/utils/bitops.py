@@ -12,7 +12,8 @@ widths are always passed, never inferred, to avoid silent truncation.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from functools import lru_cache
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ParameterError
 
@@ -114,3 +115,50 @@ def rotate_right(value: int, shift: int, width: int) -> int:
     if width <= 0:
         raise ParameterError(f"rotate width must be positive, got {width}")
     return rotate_left(value, width - (shift % width), width)
+
+
+@lru_cache(maxsize=None)
+def _byte_spreads(stride: int) -> Tuple[Tuple[int, ...], Dict[int, int]]:
+    """Every byte with its bits spread ``stride`` apart, and the inverse
+    (read-only: one copy per stride serves every caller)."""
+    spread = tuple(int(("0" * (stride - 1)).join(format(byte, "b")), 2)
+                   for byte in range(256))
+    return spread, {bits: byte for byte, bits in enumerate(spread)}
+
+
+def spread_bits(value: int, stride: int) -> int:
+    """Move bit ``i`` of a non-negative ``value`` to bit ``i * stride``.
+
+    The per-tile fan-out of a packed flag vector, a byte at a time from
+    a table built once per stride.
+
+    >>> bin(spread_bits(0b101, 3))
+    '0b1000001'
+    """
+    table = _byte_spreads(stride)[0]
+    out = shift = 0
+    while value:
+        out |= table[value & 0xFF] << shift
+        value >>= 8
+        shift += 8 * stride
+    return out
+
+
+def gather_bits(value: int, stride: int) -> int:
+    """Move bit ``i * stride`` of ``value`` to bit ``i``.
+
+    The inverse of :func:`spread_bits`, from the same table: every set
+    bit of the non-negative ``value`` must sit at a multiple of
+    ``stride``.
+
+    >>> bin(gather_bits(0b1000001, 3))
+    '0b101'
+    """
+    table = _byte_spreads(stride)[1]
+    chunk = mask(8 * stride)
+    out = shift = 0
+    while value:
+        out |= table[value & chunk] << shift
+        value >>= 8 * stride
+        shift += 8
+    return out

@@ -142,8 +142,8 @@ def test_generated_kernels_check_clean_execute_gold_and_price_exactly(draw, op):
     engine.load(payloads)
     references = []
     for program in kernel.programs:
-        engine.subarray.reset_peripherals()
-        engine.executor.run(program)
+        engine.gang[0].subarray.reset_peripherals()
+        engine.gang[0].run(program)
         references.append(reference_price(program, engine.tech))
         assert_same_stats(profile_program(program, engine.tech), references[-1])
         # Unequal per-class cycles take the running-count path.

@@ -226,7 +226,7 @@ class TestReports:
         programs = [eng.compiled_program("ntt")] * 3 + [
             eng.pointwise_program(ntt_negacyclic(one, SMALL)),
             eng.compiled_program("intt")]
-        assert eng.executor.stats == ExecutionStats.merge(
+        assert eng.gang[0].stats == ExecutionStats.merge(
             *(profile_program(program, eng.tech) for program in programs))
         # A run hands back its own copy, never the memo's stats.
         eng.load(polys)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.verify import (
     CampaignReport,
+    verify_backend_results,
     verify_engine_roundtrips,
     verify_modmul_widths,
 )
@@ -51,3 +52,11 @@ class TestEngineCampaign:
             configs=[NTTParams(n=8, q=17)], trials_per_config=2
         )
         assert report.passed and report.trials == 2
+
+
+class TestBackendCampaign:
+    @pytest.mark.parametrize("backend", ["model", "sram"])
+    def test_single_and_ganged_backends_pass(self, backend):
+        report = verify_backend_results(backend)
+        # Three rings x three ops, plus the 8-point ring's gang of two.
+        assert report.passed and report.trials == 12

@@ -118,8 +118,8 @@ class TestStatsPlumbing:
         eng.load([[1] * 8] * eng.batch)
         r1 = eng.ntt()
         r2 = eng.intt()
-        assert eng.executor.stats.cycles == r1.cycles + r2.cycles
-        assert eng.executor.stats.shift_count == r1.shift_count + r2.shift_count
+        assert eng.gang[0].stats.cycles == r1.cycles + r2.cycles
+        assert eng.gang[0].stats.shift_count == r1.shift_count + r2.shift_count
 
     def test_modmul_dominates_cycle_breakdown(self):
         params = NTTParams(n=16, q=97)

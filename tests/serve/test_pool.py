@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+import repro.core.engine as engine_module
 from repro.backends import base as backends_base
 from repro.errors import ParameterError
+from repro.ntt.params import get_params
 from repro.serve import EnginePool, PoolConfig
 from repro.serve.batcher import PolyBatch
 from repro.serve.request import gold_result
@@ -37,9 +39,13 @@ class TestConstruction:
         assert tiny_pool.backend_lanes("sram", tiny_name) is lanes
         assert lanes[0] is not lanes[1]
 
-    def test_template_is_lane_zero(self, tiny_pool, tiny_name):
-        lanes = tiny_pool.backend_lanes("sram", tiny_name)
-        assert tiny_pool.template(tiny_name) is lanes[0]
+    def test_lanes_share_the_template_program_store(self, tiny_pool, tiny_name):
+        template = tiny_pool.template(tiny_name)
+        for lane in tiny_pool.backend_lanes("sram", tiny_name):
+            assert lane is not template  # each lane owns its subarrays
+            assert lane._programs is template._programs
+            assert lane._kernels is template._kernels
+            assert lane._prices is template._prices
 
     def test_capacity(self, tiny_pool, tiny_request):
         assert tiny_pool.capacity(tiny_request(0).batch_key) == 4
@@ -234,3 +240,45 @@ class TestBankedLanes:
         sp = single.profile(key)
         assert profile.energy_nj == pytest.approx(2 * sp.energy_nj)
         assert profile.latency_s == pytest.approx(sp.latency_s)
+
+    def test_sram_builds_each_program_once_per_pool(self, tiny_name, tiny_request,
+                                                    monkeypatch):
+        built = []
+
+        def counting(build):
+            def wrapped(*args, **kwargs):
+                built.append(build.__name__)
+                return build(*args, **kwargs)
+            return wrapped
+
+        for name in ("compile_ntt", "compile_intt", "compile_pointwise_mul"):
+            monkeypatch.setattr(engine_module, name,
+                                counting(getattr(engine_module, name)))
+        pool = EnginePool(PoolConfig(size=2, subarrays=3, rows=32, cols=32))
+        operand = [3] + [0] * (TINY_N - 1)
+        for op, kwargs in (("ntt", {}), ("intt", {}),
+                           ("polymul", {"operand": operand})):
+            batch = make_batch(tiny_request, [0, 1], op=op, **kwargs)
+            for lane in range(pool.lane_count):
+                results, _, _ = pool.serve(batch, backend="sram", lane=lane)
+                for request, result in zip(batch.requests, results):
+                    assert list(result) == gold_result(request)
+        # Six lane subarrays, one CTRL/CMD program store.
+        assert sorted(built) == ["compile_intt", "compile_ntt",
+                                 "compile_pointwise_mul"]
+
+    @pytest.mark.parametrize("subarrays, energy_nj", [
+        (1, 144.96246399995977),
+        (2, 289.92492799991953),
+        (3, 434.88739199987924),
+    ])
+    def test_sram_price_is_pinned(self, subarrays, energy_nj):
+        params = get_params("kyber-v1")
+        rng = random.Random(3)
+        operand = tuple(rng.randrange(params.q) for _ in range(params.n))
+        pool = EnginePool(PoolConfig(size=2, subarrays=subarrays))
+        profile = pool.profile(("kyber-v1", "polymul", operand), backend="sram")
+        assert profile.cycles == 642188
+        assert profile.energy_nj == energy_nj
+        assert profile.latency_s == 0.00016899684210526316
+        assert profile.capacity == 9 * subarrays

@@ -93,14 +93,14 @@ class TestDetection:
     def test_coefficient_fault_detected(self):
         eng, polys = self._engine_with_data(1)
         # Corrupt a loaded coefficient before the transform runs.
-        FaultInjector(eng.subarray).flip_in_tile(tile=0, row=3, bit_index=0)
+        FaultInjector(eng.gang[0].subarray).flip_in_tile(tile=0, row=3, bit_index=0)
         eng.ntt()
         with pytest.raises(VerificationError):
             eng.verify_against_gold(polys)
 
     def test_modulus_row_fault_detected(self):
         eng, polys = self._engine_with_data(2)
-        FaultInjector(eng.subarray).flip_in_tile(
+        FaultInjector(eng.gang[0].subarray).flip_in_tile(
             tile=1, row=eng.layout.scratch.mod, bit_index=1
         )
         eng.ntt()
@@ -124,7 +124,7 @@ class TestExecutorOnFaultedSubarray:
                  for _ in range(clean.batch)]
         clean.load([list(p) for p in polys])
         faulted.load([list(p) for p in polys])
-        inject(FaultInjector(faulted.subarray, seed=5))
+        inject(FaultInjector(faulted.gang[0].subarray, seed=5))
         return clean.ntt(), faulted.ntt()
 
     def test_cost_is_data_independent(self):
@@ -152,7 +152,7 @@ class TestTileLocality:
         rng = random.Random(4)
         polys = [[rng.randrange(17) for _ in range(8)] for _ in range(eng.batch)]
         eng.load(polys)
-        FaultInjector(eng.subarray).flip_in_tile(victim_tile, row=2, bit_index=3)
+        FaultInjector(eng.gang[0].subarray).flip_in_tile(victim_tile, row=2, bit_index=3)
         eng.ntt()
         results = eng.results()
         expected = [ntt_negacyclic(p, SMALL) for p in polys]

@@ -56,6 +56,35 @@ class TestWordAccess:
         assert all(sub.read_word(2, t) == 97 for t in range(4))
 
 
+def _loop_extract(value, bit_index, cols, tile_width):
+    """Per-tile reference: bit ``bit_index`` of each tile, packed."""
+    flags = 0
+    for tile in range(cols // tile_width):
+        if (value >> (tile * tile_width + bit_index)) & 1:
+            flags |= 1 << tile
+    return flags
+
+
+def _loop_expand(flags, cols, tile_width):
+    """Per-tile reference: each tile's flag fills the tile's columns."""
+    expanded = 0
+    for tile in range(cols // tile_width):
+        if (flags >> tile) & 1:
+            expanded |= ((1 << tile_width) - 1) << (tile * tile_width)
+    return expanded
+
+
+@st.composite
+def _flag_draws(draw):
+    tile_width = draw(st.integers(1, 40))
+    cols = tile_width * draw(st.integers(1, 40))
+    # Bits past the last tile (value) or the tile count (flags) are ignored.
+    value = draw(st.one_of(st.integers(0, (1 << (cols + tile_width)) - 1),
+                           st.sampled_from((0, (1 << cols) - 1))))
+    flags = draw(st.integers(0, (1 << (cols // tile_width + 3)) - 1))
+    return cols, tile_width, value, draw(st.integers(0, tile_width - 1)), flags
+
+
 class TestFlagHelpers:
     def test_expand_flags(self):
         sub = SRAMSubarray(8, 32, 8)
@@ -72,6 +101,16 @@ class TestFlagHelpers:
         sub = SRAMSubarray(8, 32, 8)
         with pytest.raises(LayoutError):
             sub.extract_tile_bits(0, 8)
+
+    @given(_flag_draws())
+    def test_masks_equal_the_per_tile_loop(self, draw):
+        cols, tile_width, value, bit_index, flags = draw
+        sub = SRAMSubarray(4, cols, tile_width)
+        assert sub.extract_tile_bits(value, bit_index) == _loop_extract(
+            value, bit_index, cols, tile_width)
+        assert sub.expand_flags(flags) == _loop_expand(flags, cols, tile_width)
+        assert sub.lsb_columns == _loop_expand(
+            (1 << cols // tile_width) - 1, cols, tile_width) // ((1 << tile_width) - 1)
 
     def test_reset_peripherals(self):
         sub = SRAMSubarray(8, 32, 8)
