@@ -29,11 +29,14 @@ and flags uses that read state nothing wrote:
 - **Sections** (PROG011-012): recorded ranges inside the program,
   nothing left open.
 
-The latch model follows the executor exactly: ``BinaryPair`` and
-``SetLatch`` define it, ``CarryStep`` consumes and redefines it, and
-``ShiftRow`` does *not* touch it (the Fig 5b shift MUX reuses the latch
-datapath but the executor models row shifts through the SA logic, not
-the parked value).
+Row dataflow is each instruction's own declaration, ``reads()`` and
+``writes()`` in :mod:`repro.sram.isa` (the compiler fuzzer holds them
+to the rows the interpreter step touches).  The latch model follows the
+executor exactly: ``BinaryPair`` and ``SetLatch`` define it,
+``CarryStep`` consumes and redefines it, and ``ShiftRow`` does *not*
+touch it (the Fig 5b shift MUX reuses the latch datapath but the
+executor models row shifts through the SA logic, not the parked
+value).
 """
 
 from __future__ import annotations
@@ -51,53 +54,10 @@ from repro.sram.isa import (
     Check,
     CheckCarry,
     CopyGated,
-    LogicBinary,
     SetFlags,
     SetLatch,
-    ShiftRow,
-    Unary,
-    UnaryOp,
 )
 from repro.sram.program import Program
-
-
-def _reads(instruction) -> Sequence[int]:
-    """Rows an instruction reads (before its own writeback)."""
-    if isinstance(instruction, Check):
-        return (instruction.row,)
-    if isinstance(instruction, Unary):
-        return () if instruction.op is UnaryOp.ZERO else (instruction.src,)
-    if isinstance(instruction, ShiftRow):
-        return (instruction.src,)
-    if isinstance(instruction, LogicBinary):
-        return (instruction.src0, instruction.src1)
-    if isinstance(instruction, BinaryPair):
-        return (instruction.src0, instruction.src1)
-    if isinstance(instruction, CarryStep):
-        return (instruction.src,)
-    if isinstance(instruction, SetLatch):
-        return () if instruction.row is None else (instruction.row,)
-    if isinstance(instruction, CopyGated):
-        # Read-modify-write: unselected tiles keep the current dst bits.
-        return (instruction.src, instruction.dst)
-    return ()
-
-
-def _writes(instruction) -> Sequence[int]:
-    """Rows an instruction writes."""
-    if isinstance(instruction, Unary):
-        return (instruction.dst,)
-    if isinstance(instruction, ShiftRow):
-        return (instruction.dst,)
-    if isinstance(instruction, LogicBinary):
-        return (instruction.dst,)
-    if isinstance(instruction, BinaryPair):
-        return (instruction.dst_xor,)
-    if isinstance(instruction, CarryStep):
-        return (instruction.dst,)
-    if isinstance(instruction, CopyGated):
-        return (instruction.dst,)
-    return ()
 
 
 def check_program(program: Program, *, rows: Optional[int] = None,
@@ -178,9 +138,8 @@ def check_program(program: Program, *, rows: Optional[int] = None,
             tech.instruction_cycles(kind)
             tech.instruction_energy_pj(kind)
         except ReproError as exc:
-            key = name
-            if key not in unpriced:
-                unpriced.add(key)
+            if name not in unpriced:
+                unpriced.add(name)
                 diagnostics.append(error(
                     "PROG010", at,
                     f"{name} is not priced by the technology model: {exc}",
@@ -191,7 +150,7 @@ def check_program(program: Program, *, rows: Optional[int] = None,
 
         # -- geometry --------------------------------------------------
         if rows is not None:
-            for row in (*_reads(instruction), *_writes(instruction)):
+            for row in (*instruction.reads(), *instruction.writes()):
                 if not 0 <= row < rows:
                     diagnostics.append(error(
                         "PROG001", at,
@@ -216,7 +175,7 @@ def check_program(program: Program, *, rows: Optional[int] = None,
                 ))
 
         # -- def-before-use on rows -----------------------------------
-        for row in _reads(instruction):
+        for row in instruction.reads():
             if row not in defined:
                 if strict_inputs:
                     if row not in reported_rows:
@@ -230,7 +189,7 @@ def check_program(program: Program, *, rows: Optional[int] = None,
                         ))
                 else:
                     defined.add(row)  # inferred host-loaded input
-        for row in _writes(instruction):
+        for row in instruction.writes():
             defined.add(row)
 
         # -- peripheral-state dataflow --------------------------------
@@ -269,10 +228,8 @@ def check_program(program: Program, *, rows: Optional[int] = None,
         elif isinstance(instruction, (Check, SetFlags)):
             flags_defined = True
 
-        gated = isinstance(instruction, CopyGated) or (
-            isinstance(instruction, (LogicBinary, BinaryPair))
-            and instruction.gate_operand1
-        )
+        gated = isinstance(instruction, CopyGated) or getattr(
+            instruction, "gate_operand1", False)
         if gated and not flags_defined:
             diagnostics.append(error(
                 "PROG006", at,

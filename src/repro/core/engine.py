@@ -288,16 +288,16 @@ class BPNTTEngine:
             )
         return self._programs[key]
 
-    def _execute(self, program: Program) -> ExecutionStats:
-        """Price ``program`` once, run it on every subarray; returns one
-        subarray's stats."""
+    def _execute(self, program: Program, live: Optional[int] = None) -> ExecutionStats:
+        """Price ``program`` once, run it on the first ``live`` subarrays
+        (all by default); returns one subarray's stats."""
         if not self._loaded:
             raise ParameterError("no data loaded; call load() first")
         price = memo_profile(program, self.tech, self._prices)
-        for executor in self.gang:
+        for executor in self.gang[:live]:
             executor.subarray.reset_peripherals()
-            stats = executor.run(program, price)
-        return stats
+            executor.run(program, price)
+        return ExecutionStats.merge(price)
 
     def _run(self, program: Program, kernel: str) -> NTTRunReport:
         return self._report(kernel, self._execute(program))
@@ -412,10 +412,13 @@ class BPNTTEngine:
 
     def execute(self, kernel: CompiledKernel,
                 payloads: Sequence[Sequence[int]]) -> List[List[int]]:
-        """Load ``payloads``, interpret the kernel, read back the live slots."""
+        """Load ``payloads``, interpret the kernel on the subarrays that
+        hold them (idle ones would only churn zeros), read back the live
+        slots."""
         self.load(payloads)
+        live = math.ceil(len(payloads) / self.per_subarray_batch)
         for program in kernel.programs:
-            self._execute(program)
+            self._execute(program, live)
         return self.results()[: len(payloads)]
 
     def profile(self, kernel: CompiledKernel) -> CostReport:

@@ -11,12 +11,12 @@ Layering:
 
 - :mod:`repro.sram.bitmatrix` — raw bit storage (one int per row).
 - :mod:`repro.sram.senseamp`  — sense-amplifier combinational model.
-- :mod:`repro.sram.isa`       — instruction encoding (Fig 4d).
+- :mod:`repro.sram.isa`       — instruction classes (Fig 4d), each with
+  its cost class, rows, text and interpreter step.
 - :mod:`repro.sram.program`   — instruction sequences with metadata.
 - :mod:`repro.sram.subarray`  — geometry + storage + peripheral state.
 - :mod:`repro.sram.executor`  — runs programs, counts cycles and energy.
 - :mod:`repro.sram.energy`    — 45 nm technology constants, area model.
-- :mod:`repro.sram.cache`     — bank / LLC-slice integration (Fig 4a-c).
 """
 
 from repro.sram.bitmatrix import BitMatrix

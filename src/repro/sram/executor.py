@@ -1,25 +1,14 @@
 """Program execution, and the static price that is its cost.
 
 The :class:`Executor` interprets Fig 4d instruction streams against an
-:class:`~repro.sram.subarray.SRAMSubarray`, updating storage and
-peripheral state exactly as the hardware would.  It charges nothing
-per instruction: every instruction class has fixed cycles and energy
-(its ``kind`` in :mod:`repro.sram.isa`), so a run's stats *are* the
-static price of its instruction mix, :func:`profile_program`, which
+:class:`~repro.sram.subarray.SRAMSubarray`.  It knows no instruction
+class: each step is the class's own ``run`` (declared next to its
+``kind``, rows and text in :mod:`repro.sram.isa`), which updates
+storage and peripheral state exactly as the hardware would.  It
+charges nothing per instruction: every instruction class has fixed
+cycles and energy (its ``kind``), so a run's stats *are* the static
+price of its instruction mix, :func:`profile_program`, which
 :meth:`Executor.run` returns once the program has been interpreted.
-
-Semantics worth calling out (each mirrors a paper mechanism):
-
-- **Operand gating** (``gate_operand1``): operand 1 is ANDed with the
-  expanded per-tile predicate flags — the ``m = M or 0`` selection of
-  Algorithm 2 line 11 vectored across tiles.
-- **Segmented shifts**: `ShiftRow(segmented=True)` and the `CarryStep`
-  latch shift zero-fill at tile boundaries.  Algorithm 2's two
-  observations guarantee the discarded bit is 0, which is precisely why
-  the whole computation fits in ``n`` columns per tile.
-- **Carry-out capture**: bits leaving a tile's MSB during `CarryStep`
-  are ORed into the per-tile carry-out register; `CheckCarry` turns them
-  into predicate flags (>= comparison for conditional subtraction).
 """
 
 from __future__ import annotations
@@ -33,21 +22,6 @@ from typing import Dict, Optional
 
 from repro.errors import ExecutionError
 from repro.sram.energy import TECH_45NM, TechnologyModel
-from repro.sram.isa import (
-    BinaryOp,
-    BinaryPair,
-    CarryStep,
-    Check,
-    CheckCarry,
-    CopyGated,
-    LogicBinary,
-    SetFlags,
-    SetLatch,
-    ShiftDirection,
-    ShiftRow,
-    Unary,
-    UnaryOp,
-)
 from repro.sram.program import Program
 from repro.sram.subarray import SRAMSubarray
 
@@ -126,103 +100,12 @@ class Executor:
         return run_stats
 
     def execute(self, instruction) -> None:
-        """Execute a single instruction (dispatch by type); charges nothing."""
-        sub = self.subarray
-        storage = sub.storage
-        logic = sub.logic
-
-        if isinstance(instruction, Check):
-            value = storage.read_row(instruction.row)
-            flags = sub.extract_tile_bits(value, instruction.bit_index)
-            if instruction.invert:
-                flags = (~flags) & ((1 << sub.num_tiles) - 1)
-            sub.flags = flags
-
-        elif isinstance(instruction, CheckCarry):
-            flags = sub.carry_out
-            if instruction.invert:
-                flags = (~flags) & ((1 << sub.num_tiles) - 1)
-            sub.flags = flags
-            sub.carry_out = 0
-
-        elif isinstance(instruction, SetFlags):
-            sub.flags = instruction.mask & ((1 << sub.num_tiles) - 1)
-
-        elif isinstance(instruction, Unary):
-            if instruction.op is UnaryOp.ZERO:
-                out = 0
-            elif instruction.op is UnaryOp.COPY:
-                out = storage.read_row(instruction.src)
-            elif instruction.op is UnaryOp.NOT:
-                value = storage.read_row(instruction.src)
-                out = (~value) & ((1 << sub.cols) - 1)
-            else:  # pragma: no cover - enum is exhaustive
-                raise ExecutionError(f"unknown unary op {instruction.op}")
-            if instruction.set_lsb:
-                out |= sub.lsb_columns
-            storage.write_row(instruction.dst, out)
-
-        elif isinstance(instruction, ShiftRow):
-            value = storage.read_row(instruction.src)
-            segment = sub.tile_width if instruction.segmented else 0
-            result = logic.shift_segmented(
-                value, instruction.direction is ShiftDirection.LEFT, segment
-            )
-            storage.write_row(instruction.dst, result.value)
-
-        elif isinstance(instruction, LogicBinary):
-            a = storage.read_row(instruction.src0)
-            b = storage.read_row(instruction.src1)
-            if instruction.gate_operand1:
-                b &= sub.expand_flags(sub.flags)
-            op = instruction.op
-            if op is BinaryOp.AND:
-                out = logic.logic_and(a, b)
-            elif op is BinaryOp.OR:
-                out = logic.logic_or(a, b)
-            elif op is BinaryOp.XOR:
-                out = logic.logic_xor(a, b)
-            elif op is BinaryOp.NOR:
-                out = logic.logic_nor(a, b)
-            else:  # pragma: no cover - enum is exhaustive
-                raise ExecutionError(f"unknown binary op {op}")
-            storage.write_row(instruction.dst, out)
-
-        elif isinstance(instruction, BinaryPair):
-            a = storage.read_row(instruction.src0)
-            b = storage.read_row(instruction.src1)
-            if instruction.gate_operand1:
-                b &= sub.expand_flags(sub.flags)
-            xor_out = logic.logic_xor(a, b)
-            and_out = logic.logic_and(a, b)
-            if instruction.carry_in:
-                # Bit 0 of every tile becomes a full-adder position with
-                # carry-in 1: sum LSB flips, latch LSB takes OR polarity.
-                lsb = sub.lsb_columns
-                xor_out ^= lsb
-                and_out = (and_out & ~lsb) | (logic.logic_or(a, b) & lsb)
-            storage.write_row(instruction.dst_xor, xor_out)
-            sub.latch = and_out
-            sub.carry_out = 0
-
-        elif isinstance(instruction, CarryStep):
-            shifted = logic.shift_segmented(sub.latch, True, sub.tile_width)
-            sub.carry_out |= shifted.out_bits
-            row = storage.read_row(instruction.src)
-            storage.write_row(instruction.dst, logic.logic_xor(row, shifted.value))
-            sub.latch = logic.logic_and(row, shifted.value)
-
-        elif isinstance(instruction, SetLatch):
-            sub.latch = 0 if instruction.row is None else storage.read_row(instruction.row)
-
-        elif isinstance(instruction, CopyGated):
-            gate = sub.expand_flags(sub.flags)
-            current = storage.read_row(instruction.dst)
-            incoming = storage.read_row(instruction.src)
-            storage.write_row(instruction.dst, (current & ~gate) | (incoming & gate))
-
-        else:
-            raise ExecutionError(f"unknown instruction {instruction!r}")
+        """Execute a single instruction (its class's ``run``); charges nothing."""
+        try:
+            step = instruction.run
+        except AttributeError:
+            raise ExecutionError(f"unknown instruction {instruction!r}") from None
+        step(self.subarray)
 
 
 def profile_program(program: Program, tech: TechnologyModel = TECH_45NM) -> ExecutionStats:

@@ -3,7 +3,9 @@
 Debugging microcode needs two views the executor alone does not give:
 
 - :func:`disassemble` — human-readable listing of a program, with
-  section markers (what the CTRL/CMD subarray holds);
+  section markers (what the CTRL/CMD subarray holds); each line is the
+  instruction's own ``text()``, declared with its class in
+  :mod:`repro.sram.isa`;
 - :class:`TracingExecutor` — an executor that additionally records, per
   instruction, which rows changed, the peripheral state and the
   instruction's cycle cost, with a ring buffer so tracing a
@@ -24,61 +26,16 @@ from typing import Deque, List, Optional
 
 from repro.errors import ParameterError
 from repro.sram.executor import Executor
-from repro.sram.isa import (
-    BinaryPair,
-    CarryStep,
-    Check,
-    CheckCarry,
-    CopyGated,
-    LogicBinary,
-    SetFlags,
-    SetLatch,
-    ShiftRow,
-    Unary,
-)
 from repro.sram.program import Program
 
 
 def format_instruction(instruction) -> str:
-    """One-line assembly-style rendering of an instruction."""
-    if isinstance(instruction, Check):
-        inv = "!" if instruction.invert else ""
-        return f"check  {inv}r{instruction.row}[{instruction.bit_index}]"
-    if isinstance(instruction, CheckCarry):
-        inv = "!" if instruction.invert else ""
-        return f"checkc {inv}carry_out"
-    if isinstance(instruction, SetFlags):
-        return f"flags  {instruction.mask:#x}"
-    if isinstance(instruction, Unary):
-        suffix = "+lsb" if instruction.set_lsb else ""
-        return f"{instruction.op.value:<6} r{instruction.dst} <- r{instruction.src}{suffix}"
-    if isinstance(instruction, ShiftRow):
-        seg = "seg" if instruction.segmented else "arr"
-        return (
-            f"shift  r{instruction.dst} <- r{instruction.src} "
-            f"{instruction.direction.value}/{seg}"
-        )
-    if isinstance(instruction, LogicBinary):
-        gate = "?" if instruction.gate_operand1 else ""
-        return (
-            f"{instruction.op.value:<6} r{instruction.dst} <- "
-            f"r{instruction.src0}, r{instruction.src1}{gate}"
-        )
-    if isinstance(instruction, BinaryPair):
-        gate = "?" if instruction.gate_operand1 else ""
-        cin = "+cin" if instruction.carry_in else ""
-        return (
-            f"pair   r{instruction.dst_xor} <- "
-            f"r{instruction.src0}, r{instruction.src1}{gate}{cin}"
-        )
-    if isinstance(instruction, CarryStep):
-        return f"cstep  r{instruction.dst} <- r{instruction.src}, latch<<1"
-    if isinstance(instruction, CopyGated):
-        return f"cpgate r{instruction.dst} <- r{instruction.src} ?flags"
-    if isinstance(instruction, SetLatch):
-        src = "0" if instruction.row is None else f"r{instruction.row}"
-        return f"latch  <- {src}"
-    raise ParameterError(f"unknown instruction {instruction!r}")
+    """One-line assembly-style rendering of an instruction (its ``text()``)."""
+    try:
+        text = instruction.text
+    except AttributeError:
+        raise ParameterError(f"unknown instruction {instruction!r}") from None
+    return text()
 
 
 def disassemble(program: Program, limit: Optional[int] = None) -> str:

@@ -21,11 +21,15 @@ every draw:
 - equal instructions across the kernel's programs are one object, and a
   second engine built with the same arguments compiles equal programs
   that share no instruction object with the first (interning is per
-  engine, never global).
+  engine, never global);
+- every instruction's declared ``reads()``/``writes()`` are exactly the
+  rows its ``run`` step reads and writes on the subarray (the dataflow
+  ``check_program`` verifies is the one the interpreter performs).
 """
 
 import random
 from dataclasses import fields
+from typing import get_args
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -38,9 +42,10 @@ from repro.errors import ParameterError
 from repro.ntt.params import NTTParams
 from repro.ntt.transform import intt_negacyclic, ntt_negacyclic, polymul_negacyclic
 from repro.sram.cost import CostReport
-from repro.sram.energy import DEFAULT_CYCLES, TechnologyModel
+from repro.sram import isa
+from repro.sram.energy import DEFAULT_CYCLES, TECH_45NM, TechnologyModel
 from repro.sram.executor import ExecutionStats, profile_program
-from repro.sram.isa import ShiftRow
+from repro.sram.subarray import SRAMSubarray
 from repro.utils.primes import find_ntt_prime
 
 #: Every instruction class at a different cycle count (1, 2, 3, ...).
@@ -89,7 +94,7 @@ def reference_price(program, tech) -> ExecutionStats:
         stats.energy_pj += tech.instruction_energy_pj(kind)
         stats.instructions += 1
         stats.op_counts[kind] = stats.op_counts.get(kind, 0) + 1
-        stats.shift_count += isinstance(instruction, ShiftRow)
+        stats.shift_count += isinstance(instruction, isa.ShiftRow)
         cycle_at.append(stats.cycles)
     for label, start, end in program.sections:
         span = (cycle_at[end - 1] if end else 0) - (cycle_at[start - 1] if start else 0)
@@ -155,3 +160,71 @@ def test_generated_kernels_check_clean_execute_gold_and_price_exactly(draw, op):
     priced = CostReport.from_stats(ExecutionStats.merge(*references), engine.tech)
     assert_same_cost(engine.profile(kernel), fresh)  # cold
     assert_same_cost(engine.profile(kernel), priced)  # from the engine's memo
+
+
+def touched_rows(sub, instruction):
+    """The rows ``instruction.run`` reads and writes on ``sub``."""
+    storage = sub.storage
+    read, written = set(), set()
+    read_row, write_row = storage.read_row, storage.write_row
+    storage.read_row = lambda row: read.add(row) or read_row(row)
+    storage.write_row = lambda row, value: written.add(row) or write_row(row, value)
+    try:
+        instruction.run(sub)
+    finally:
+        del storage.read_row, storage.write_row
+    return read, written
+
+
+@settings(max_examples=50, deadline=None)
+@given(engines(), st.sampled_from(["ntt", "intt", "polymul"]))
+def test_declared_rows_are_the_rows_the_interpreter_touches(draw, op):
+    engine, seed = draw
+    params = engine.params
+    rng = random.Random(seed)
+    operand = ([rng.randrange(params.q) for _ in range(params.n)]
+               if op == "polymul" else None)
+    kernel = engine.compile(op, operand)
+    engine.load([[rng.randrange(params.q) for _ in range(params.n)]
+                 for _ in range(engine.batch)])
+    sub = engine.gang[0].subarray
+    # Rows touched depend on the instruction alone, never on data: each
+    # distinct (interned) instruction runs once, in first-use order.
+    distinct = dict.fromkeys(
+        i for program in kernel.programs for i in program.instructions)
+    for instruction in distinct:
+        read, written = touched_rows(sub, instruction)
+        assert read == set(instruction.reads()), instruction
+        assert written == set(instruction.writes()), instruction
+
+
+#: One or more instances of every ISA class, compiled or not (the
+#: compiler never emits SetLatch).
+SAMPLES = [
+    isa.Check(1, bit_index=2, invert=True),
+    isa.CheckCarry(),
+    isa.SetFlags(0b1),
+    isa.Unary(isa.UnaryOp.ZERO, 1),
+    isa.Unary(isa.UnaryOp.NOT, 1, 2, set_lsb=True),
+    isa.ShiftRow(1, 2, isa.ShiftDirection.RIGHT),
+    isa.LogicBinary(isa.BinaryOp.NOR, 3, 1, 2, gate_operand1=True),
+    isa.BinaryPair(3, 1, 2, carry_in=True),
+    isa.CarryStep(3, 3),
+    isa.SetLatch(None),
+    isa.SetLatch(2),
+    isa.CopyGated(1, 2),
+]
+
+
+def test_every_instruction_class_declares_and_is_priced():
+    classes = get_args(isa.Instruction)
+    assert {type(sample) for sample in SAMPLES} == set(classes)
+    for cls in classes:
+        for fact in ("kind", "text", "run"):
+            assert fact in vars(cls), (cls.__name__, fact)
+        TECH_45NM.instruction_cycles(cls.kind)
+        TECH_45NM.instruction_energy_pj(cls.kind)
+    sub = SRAMSubarray(rows=4, cols=16, tile_width=8)
+    for sample in SAMPLES:
+        assert touched_rows(sub, sample) == (set(sample.reads()),
+                                             set(sample.writes())), sample

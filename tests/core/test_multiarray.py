@@ -91,6 +91,17 @@ class TestExecution:
         with pytest.raises(CapacityError):
             bank.load([[0] * 8] * (bank.batch + 1))
 
+    def test_execute_runs_only_the_subarrays_holding_payloads(self):
+        bank = make_bank(3)
+        kernel = bank.compile("ntt")
+        price = bank.profile(kernel)
+        payload = [3, 1, 4, 1, 5, 9, 2, 6]
+        assert bank.execute(kernel, [payload]) == [ntt_negacyclic(payload, SMALL)]
+        assert bank.gang[0].stats.instructions == len(kernel.programs[0])
+        assert bank.gang[1].stats.instructions == bank.gang[2].stats.instructions == 0
+        assert bank.profile(kernel) == price
+        assert price == make_bank(1).profile(kernel).replicate(3)
+
 
 class TestScaling:
     def test_latency_flat_energy_scales(self):

@@ -1,10 +1,14 @@
 """Disassembler and tracing-executor tests."""
 
+import hashlib
+
 import pytest
 
+from repro.core.engine import BPNTTEngine
 from repro.core.layout import DataLayout
 from repro.core.modmul import emit_modmul
 from repro.errors import ParameterError
+from repro.ntt.params import get_params
 from repro.sram.isa import (
     BinaryOp,
     BinaryPair,
@@ -78,6 +82,21 @@ class TestDisassemble:
         text = disassemble(prog, limit=5)
         assert "more)" in text
         assert f"({len(prog) - 5} more" in text
+
+    def test_compiled_listing_bytes(self):
+        """Byte oracle: the listings of table1-14bit's ntt, intt and one
+        pointwise program hash to the value the compiler and the
+        per-class renderings have always produced."""
+        params = get_params("table1-14bit")
+        engine = BPNTTEngine(params, width=16)
+        operand = [(3 * i + 1) % params.q for i in range(params.n)]
+        digest = hashlib.sha256()
+        for program in (engine.compiled_program("ntt"),
+                        engine.compiled_program("intt"),
+                        engine.pointwise_program(operand)):
+            digest.update(disassemble(program).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "f23b952d0dbb70f207a6903062f9bbcb12aa10952cae0c4a985ce90239cc06d9")
 
 
 class TestTracingExecutor:
