@@ -1,12 +1,12 @@
 """repro.backends — unified execution backends behind every layer.
 
-The core library grew three ways of running a kernel: the bitline
-interpreter (exact, slow), the gold transforms with static pricing
-(fast, cycle-identical), and host-side vectorized math.  This package
-turns that ad-hoc split into an API: a :class:`~repro.backends.base.Backend`
-protocol (``capabilities`` / ``compile`` / ``execute`` / ``profile``),
-a string-keyed registry, and a shared
-:class:`~repro.sram.cost.CostReport` every substrate prices with.
+The core library runs a kernel two ways: the bitline interpreter
+(exact, slow) and the gold transforms with static pricing (fast,
+cycle-identical).  This package turns that split into an API: a
+:class:`~repro.backends.base.Backend` protocol (``capabilities`` /
+``compile`` / ``execute`` / ``profile``), a string-keyed registry, and
+a shared :class:`~repro.sram.cost.CostReport` every substrate prices
+with.
 
 Built-in backends:
 
@@ -16,11 +16,9 @@ Built-in backends:
   to pin the others.
 - ``model`` — gold transforms for results, compiled programs for
   pricing; cycle-identical to ``sram`` at a fraction of the host time.
-  Results are batched (one vectorized numpy schedule per batch) for
-  rings of ``n >= 64`` with moduli of at most 31 bits when numpy
-  imports, and come from the scalar loop otherwise.
-- ``numpy`` — the ``model`` backend batched on every ring, refusing
-  moduli past 31 bits (registered only when numpy is importable).
+  Results are batched (one vectorized numpy schedule per chunk of
+  rows) for rings of ``n >= 64`` with moduli of at most 31 bits when
+  numpy imports, and come from the scalar loop otherwise.
 
 Write your own by registering a factory::
 
@@ -31,8 +29,6 @@ Write your own by registering a factory::
 after which ``repro.cli serve --backend mine`` and
 :meth:`EnginePool.serve` reach it with no further wiring.
 """
-
-from importlib.util import find_spec
 
 from repro.backends.base import (
     KERNEL_OPS,
@@ -56,8 +52,6 @@ from repro.sram.cost import CostReport
 # import the protocol types above.
 register_backend("model", "repro.backends.model:ModelBackend", replace=True)
 register_backend("sram", "repro.core.engine:BPNTTEngine", replace=True)
-if find_spec("numpy") is not None:
-    register_backend("numpy", "repro.backends.numpy_gold:NumpyBackend", replace=True)
 
 __all__ = [
     "Backend",

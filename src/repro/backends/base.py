@@ -133,7 +133,7 @@ class Backend(Protocol):
     """Structural interface of an execution backend.
 
     ``BPNTTEngine`` implements this directly at any gang width; pure
-    substrates (gold model, numpy) wrap a template engine for pricing.
+    substrates (the gold model) wrap a template engine for pricing.
     """
 
     def capabilities(self) -> BackendCapabilities:

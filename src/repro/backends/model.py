@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 
 from repro.backends.base import BackendCapabilities, CompiledKernel
 from repro.core.engine import BPNTTEngine
-from repro.errors import ParameterError
+from repro.errors import require_count
 from repro.ntt.params import NTTParams
 from repro.ntt.transform import (
     BATCH_MAX_MODULUS_BITS,
@@ -70,8 +70,7 @@ class ModelBackend:
         template: Optional[BPNTTEngine] = None,
         width: Optional[int] = None,
     ):
-        if subarrays < 1:
-            raise ParameterError(f"subarrays must be >= 1, got {subarrays}")
+        require_count("subarrays", subarrays)
         self.params = params
         self.subarrays = subarrays
         self.template = template if template is not None else BPNTTEngine(

@@ -53,7 +53,7 @@ from repro.backends.base import (
 from repro.core.layout import DataLayout
 from repro.core.scheduler import compile_intt, compile_ntt, compile_pointwise_mul
 from repro.core.tiles import container_width
-from repro.errors import CapacityError, ParameterError, VerificationError
+from repro.errors import CapacityError, ParameterError, VerificationError, require_count
 from repro.ntt.params import NTTParams
 from repro.ntt.twiddles import TwiddleTable
 from repro.sram.cost import CostReport
@@ -139,8 +139,7 @@ class BPNTTEngine:
     ):
         if not params.negacyclic:
             raise ParameterError("the in-SRAM engine implements negacyclic rings")
-        if subarrays < 1:
-            raise ParameterError(f"subarrays must be >= 1, got {subarrays}")
+        require_count("subarrays", subarrays)
         self.params = params
         self.width = width or container_width(params.q)
         if self.width > cols:

@@ -122,8 +122,8 @@ def verify_backend_results(backend: str = "model", trials_per_config: int = 1,
     :mod:`repro.backends` registry) runs a random full batch on three
     rings; results must match the gold transforms and the invocation
     must profile to a positive cycle count.  The 64-point ring with a
-    31-bit modulus reaches the batched numpy kernels of ``model`` and
-    ``numpy`` at the edge of their int64 bound.  On the 8-point ring the
+    31-bit modulus reaches the batched numpy kernels of ``model`` at
+    the edge of their int64 bound.  On the 8-point ring the
     backend is also built with ``subarrays=2``: the gang's results must
     match gold too, and its price must be the single subarray's
     ``replicate(2)``.

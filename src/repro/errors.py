@@ -64,3 +64,13 @@ class CheckError(ParameterError):
 
 class VerificationError(ReproError):
     """An in-SRAM result disagrees with the gold (software) model."""
+
+
+def require_count(name: str, value) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is an ``int >= 1``.
+
+    A ``bool`` is not a count, and neither is a float such as ``1.5``,
+    which would otherwise surface deep inside a replay.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ParameterError(f"{name} must be an int >= 1, got {value!r}")

@@ -44,7 +44,7 @@ class BatchPolicy:
     max_batch: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.max_wait_s < 0:
+        if not self.max_wait_s >= 0:  # also nan, which never times out
             raise ParameterError(f"max_wait_s must be >= 0, got {self.max_wait_s}")
         if self.max_batch is not None and self.max_batch < 1:
             raise ParameterError(f"max_batch must be >= 1, got {self.max_batch}")

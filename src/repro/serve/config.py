@@ -21,10 +21,11 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, require_count
 from repro.serve.batcher import BatchPolicy
 from repro.serve.pool import EnginePool, PoolConfig
 from repro.serve.request import Request
+from repro.serve.workload import bursty_trace, check_rate_duration, poisson_trace
 
 __all__ = ["ReplayConfig"]
 
@@ -72,12 +73,12 @@ class ReplayConfig:
                 f"arrivals must be one of {_ARRIVAL_PROCESSES}, "
                 f"got {self.arrivals!r}"
             )
-        if not isinstance(self.chips, int) or self.chips < 1:
-            raise ParameterError(f"chips must be an int >= 1, got {self.chips!r}")
+        check_rate_duration(self.rate, self.duration)
+        require_count("chips", self.chips)
         if self.slo_ms is not None and self.slo_ms <= 0:
             raise ParameterError(f"slo_ms must be > 0, got {self.slo_ms:g}")
-        if self.pool_size < 1:
-            raise ParameterError(f"pool_size must be >= 1, got {self.pool_size}")
+        require_count("pool_size", self.pool_size)
+        require_count("subarrays", self.subarrays)
         # Copy the dict fields so a shared kwargs dict can't mutate a
         # "frozen" config behind its back.
         object.__setattr__(self, "scheduler_options",
@@ -134,8 +135,6 @@ class ReplayConfig:
         ``slo_ms`` overlays a uniform latency budget on requests that
         carry none; scenario-declared SLOs keep their own deadlines.
         """
-        from repro.serve.workload import bursty_trace, poisson_trace
-
         make_trace = poisson_trace if self.arrivals == "poisson" \
             else bursty_trace
         trace = make_trace(self.scenario, self.rate, self.duration,

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ParameterError
-# percentile lives with Histogram; serve callers keep importing it here.
-from repro.obs.registry import Histogram, Instrument, MetricsRegistry, percentile  # noqa: F401
+from repro.obs.registry import Histogram, Instrument, MetricsRegistry
 from repro.obs.slo import Alert, format_alerts
 from repro.serve.request import Request, Response
 from repro.utils import jsonout

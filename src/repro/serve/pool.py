@@ -8,8 +8,8 @@ subarray's "store the program once" story lifted to the serving layer.
 The scheduler picks the lane of every batch (:mod:`repro.sched`).
 
 Any registered backend can serve a batch (``repro.cli backends`` lists
-them; :mod:`repro.backends` describes the built-ins ``model``, ``sram``
-and ``numpy``).  Each invocation is priced once per (backend, key) by a
+them; :mod:`repro.backends` describes the built-ins ``model`` and
+``sram``).  Each invocation is priced once per (backend, key) by a
 cached :class:`ServiceProfile`: the cycle/energy totals of the compiled
 programs, statically costed through ``Backend.profile``.
 
@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.backends import get_backend
 from repro.backends.base import Backend
 from repro.core.engine import BPNTTEngine
-from repro.errors import BackendError, ParameterError
+from repro.errors import BackendError, ParameterError, require_count
 from repro.ntt.params import get_params
 from repro.obs.tracer import NULL_TRACER, TraceEvent
 from repro.serve.batcher import PolyBatch
@@ -69,10 +69,8 @@ class PoolConfig:
     tech: TechnologyModel = TECH_45NM
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ParameterError(f"pool size must be >= 1, got {self.size}")
-        if self.subarrays < 1:
-            raise ParameterError(f"subarrays must be >= 1, got {self.subarrays}")
+        require_count("pool size", self.size)
+        require_count("subarrays", self.subarrays)
 
 
 @dataclass(frozen=True)

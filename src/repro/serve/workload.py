@@ -53,6 +53,7 @@ key).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -310,17 +311,20 @@ def _materialize(scenario: Scenario, arrivals: List[float],
     return requests
 
 
-def _check_rate_duration(rate: float, duration_s: float) -> None:
-    if rate <= 0:
-        raise ParameterError(f"rate must be positive, got {rate}")
-    if duration_s <= 0:
-        raise ParameterError(f"duration must be positive, got {duration_s}")
+def check_rate_duration(rate: float, duration_s: float) -> None:
+    """Both must be finite and positive: an infinite rate or duration
+    never ends the arrival loop, and ``nan`` ends it before it starts."""
+    if not (math.isfinite(rate) and rate > 0):
+        raise ParameterError(f"rate must be finite and positive, got {rate}")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ParameterError(
+            f"duration must be finite and positive, got {duration_s}")
 
 
 def poisson_trace(scenario_name: str, rate: float, duration_s: float, *,
                   seed: int = 2023) -> List[Request]:
     """Poisson arrivals at ``rate`` calls/s for ``duration_s`` seconds."""
-    _check_rate_duration(rate, duration_s)
+    check_rate_duration(rate, duration_s)
     scenario = _get_scenario(scenario_name)
     rng = random.Random(seed)
     arrivals: List[float] = []
@@ -340,7 +344,7 @@ def bursty_trace(scenario_name: str, rate: float, duration_s: float, *,
     ``burst * rate``; the remainder is thinned so the overall mean stays
     at ``rate`` (requires ``burst <= 1/duty``).
     """
-    _check_rate_duration(rate, duration_s)
+    check_rate_duration(rate, duration_s)
     if not 0 < duty < 1:
         raise ParameterError(f"duty must be in (0, 1), got {duty}")
     if not 1 <= burst <= 1 / duty:

@@ -1,13 +1,13 @@
-"""The batched gold math of the ``model`` and ``numpy`` backends.
+"""The batched gold math of the ``model`` backend.
 
 ``ModelBackend`` runs the vectorized schedules of
 :func:`~repro.ntt.transform.ntt_negacyclic_batch` /
 :func:`~repro.ntt.transform.intt_negacyclic_batch` on rings of
 ``n >= 64`` with moduli of at most 31 bits when numpy imports, and the
-scalar loop otherwise.  These tests hold both paths, and the ``numpy``
-backend, to the scalar transforms at every registered ring size, and
-pin the fallbacks: wide moduli, no numpy, unreduced coefficients, and a
-tiny ring that must never import numpy.  The lazy butterflies of the
+scalar loop otherwise.  These tests hold both paths to the scalar
+transforms at every registered ring size, and pin the fallbacks: wide
+moduli, no numpy, unreduced coefficients, and a tiny ring that must
+never import numpy.  The lazy butterflies of the
 batched kernels are also held to the scalar loops at the edge of their
 int64 bound: 29- to 31-bit moduli with all-``q-1``, alternating and
 "ladder" payloads and raw pointwise products, where a bound one stage
@@ -26,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import BackendError, create_backend
+from repro.backends import create_backend
 from repro.backends.base import CompiledKernel
 from repro.backends.model import BATCH_MIN_N, ModelBackend
 from repro.errors import ParameterError
@@ -94,8 +94,7 @@ def _scalar(params, op, payload, operand=None):
 def test_batched_backends_match_the_scalar_transforms(ring, op):
     params = get_params(ring)
     model = ModelBackend(params)
-    numpy_backend = create_backend("numpy", params)
-    assert model.batched and numpy_backend.batched
+    assert model.batched
     capacity = model.capabilities().batch
     rng = random.Random(ring)
     payloads = [[rng.randrange(params.q) for _ in range(params.n)]
@@ -104,8 +103,7 @@ def test_batched_backends_match_the_scalar_transforms(ring, op):
     kernel = _kernel(params, op, operand)
     expected = [_scalar(params, op, payload, operand) for payload in payloads]
     for size in range(1, capacity + 1):
-        for backend in (model, numpy_backend):
-            assert backend.execute(kernel, payloads[:size]) == expected[:size]
+        assert model.execute(kernel, payloads[:size]) == expected[:size]
 
 
 @needs_numpy
@@ -241,9 +239,6 @@ class TestPathChoice:
             assert [list(r) for r in results] == [
                 gold_result(request) for request in requests]
         assert pool.backend_lanes("model", name)[0].batched is False
-        if find_spec("numpy") is not None:
-            with pytest.raises(BackendError, match="31 bits"):
-                create_backend("numpy", params)
 
     def test_model_serves_without_numpy(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "numpy", None)
@@ -259,11 +254,9 @@ class TestPathChoice:
 
 class TestInputHandling:
     @pytest.mark.parametrize("op", OPS)
-    @pytest.mark.parametrize("backend_name", ["model", "numpy"])
+    @pytest.mark.parametrize("backend_name", ["model"])
     def test_unreduced_coefficients_reduce_like_the_scalar_path(
             self, backend_name, op):
-        if backend_name == "numpy" and find_spec("numpy") is None:
-            pytest.skip("numpy is not installed")
         params = get_params("kyber-v1")
         backend = create_backend(backend_name, params)
         payloads = [list(UNREDUCED) * (params.n // len(UNREDUCED))
@@ -274,10 +267,8 @@ class TestInputHandling:
             _scalar(params, op, payload, operand) for payload in payloads]
 
     @pytest.mark.parametrize("ring", ["kyber-v1", "tiny"])
-    @pytest.mark.parametrize("backend_name", ["model", "numpy"])
+    @pytest.mark.parametrize("backend_name", ["model"])
     def test_wrong_length_payload_raises(self, backend_name, ring):
-        if backend_name == "numpy" and find_spec("numpy") is None:
-            pytest.skip("numpy is not installed")
         params = NTTParams(n=16, q=97) if ring == "tiny" else get_params(ring)
         backend = create_backend(backend_name, params, rows=32, cols=32) \
             if ring == "tiny" else create_backend(backend_name, params)

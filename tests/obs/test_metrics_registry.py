@@ -64,11 +64,6 @@ class TestHistogram:
         assert h.values == values
 
     def test_percentile_is_nearest_rank(self):
-        import repro.obs.registry
-        import repro.serve.metrics
-
-        # One nearest-rank routine, re-exported by the serve layer.
-        assert repro.serve.metrics.percentile is repro.obs.registry.percentile
         h = MetricsRegistry().histogram("serve.latency_ms")
         for v in (5.0, 1.0, 3.0, 2.0, 4.0):
             h.observe(v)

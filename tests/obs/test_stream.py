@@ -19,8 +19,8 @@ from repro.obs import (
     WindowedAggregator,
     WindowSpec,
 )
+from repro.obs.registry import percentile
 from repro.serve import serialize_report
-from repro.serve.metrics import percentile
 from scenarios import SCENARIO_BUILDERS, golden_path
 
 

@@ -204,32 +204,15 @@ class TestThirdPartyBackendSafety:
             unregister_backend("fwd-test")
 
 
-class TestNumpyBackendEdges:
-    def test_numpy_rejects_wide_moduli(self, tiny_name):
-        np = pytest.importorskip("numpy")
-        del np
-        from repro.backends import BackendError
-        from repro.backends.numpy_gold import NumpyBackend
+class TestModelBackendEdges:
+    def test_model_empty_batch_on_the_batched_path(self):
+        pytest.importorskip("numpy")
+        from repro.backends.model import BATCH_MIN_N
         from repro.ntt.params import NTTParams
         from repro.utils.primes import find_ntt_prime
 
-        wide_q = find_ntt_prime(33, 8)
-        with pytest.raises(BackendError, match="31 bits"):
-            NumpyBackend(NTTParams(n=8, q=wide_q), width=40, rows=64, cols=192)
-
-    def test_numpy_empty_batch(self, tiny_name):
-        pytest.importorskip("numpy")
-        params = get_params(tiny_name)
-        backend = create_backend("numpy", params, rows=32, cols=32)
+        params = NTTParams(n=BATCH_MIN_N, q=find_ntt_prime(14, BATCH_MIN_N))
+        backend = create_backend("model", params)
+        assert backend.batched
         kernel = backend.compile("ntt")
         assert backend.execute(kernel, []) == []
-
-    def test_numpy_rejects_wrong_length_payload(self, tiny_name):
-        pytest.importorskip("numpy")
-        from repro.errors import ParameterError
-
-        params = get_params(tiny_name)
-        backend = create_backend("numpy", params, rows=32, cols=32)
-        kernel = backend.compile("ntt")
-        with pytest.raises(ParameterError, match="coefficients"):
-            backend.execute(kernel, [[1, 2, 3]])

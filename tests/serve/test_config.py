@@ -1,11 +1,29 @@
 """ReplayConfig: the one object that owns every serve knob."""
 
 import argparse
+import contextlib
+import dataclasses
+import io
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from repro.backends.model import ModelBackend
+from repro.cli import build_parser, main
+from repro.core.engine import BPNTTEngine
 from repro.errors import ParameterError, SchedulerError
-from repro.serve import ReplayConfig
+from repro.ntt.params import NTTParams
+from repro.obs import RecordingTracer, format_prometheus, to_jsonl
+from repro.serve import BatchPolicy, PoolConfig, ReplayConfig, format_serve_report
+from repro.serve.workload import bursty_trace, poisson_trace
+
+INF, NAN = float("inf"), float("nan")
+TINY = NTTParams(n=16, q=97)
+#: Scenarios on 256-point rings only, so a drawn replay compiles fast.
+CHEAP_SCENARIOS = ("ntt", "kyber", "dilithium")
 
 
 class TestRoundTrip:
@@ -57,6 +75,37 @@ class TestValidation:
     def test_bad_pool_size_rejected(self):
         with pytest.raises(ParameterError, match="pool_size"):
             ReplayConfig(pool_size=0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ReplayConfig(scenario="ntt", rate=INF),
+        lambda: ReplayConfig(scenario="ntt", rate=NAN),
+        lambda: ReplayConfig(scenario="ntt", duration=INF),
+        lambda: ReplayConfig(scenario="ntt", duration=NAN),
+        lambda: ReplayConfig(pool_size=1.5),
+        lambda: ReplayConfig(pool_size=True),
+        lambda: ReplayConfig(subarrays=1.5),
+        lambda: ReplayConfig(chips=True),
+        lambda: PoolConfig(size=1.5),
+        lambda: PoolConfig(size=True),
+        lambda: PoolConfig(subarrays=1.5),
+        lambda: ModelBackend(TINY, rows=32, cols=32, subarrays=1.5),
+        lambda: BPNTTEngine(TINY, rows=32, cols=32, subarrays=True),
+        lambda: poisson_trace("ntt", INF, 0.01),
+        lambda: bursty_trace("ntt", 1000.0, NAN),
+        lambda: BatchPolicy(max_wait_s=NAN),
+    ], ids=["rate-inf", "rate-nan", "duration-inf", "duration-nan",
+            "pool_size-float", "pool_size-bool", "subarrays-float",
+            "chips-bool", "pool-config-size-float", "pool-config-size-bool",
+            "pool-config-subarrays-float", "model-subarrays-float",
+            "engine-subarrays-bool", "poisson-rate-inf", "bursty-duration-nan",
+            "max-wait-nan"])
+    def test_boundary_inputs_raise_at_construction(self, build):
+        """An infinite rate or duration would never end the arrival
+        loop, a ``nan`` one would build an empty trace, a ``nan`` wait
+        would never end the replay, and a float or bool count would
+        surface deep inside a replay."""
+        with pytest.raises(ParameterError):
+            build()
 
     def test_frozen_and_isolated_from_shared_dicts(self):
         options = {"queue_limit": 8}
@@ -119,3 +168,72 @@ class TestBuildHelpers:
         )
         assert ReplayConfig(chips=4, router="round-robin").describe() \
             .endswith("chips=4 router=round-robin")
+
+
+@st.composite
+def cheap_configs(draw):
+    scheduler = draw(st.sampled_from(("fifo", "slo", "adaptive")))
+    return ReplayConfig(
+        scenario=draw(st.sampled_from(CHEAP_SCENARIOS)),
+        arrivals=draw(st.sampled_from(("poisson", "bursty"))),
+        rate=draw(st.sampled_from((1000.0, 2500.0, 4000.0))),
+        duration=draw(st.sampled_from((0.01, 0.02))),
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+        scheduler=scheduler,
+        pool_size=draw(st.integers(min_value=1, max_value=2)),
+        max_wait_ms=draw(st.sampled_from((0.5, 2.0))),
+        # Only the slo scheduler takes a queue limit.
+        queue_limit=draw(st.sampled_from((None, 4, 16)))
+        if scheduler == "slo" else None,
+        chips=draw(st.integers(min_value=1, max_value=2)),
+        router=draw(st.sampled_from(("affinity", "round-robin"))),
+    )
+
+
+def _serve_argv(config, trace_out, metrics_out):
+    argv = ["serve", "--scenario", config.scenario,
+            "--arrivals", config.arrivals, "--rate", repr(config.rate),
+            "--duration", repr(config.duration), "--seed", str(config.seed),
+            "--scheduler", config.scheduler,
+            "--pool-size", str(config.pool_size),
+            "--max-wait-ms", repr(config.max_wait_ms),
+            "--chips", str(config.chips), "--router", config.router,
+            "--trace-out", trace_out, "--metrics-out", metrics_out]
+    if config.queue_limit is not None:
+        argv += ["--queue-limit", str(config.queue_limit)]
+    return argv
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config=cheap_configs())
+def test_one_config_gives_one_set_of_bytes(config):
+    """``repro.cli serve`` prints and writes exactly what the Python API
+    computes for the same config, and the config survives its dict."""
+    assert ReplayConfig.from_args(config.to_dict()) == config
+    trace = config.build_trace()
+    assume(trace)
+    with tempfile.TemporaryDirectory() as scratch:
+        trace_out = str(Path(scratch, "t.jsonl"))
+        metrics_out = str(Path(scratch, "m.prom"))
+        argv = _serve_argv(config, trace_out, metrics_out)
+        assert ReplayConfig.from_args(build_parser().parse_args(argv)) \
+            == dataclasses.replace(config, trace_out=trace_out,
+                                   metrics_out=metrics_out)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            main(argv)
+        written_trace = Path(trace_out).read_text()
+        written_metrics = Path(metrics_out).read_text()
+
+    # Traced first, on a cold pool: profile events only record misses.
+    pool = config.build_pool()
+    tracer = RecordingTracer()
+    config.build_simulator(pool).replay(trace, tracer=tracer)
+    report = config.build_simulator(pool).replay(trace)
+    assert stdout.getvalue() == (
+        f"{config.describe()}\n\n{format_serve_report(report)}\n"
+        f"\nwrote {len(tracer.events)} trace events to {trace_out}\n"
+        f"wrote {len(report.registry)} metric series to {metrics_out}\n")
+    assert written_trace == to_jsonl(tracer.events) + "\n"
+    assert written_metrics == format_prometheus(report.registry)

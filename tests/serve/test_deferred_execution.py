@@ -38,10 +38,9 @@ RINGS = {
 #: Subarray side per ring: batch 4 on the 16-point ring, 9 on the
 #: 64-point one, so batches carry several rows and compile stays fast.
 SIDE = {SCALAR_RING: 32, BATCHED_RING: 128}
-#: (backend, ring) pairs: model on its scalar and batched paths, numpy
-#: (batched on every ring) and the sram interpreter on the tiny ring.
+#: (backend, ring) pairs: model on its scalar and batched paths and the
+#: sram interpreter on the tiny ring.
 CASES = [("model", SCALAR_RING), ("model", BATCHED_RING),
-         ("numpy", SCALAR_RING), ("numpy", BATCHED_RING),
          ("sram", SCALAR_RING)]
 OPS = ("ntt", "intt", "polymul")
 

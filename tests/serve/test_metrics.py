@@ -5,8 +5,9 @@ import math
 import pytest
 
 from repro.errors import ParameterError
+from repro.obs.registry import percentile
 from repro.serve import BatchPolicy, ServingSimulator, format_serve_report
-from repro.serve.metrics import DropRecord, aggregate, percentile
+from repro.serve.metrics import DropRecord, aggregate
 
 
 class TestPercentile:

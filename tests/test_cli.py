@@ -119,10 +119,11 @@ class TestParser:
         args = build_parser().parse_args(["verify", "--backend", "sram"])
         assert args.backend == "sram"
 
-    def test_verify_numpy_backend_flag(self):
-        pytest.importorskip("numpy")
-        args = build_parser().parse_args(["verify", "--backend", "numpy"])
-        assert args.backend == "numpy"
+    def test_verify_numpy_backend_flag(self, capsys):
+        # numpy is not a backend: the model backend batches on its own.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["verify", "--backend", "numpy"])
+        assert "invalid choice: 'numpy'" in capsys.readouterr().err
 
     def test_command_required(self):
         with pytest.raises(SystemExit):
@@ -164,12 +165,13 @@ class TestCheapCommands:
         assert "backend=model" in out
 
     def test_serve_numpy_backend(self, capsys):
-        pytest.importorskip("numpy")
-        main(["serve", "--scenario", "ntt", "--rate", "400", "--duration",
-              "0.05", "--pool-size", "1", "--seed", "5", "--backend", "numpy"])
-        out = capsys.readouterr().out
-        assert "backend=numpy" in out
-        assert "p99(ms)" in out
+        # Rejected by the parser, before any replay runs.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--scenario", "ntt", "--backend", "numpy"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "invalid choice: 'numpy'" in captured.err
+        assert captured.out == ""
 
     def test_serve_slo_scheduler_with_uniform_deadline(self, capsys):
         # A tight uniform SLO on a bursty ntt trace: the slo scheduler
