@@ -128,7 +128,7 @@ def check_program(program: Program, *, rows: Optional[int] = None,
         # AND parked for later); > width is redundant but harmless.
         chain_open_at, chain_length = None, 0
 
-    for index, instruction in enumerate(program.instructions):
+    for index, instruction in enumerate(program):
         at = f"{where}[{index}]"
         name = type(instruction).__name__
 
@@ -241,7 +241,7 @@ def check_program(program: Program, *, rows: Optional[int] = None,
     close_chain()
 
     # -- sections ------------------------------------------------------
-    length = len(program.instructions)
+    length = len(program)
     for label, start, end in program.sections:
         if not (0 <= start <= end <= length):
             diagnostics.append(error(

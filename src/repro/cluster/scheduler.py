@@ -109,7 +109,7 @@ class ClusterScheduler:
         from repro.cluster.router import create_router
         from repro.sched.registry import create_scheduler
 
-        if not isinstance(chips, int) or chips < 1:
+        if isinstance(chips, bool) or not isinstance(chips, int) or chips < 1:
             raise SchedulerError(f"cluster needs chips >= 1, got {chips!r}")
         if inner.startswith("cluster:"):
             raise SchedulerError("cluster schedulers do not nest")

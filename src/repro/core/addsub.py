@@ -37,12 +37,14 @@ def emit_resolve(program: Program, layout: DataLayout) -> None:
     ``Sum += Carry << 1`` with full ripple; afterwards ``Sum`` holds the
     Montgomery product (< 2M) and ``Carry`` is free scratch.
     """
+    program.append_section("carry_resolve", layout.block(_resolve))
+
+
+def _resolve(layout: DataLayout):
     s = layout.scratch
-    program.begin_section("carry_resolve")
-    program.emit(layout.intern(ShiftRow, s.carry, s.carry, ShiftDirection.LEFT))
-    program.emit(layout.intern(BinaryPair, s.sum, s.sum, s.carry))
-    program.extend([layout.intern(CarryStep, s.sum, s.sum)] * (layout.width - 1))
-    program.end_section()
+    return (layout.intern(ShiftRow, s.carry, s.carry, ShiftDirection.LEFT),
+            layout.intern(BinaryPair, s.sum, s.sum, s.carry),
+            *[layout.intern(CarryStep, s.sum, s.sum)] * (layout.width - 1))
 
 
 def emit_cond_subtract(program: Program, layout: DataLayout, x_row: int) -> None:
@@ -55,13 +57,16 @@ def emit_cond_subtract(program: Program, layout: DataLayout, x_row: int) -> None
     s = layout.scratch
     if x_row in (s.t0, s.t1):
         raise LayoutError("cond_subtract operand may not alias its temporaries")
-    program.begin_section("cond_subtract")
-    program.emit(layout.intern(Unary, UnaryOp.NOT, s.t0, s.mod, set_lsb=True))
-    program.emit(layout.intern(BinaryPair, s.t1, x_row, s.t0))
-    program.extend([layout.intern(CarryStep, s.t1, s.t1)] * layout.width)
-    program.emit(layout.intern(CheckCarry))
-    program.emit(layout.intern(CopyGated, x_row, s.t1))
-    program.end_section()
+    program.append_section("cond_subtract", layout.block(_cond_subtract, x_row))
+
+
+def _cond_subtract(layout: DataLayout, x_row: int):
+    s = layout.scratch
+    return (layout.intern(Unary, UnaryOp.NOT, s.t0, s.mod, set_lsb=True),
+            layout.intern(BinaryPair, s.t1, x_row, s.t0),
+            *[layout.intern(CarryStep, s.t1, s.t1)] * layout.width,
+            layout.intern(CheckCarry),
+            layout.intern(CopyGated, x_row, s.t1))
 
 
 def emit_mod_add(program: Program, layout: DataLayout, dst: int, a_row: int, b_row: int) -> None:
@@ -73,13 +78,15 @@ def emit_mod_add(program: Program, layout: DataLayout, dst: int, a_row: int, b_r
     s = layout.scratch
     if dst in (s.t0, s.t1):
         raise LayoutError("mod_add destination may not alias the temporaries")
-    program.begin_section("mod_add")
-    program.emit(layout.intern(BinaryPair, dst, a_row, b_row))
+    program.append_section("mod_add", layout.block(_mod_add, dst, a_row, b_row))
+    emit_cond_subtract(program, layout, dst)
+
+
+def _mod_add(layout: DataLayout, dst: int, a_row: int, b_row: int):
     # a + b < 2M < 2^w: the value settles within width-1 rounds and no
     # carry leaves the tile.
-    program.extend([layout.intern(CarryStep, dst, dst)] * (layout.width - 1))
-    program.end_section()
-    emit_cond_subtract(program, layout, dst)
+    return (layout.intern(BinaryPair, dst, a_row, b_row),
+            *[layout.intern(CarryStep, dst, dst)] * (layout.width - 1))
 
 
 def emit_mod_sub(program: Program, layout: DataLayout, dst: int, a_row: int, b_row: int) -> None:
@@ -91,14 +98,18 @@ def emit_mod_sub(program: Program, layout: DataLayout, dst: int, a_row: int, b_r
     s = layout.scratch
     if dst in (s.t0, s.t1):
         raise LayoutError("mod_sub destination may not alias the temporaries")
-    program.begin_section("mod_sub")
-    program.emit(layout.intern(Unary, UnaryOp.NOT, s.t0, b_row))
-    program.emit(layout.intern(BinaryPair, dst, a_row, s.t0, carry_in=True))
-    program.extend([layout.intern(CarryStep, dst, dst)] * layout.width)
-    program.emit(layout.intern(CheckCarry, invert=True))
-    program.emit(layout.intern(BinaryPair, dst, dst, s.mod, gate_operand1=True))
-    program.extend([layout.intern(CarryStep, dst, dst)] * (layout.width - 1))
-    program.end_section()
+    program.append_section("mod_sub", layout.block(_mod_sub, dst, a_row, b_row))
+
+
+def _mod_sub(layout: DataLayout, dst: int, a_row: int, b_row: int):
+    s = layout.scratch
+    ripple = layout.intern(CarryStep, dst, dst)
+    return (layout.intern(Unary, UnaryOp.NOT, s.t0, b_row),
+            layout.intern(BinaryPair, dst, a_row, s.t0, carry_in=True),
+            *[ripple] * layout.width,
+            layout.intern(CheckCarry, invert=True),
+            layout.intern(BinaryPair, dst, dst, s.mod, gate_operand1=True),
+            *[ripple] * (layout.width - 1))
 
 
 def emit_fetch(program: Program, layout: DataLayout, dst: int, src_row: int,
@@ -112,12 +123,15 @@ def emit_fetch(program: Program, layout: DataLayout, dst: int, src_row: int,
     """
     if tile_offset == 0:
         return src_row
-    program.begin_section("spill_fetch")
-    program.emit(layout.intern(Unary, UnaryOp.COPY, dst, src_row))
-    program.extend([layout.intern(ShiftRow, dst, dst, ShiftDirection.RIGHT, segmented=False)]
-                   * (tile_offset * layout.width))
-    program.end_section()
+    program.append_section("spill_fetch",
+                           layout.block(_fetch, dst, src_row, tile_offset))
     return dst
+
+
+def _fetch(layout: DataLayout, dst: int, src_row: int, tile_offset: int):
+    return (layout.intern(Unary, UnaryOp.COPY, dst, src_row),
+            *[layout.intern(ShiftRow, dst, dst, ShiftDirection.RIGHT, segmented=False)]
+            * (tile_offset * layout.width))
 
 
 def emit_store(program: Program, layout: DataLayout, value_row: int, dst_row: int,
@@ -130,20 +144,26 @@ def emit_store(program: Program, layout: DataLayout, value_row: int, dst_row: in
     range (via ``shuttle_row`` when a shift is needed) and committed with
     a per-tile gated copy.
     """
-    program.begin_section("store")
+    program.append_section("store", layout.block(
+        _store, value_row, dst_row, tile_offset, shuttle_row))
+
+
+def _store(layout: DataLayout, value_row: int, dst_row: int, tile_offset: int,
+           shuttle_row: int):
     if not layout.uses_spill:
         if value_row != dst_row:
-            program.emit(layout.intern(Unary, UnaryOp.COPY, dst_row, value_row))
-        program.end_section()
-        return
+            return (layout.intern(Unary, UnaryOp.COPY, dst_row, value_row),)
+        return ()
     if tile_offset == 0:
+        slide = ()
         source = value_row
     else:
-        program.emit(layout.intern(Unary, UnaryOp.COPY, shuttle_row, value_row))
-        program.extend([layout.intern(ShiftRow, shuttle_row, shuttle_row,
-                                      ShiftDirection.LEFT, segmented=False)]
-                       * (tile_offset * layout.width))
+        slide = (layout.intern(Unary, UnaryOp.COPY, shuttle_row, value_row),
+                 *[layout.intern(ShiftRow, shuttle_row, shuttle_row,
+                                 ShiftDirection.LEFT, segmented=False)]
+                 * (tile_offset * layout.width))
         source = shuttle_row
-    program.emit(layout.intern(SetFlags, layout.offset_tile_mask(tile_offset)))
-    program.emit(layout.intern(CopyGated, dst_row, source))
-    program.end_section()
+    return (*slide,
+            layout.intern(SetFlags, layout.offset_tile_mask(tile_offset)),
+            layout.intern(CopyGated, dst_row, source))
+

@@ -87,9 +87,11 @@ class DataLayout:
             sum=base, carry=base + 1, t0=base + 2, t1=base + 3,
             landing=base + 4, mod=base + 5,
         )
-        # (class, args, flags) -> the one instruction built for it.  The
-        # table lives and dies with the layout: a fresh engine compiles cold.
+        # (class, args, flags) -> the one instruction built for it, and
+        # (builder, rows) -> the one block built for it.  The tables live
+        # and die with the layout: a fresh engine compiles cold.
         self._instructions = {}
+        self._blocks = {}
 
     def intern(self, cls, *args, **flags):
         """This layout's one instance of instruction ``cls(*args, **flags)``.
@@ -104,6 +106,19 @@ class DataLayout:
         if instruction is None:
             instruction = self._instructions[key] = cls(*args, **flags)
         return instruction
+
+    def block(self, build, *rows):
+        """This layout's one instance of the block ``build(self, *rows)``.
+
+        The emitters append every instruction as part of a block built
+        here, so a program holds references to a few distinct tuples
+        (see :class:`~repro.sram.program.Program`).
+        """
+        key = (build, rows)
+        block = self._blocks.get(key)
+        if block is None:
+            block = self._blocks[key] = tuple(build(self, *rows))
+        return block
 
     @property
     def uses_spill(self) -> bool:

@@ -56,25 +56,46 @@ def emit_modmul(program: Program, layout: DataLayout, twiddle: int, b_row: int) 
     """Emit ``(Sum, Carry) = twiddle * row[b_row] * R^-1 mod M`` (carry-save).
 
     ``twiddle`` is the Montgomery-scaled multiplier (``zeta * R mod M``);
-    its bits are burned into the instruction stream.
+    its bits are burned into the instruction stream as the sequence of
+    blocks: a conditional add where a bit is set, then a reduction.
     """
     if not 0 <= twiddle < (1 << layout.width):
         raise ParameterError(
             f"twiddle {twiddle} does not fit the {layout.width}-bit container"
         )
+    conditional_add = layout.block(_conditional_add, b_row)
+    reduction = layout.block(_reduction)
+    blocks = [layout.block(_clear_product)]
+    for i in range(layout.width):
+        if (twiddle >> i) & 1:
+            blocks.append(conditional_add)
+        blocks.append(reduction)
+    program.append_section("modmul", *blocks)
+
+
+def _clear_product(layout: DataLayout):
+    s = layout.scratch
+    return (layout.intern(Unary, UnaryOp.ZERO, s.sum),
+            layout.intern(Unary, UnaryOp.ZERO, s.carry))
+
+
+def _conditional_add(layout: DataLayout, b_row: int):
     s = layout.scratch
     intern = layout.intern
-    # Every iteration emits the same two blocks, and every instruction
-    # in them is the layout's one instance of its value.
-    conditional_add = [
+    return (
         intern(LogicBinary, BinaryOp.AND, s.t1, s.sum, b_row),
         intern(LogicBinary, BinaryOp.XOR, s.t0, s.sum, b_row),
         intern(ShiftRow, s.carry, s.carry, ShiftDirection.LEFT),
         intern(LogicBinary, BinaryOp.XOR, s.sum, s.carry, s.t0),
         intern(LogicBinary, BinaryOp.AND, s.t0, s.carry, s.t0),
         intern(LogicBinary, BinaryOp.OR, s.carry, s.t1, s.t0),
-    ]
-    reduction = [
+    )
+
+
+def _reduction(layout: DataLayout):
+    s = layout.scratch
+    intern = layout.intern
+    return (
         intern(Check, s.sum),
         intern(LogicBinary, BinaryOp.AND, s.t1, s.sum, s.mod, gate_operand1=True),
         intern(LogicBinary, BinaryOp.XOR, s.t0, s.sum, s.mod, gate_operand1=True),
@@ -84,23 +105,15 @@ def emit_modmul(program: Program, layout: DataLayout, twiddle: int, b_row: int) 
         intern(LogicBinary, BinaryOp.AND, s.t1, s.carry, s.sum),
         intern(LogicBinary, BinaryOp.XOR, s.sum, s.carry, s.sum),
         intern(LogicBinary, BinaryOp.OR, s.carry, s.t0, s.t1),
-    ]
-    program.begin_section("modmul")
-    program.emit(intern(Unary, UnaryOp.ZERO, s.sum))
-    program.emit(intern(Unary, UnaryOp.ZERO, s.carry))
-    for i in range(layout.width):
-        if (twiddle >> i) & 1:
-            program.extend(conditional_add)
-        program.extend(reduction)
-    program.end_section()
+    )
 
 
 def modmul_instruction_count(width: int, twiddle: int) -> int:
     """Closed-form instruction count of :func:`emit_modmul`.
 
-    Used by the analytical sweeps to predict cycle counts without
-    compiling: 2 prologue ops, 9 reduction ops per iteration, 6 extra
-    per set twiddle bit.
+    2 prologue ops, 9 reduction ops per iteration, 6 extra per set
+    twiddle bit.  The tests hold the ``modmul`` sections of every
+    registered parameter set's programs to it.
     """
     set_bits = bin(twiddle & ((1 << width) - 1)).count("1")
     return 2 + 9 * width + 6 * set_bits

@@ -18,6 +18,7 @@ plumbing.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -75,8 +76,13 @@ class ReplayConfig:
             )
         check_rate_duration(self.rate, self.duration)
         require_count("chips", self.chips)
-        if self.slo_ms is not None and self.slo_ms <= 0:
-            raise ParameterError(f"slo_ms must be > 0, got {self.slo_ms:g}")
+        if self.slo_ms is not None and not (
+                math.isfinite(self.slo_ms) and self.slo_ms > 0):
+            raise ParameterError(
+                f"slo_ms must be > 0 and finite, got {self.slo_ms:g}")
+        for name in ("max_batch", "queue_limit"):
+            if getattr(self, name) is not None:
+                require_count(name, getattr(self, name))
         require_count("pool_size", self.pool_size)
         require_count("subarrays", self.subarrays)
         # Copy the dict fields so a shared kwargs dict can't mutate a

@@ -27,8 +27,8 @@ pointwise program bakes the second operand into its constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import InitVar, dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backends.base import KERNEL_OPS
 from repro.crypto.he import HECiphertext, HEContext, RelinKey
@@ -40,16 +40,24 @@ __all__ = ["KERNEL_OPS", "BatchKey", "Request", "Response", "gold_result",
            "he_multiply_plain_requests", "he_multiply_requests"]
 
 
-def _canonical(coeffs: Sequence[int], params: NTTParams, label: str) -> Tuple[int, ...]:
+def _canonical(coeffs: Sequence[int], params: NTTParams, label: str,
+               checked: Optional[Dict[tuple, tuple]] = None) -> Tuple[int, ...]:
     if len(coeffs) != params.n:
         raise ParameterError(
             f"{label} needs {params.n} coefficients, got {len(coeffs)}"
         )
+    # ``checked`` maps (id, q) of tuples already found canonical to the
+    # tuple itself; holding it keeps the id from being reused.
+    key = (id(coeffs), params.q)
+    if checked is not None and checked.get(key) is coeffs:
+        return coeffs
     # A tuple of plain ints already in [0, q) is kept as given, so
     # requests sharing an operand share one tuple (and compare by
     # identity); anything else is reduced into a new tuple.
     if (type(coeffs) is tuple and set(map(type, coeffs)) == {int}
             and min(coeffs) >= 0 and max(coeffs) < params.q):
+        if checked is not None:
+            checked[key] = coeffs
         return coeffs
     return tuple(c % params.q for c in coeffs)
 
@@ -103,6 +111,10 @@ class Request:
         batch_key: ``(params_name, op, operand)`` as a :class:`BatchKey`,
             built once; requests with equal keys may share one engine
             invocation.
+        checked_operands: init-only, not a field: a caller-owned dict
+            that remembers operand tuples already found canonical, so a
+            trace whose requests share a few operands checks each one
+            once (:mod:`repro.serve.workload` passes one per trace).
     """
 
     request_id: int
@@ -114,8 +126,9 @@ class Request:
     kind: str = ""
     tenant: str = ""
     deadline_s: Optional[float] = None
+    checked_operands: InitVar[Optional[Dict[tuple, tuple]]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, checked_operands) -> None:
         if self.op not in KERNEL_OPS:
             raise ParameterError(
                 f"unknown op {self.op!r}; expected one of {KERNEL_OPS}"
@@ -125,9 +138,8 @@ class Request:
         if self.op == "polymul":
             if self.operand is None:
                 raise ParameterError("polymul requests need a second operand")
-            object.__setattr__(
-                self, "operand", _canonical(self.operand, params, "operand")
-            )
+            object.__setattr__(self, "operand", _canonical(
+                self.operand, params, "operand", checked_operands))
         elif self.operand is not None:
             raise ParameterError(f"{self.op} requests take no second operand")
         if not self.kind:

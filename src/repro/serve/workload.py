@@ -271,6 +271,8 @@ def _materialize(scenario: Scenario, arrivals: List[float],
     components = list(scenario.components)
     weights = [c.weight for c in components]
     requests: List[Request] = []
+    # Pool operands are shared by many requests: check each one once.
+    checked: Dict[tuple, tuple] = {}
     next_id = 0
     for arrival in arrivals:
         c = rng.choices(components, weights=weights)[0]
@@ -305,6 +307,7 @@ def _materialize(scenario: Scenario, arrivals: List[float],
                         None if c.slo_ms is None
                         else arrival + c.slo_ms * 1e-3
                     ),
+                    checked_operands=checked,
                 )
             )
             next_id += 1

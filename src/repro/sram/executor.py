@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate, compress
+from itertools import chain
 from operator import add
 from typing import Dict, Optional
 
@@ -90,8 +90,9 @@ class Executor:
         otherwise the program is priced here.  Either way the returned
         stats are a fresh object the caller may keep or change.
         """
-        for instruction in program.instructions:
-            self.execute(instruction)
+        for block in program.blocks:
+            for instruction in block:
+                self.execute(instruction)
         if price is None:
             run_stats = profile_program(program, self.tech)
         else:
@@ -117,53 +118,102 @@ def profile_program(program: Program, tech: TechnologyModel = TECH_45NM) -> Exec
     serving simulator uses it to price a kernel invocation once per
     compiled program instead of interpreting millions of bitline
     operations per batch.
+
+    The program is priced per block.  Blocks are told apart by
+    identity, each distinct block is read once, and blocks with the
+    same class sequence (the same emitter on other rows) share one
+    count: the class counts are a block's counts times how often it
+    occurs.  Only the energy total walks every instruction: it is the
+    left-to-right float sum over the program, one addition per
+    instruction in program order, because no per-block product gives
+    the same bits.
     """
     stats = ExecutionStats()
-    instructions = program.instructions
-    types = list(map(type, instructions))
+    blocks = program.blocks
+    ids = list(map(id, blocks))
+    uses = Counter(ids)
+    # Each distinct block's class sequence (its shape), and per shape
+    # its total uses and one block that has it, in first-use order.
+    shape_of: Dict[int, tuple] = {}
+    shapes: Dict[tuple, list] = {}
+    for key, block in dict(zip(ids, blocks)).items():
+        shape = shape_of[key] = tuple(map(type, block))
+        entry = shapes.get(shape)
+        if entry is None:
+            shapes[shape] = [uses[key], block]
+        else:
+            entry[0] += uses[key]
     cycles_of: Dict[type, int] = {}
     energy_of: Dict[type, float] = {}
+    counts: Dict[type, int] = {}
     # Classes in first-seen order, so op_counts keys follow the program.
-    for cls, count in Counter(types).items():
-        kind = _instruction_kind(instructions[types.index(cls)])
-        cycles_of[cls] = tech.instruction_cycles(kind)
-        energy_of[cls] = tech.instruction_energy_pj(kind)
-        stats.op_counts[kind] = stats.op_counts.get(kind, 0) + count
-        if kind == "shift":
+    for shape, (used, block) in shapes.items():
+        for cls, count in Counter(shape).items():
+            if cls not in counts:
+                kind = _instruction_kind(block[shape.index(cls)])
+                cycles_of[cls] = tech.instruction_cycles(kind)
+                energy_of[cls] = tech.instruction_energy_pj(kind)
+                counts[cls] = 0
+            counts[cls] += count * used
+    for cls, count in counts.items():
+        stats.op_counts[cls.kind] = stats.op_counts.get(cls.kind, 0) + count
+        if cls.kind == "shift":
             stats.shift_count += count
-    # The running sums add one instruction at a time in program order:
-    # the float energy total is the left-to-right sum over the program.
-    stats.energy_pj = reduce(add, map(energy_of.__getitem__, types), 0.0)
-    stats.instructions = length = len(types)
+    energies = {shape: tuple(map(energy_of.__getitem__, shape))
+                for shape in shapes}
+    stats.energy_pj = reduce(add, chain.from_iterable(
+        map(energies.__getitem__, map(shape_of.__getitem__, ids))), 0.0)
+    stats.instructions = length = len(program)
     sections = program.sections
+    spans: Dict[str, int] = {}
     for label, start, end in sections:
         if end > length:
             raise ExecutionError(f"section {label!r} exceeds program length")
         if not 0 <= start <= end:
             raise ExecutionError(f"section {label!r} spans [{start}, {end})")
-    # before(i) is the running cycle count over the first i instructions;
-    # only the section bounds and the total read it.
+        spans[label] = spans.get(label, 0) + (end - start)
     if len(set(cycles_of.values())) <= 1:
-        # Every class costs the same: no pass over the program at all.
-        before = next(iter(cycles_of.values()), 0).__mul__
-    else:
-        # Keep the running count at the bounds only: one int per
-        # instruction would be millions on a big ring.
-        bounds = {length}
-        bounds.update(*((start, end) for _, start, end in sections))
-        kept = bytearray(length + 1)
-        for index in bounds:
-            kept[index] = 1
-        before = dict(zip(sorted(bounds), compress(
-            accumulate(map(cycles_of.__getitem__, types), initial=0),
-            kept))).__getitem__
-    stats.cycles = before(length)
+        # Every class costs the same: cycles are instructions times it.
+        cost = next(iter(cycles_of.values()), 0)
+        stats.cycles = cost * length
+        stats.section_cycles = {label: cost * span
+                                for label, span in spans.items()}
+        return stats
+    # The running cycle count before instruction i, at section bounds.
+    before = _cycles_at(blocks, cycles_of, {length}.union(
+        *((start, end) for _, start, end in sections)))
+    stats.cycles = before[length]
     section_cycles = stats.section_cycles
     for label, start, end in sections:
         section_cycles[label] = section_cycles.get(label, 0) + (
-            before(end) - before(start)
+            before[end] - before[start]
         )
     return stats
+
+
+def _cycles_at(blocks, cycles_of: Dict[type, int], bounds) -> Dict[int, int]:
+    """The running cycle count before each instruction index in ``bounds``.
+
+    Sums whole blocks, once per distinct block, and single instructions
+    only inside a block that a bound splits.
+    """
+    block_cycles: Dict[int, int] = {}
+    at: Dict[int, int] = {}
+    pending = sorted(bounds, reverse=True)
+    offset = cycles = 0
+    for block in blocks:
+        end = offset + len(block)
+        while pending and pending[-1] < end:
+            bound = pending.pop()
+            at[bound] = cycles + sum(map(cycles_of.__getitem__,
+                                         map(type, block[:bound - offset])))
+        key = id(block)
+        if key not in block_cycles:
+            block_cycles[key] = sum(map(cycles_of.__getitem__, map(type, block)))
+        cycles += block_cycles[key]
+        offset = end
+    at.update(dict.fromkeys(pending, cycles))
+    return at
 
 
 def _instruction_kind(instruction) -> str:

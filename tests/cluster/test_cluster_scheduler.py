@@ -143,6 +143,14 @@ class TestSchedulerShape:
         with pytest.raises(SchedulerError, match="chips >= 1"):
             ClusterScheduler(tiny_pool, BatchPolicy(), chips=0)
 
+    def test_bool_chips_rejected(self, tiny_pool, operand_trace):
+        # True is an int: it must not build a one-chip cluster, neither
+        # directly nor through a replay's scheduler options.
+        with pytest.raises(SchedulerError, match="chips >= 1"):
+            ClusterScheduler(tiny_pool, BatchPolicy(), chips=True)
+        with pytest.raises(SchedulerError, match="chips >= 1"):
+            _simulator(tiny_pool, {"chips": True}).replay(operand_trace(2))
+
 
 class TestAffinityRouter:
     LIVE8 = tuple(range(8))

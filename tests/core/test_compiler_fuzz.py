@@ -25,6 +25,9 @@ every draw:
 - every instruction's declared ``reads()``/``writes()`` are exactly the
   rows its ``run`` step reads and writes on the subarray (the dataflow
   ``check_program`` verifies is the one the interpreter performs).
+
+Hand-built programs that share blocks, split them anywhere and put
+section bounds inside a block also price exactly as the reference.
 """
 
 import random
@@ -45,6 +48,7 @@ from repro.sram.cost import CostReport
 from repro.sram import isa
 from repro.sram.energy import DEFAULT_CYCLES, TECH_45NM, TechnologyModel
 from repro.sram.executor import ExecutionStats, profile_program
+from repro.sram.program import Program
 from repro.sram.subarray import SRAMSubarray
 from repro.utils.primes import find_ntt_prime
 
@@ -228,3 +232,23 @@ def test_every_instruction_class_declares_and_is_priced():
     for sample in SAMPLES:
         assert touched_rows(sub, sample) == (set(sample.reads()),
                                              set(sample.writes())), sample
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_any_split_into_blocks_prices_as_the_flat_program(data):
+    """Shared blocks, any block sizes, and section bounds inside a block."""
+    distinct = data.draw(st.lists(
+        st.lists(st.sampled_from(SAMPLES), min_size=1, max_size=6).map(tuple),
+        min_size=1, max_size=4))
+    program = Program("drawn")
+    for index in data.draw(st.lists(
+            st.integers(min_value=0, max_value=len(distinct) - 1), max_size=20)):
+        program.extend(distinct[index])
+    bound = st.integers(min_value=0, max_value=len(program))
+    for start, end in data.draw(st.lists(st.tuples(bound, bound), max_size=4)):
+        program.sections.append((f"s{start % 3}", min(start, end), max(start, end)))
+    assert len(program) == len(program.instructions)
+    for tech in (TECH_45NM, SKEWED_TECH):
+        assert_same_stats(profile_program(program, tech),
+                          reference_price(program, tech))

@@ -93,17 +93,23 @@ class TestValidation:
         lambda: poisson_trace("ntt", INF, 0.01),
         lambda: bursty_trace("ntt", 1000.0, NAN),
         lambda: BatchPolicy(max_wait_s=NAN),
+        lambda: ReplayConfig(slo_ms=NAN),
+        lambda: ReplayConfig(slo_ms=INF),
+        lambda: ReplayConfig(max_batch=1.5),
+        lambda: ReplayConfig(scheduler="slo", queue_limit=1.5),
     ], ids=["rate-inf", "rate-nan", "duration-inf", "duration-nan",
             "pool_size-float", "pool_size-bool", "subarrays-float",
             "chips-bool", "pool-config-size-float", "pool-config-size-bool",
             "pool-config-subarrays-float", "model-subarrays-float",
             "engine-subarrays-bool", "poisson-rate-inf", "bursty-duration-nan",
-            "max-wait-nan"])
+            "max-wait-nan", "slo_ms-nan", "slo_ms-inf", "max_batch-float",
+            "queue_limit-float"])
     def test_boundary_inputs_raise_at_construction(self, build):
         """An infinite rate or duration would never end the arrival
         loop, a ``nan`` one would build an empty trace, a ``nan`` wait
-        would never end the replay, and a float or bool count would
-        surface deep inside a replay."""
+        would never end the replay, a ``nan`` or infinite SLO would
+        give every request a deadline nothing can meet or miss, and a
+        float or bool count would surface deep inside a replay."""
         with pytest.raises(ParameterError):
             build()
 

@@ -8,10 +8,11 @@ import repro.core.engine as engine_module
 from repro.backends import base as backends_base
 from repro.errors import ParameterError
 from repro.ntt.params import get_params
-from repro.serve import EnginePool, PoolConfig
+from repro.serve import EnginePool, PoolConfig, ServingSimulator
 from repro.serve.batcher import PolyBatch
 from repro.serve.request import gold_result
 from repro.sram.executor import profile_program
+from repro.sram.program import Program
 
 TINY_N = 16
 TINY_Q = 97
@@ -153,6 +154,50 @@ class TestPricingWork:
         again = self.instructions(second, tiny_request)
         assert again == built
         assert not {id(i) for i in again} & {id(i) for i in built}
+
+
+class TestBlockPrograms:
+    """Set-up and replays work on the programs' blocks, never a flat list."""
+
+    @pytest.fixture
+    def flat_views(self, monkeypatch):
+        """Every program whose flat ``instructions`` view was read."""
+        read = []
+        view = Program.instructions
+        monkeypatch.setattr(Program, "instructions", property(
+            lambda program: read.append(program) or view.fget(program)))
+        return read
+
+    def test_set_up_prices_from_blocks(self, tiny_request, flat_views):
+        pool, priced = TestPricingWork().set_up(tiny_request)
+        assert len(priced) == 258 and flat_views == []
+        programs = pool.template(tiny_request(0).params_name)._programs.values()
+        blocks = [block for program in programs for block in program.blocks]
+        # 482,780 instructions in 63,562 block references (one per
+        # emitter call or twiddle bit) to 176 distinct block objects.
+        assert sum(map(len, blocks)) == sum(map(len, programs)) == 482780
+        assert len(blocks) == 63562
+        assert len({id(block) for block in blocks}) == 176
+
+    @pytest.mark.parametrize("backend", ["model", "sram"])
+    def test_replays_read_no_flat_view(self, tiny_pool, tiny_request,
+                                       flat_views, backend):
+        rng = random.Random(7)
+        operand = [rng.randrange(TINY_Q) for _ in range(TINY_N)]
+        trace = [tiny_request(i, arrival_s=i * 1e-4) for i in range(3)] + [
+            tiny_request(i, op="polymul", operand=operand, arrival_s=i * 1e-4)
+            for i in range(3, 6)]
+        report = ServingSimulator(tiny_pool, backend=backend).replay(trace)
+        assert flat_views == []
+        assert [list(r.result) for r in report.responses] == [
+            gold_result(r.request) for r in report.responses]
+
+    def test_flat_view_is_built_once(self, tiny_pool, tiny_request):
+        program = tiny_pool.template(tiny_request(0).params_name) \
+            .compiled_program("ntt")
+        assert program.instructions is program.instructions
+        assert list(program) == list(program.instructions)
+        assert len(program.instructions) == len(program)
 
 
 class TestServe:

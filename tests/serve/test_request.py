@@ -163,6 +163,40 @@ class TestCanonical:
             assert reduced == expected and reduced is not coeffs
             assert list(map(type, reduced)) == list(map(type, expected))
 
+    def test_shared_operand_is_checked_once(self, tiny_name, monkeypatch):
+        import repro.serve.request as request_module
+
+        scans = []
+
+        def counting_set(iterable):
+            scans.append(1)
+            return set(iterable)
+
+        monkeypatch.setattr(request_module, "set", counting_set, raising=False)
+        operand = tuple(range(TINY_N))
+        checked = {}
+        requests = [
+            Request(request_id=i, op="polymul", params_name=tiny_name,
+                    payload=tuple(range(TINY_N)), operand=operand,
+                    checked_operands=checked)
+            for i in range(5)
+        ]
+        assert all(r.operand is operand for r in requests)
+        assert len(scans) == 5 + 1  # every payload, the operand once
+        assert "checked_operands" not in repr(requests[0])
+        # The memo skips only the canonical check: a wrong length still
+        # raises, and a non-canonical operand is reduced every time.
+        with pytest.raises(ParameterError, match="operand needs"):
+            Request(request_id=5, op="polymul", params_name=tiny_name,
+                    payload=operand, operand=operand[:-1],
+                    checked_operands=checked)
+        loose = [TINY_Q + c for c in operand]
+        reduced = [Request(request_id=i, op="polymul", params_name=tiny_name,
+                           payload=operand, operand=loose,
+                           checked_operands=checked).operand
+                   for i in range(2)]
+        assert reduced == [operand, operand] and reduced[0] is not reduced[1]
+
     def test_numpy_ints_reduce_exactly_as_before(self, tiny_name):
         np = pytest.importorskip("numpy")
         coeffs = tuple(np.arange(TINY_N, dtype=np.int64))
