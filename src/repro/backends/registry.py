@@ -48,6 +48,12 @@ def unregister_backend(name: str) -> None:
     _REGISTRY.unregister(name)
 
 
+def require_backend(name: str) -> None:
+    """Raise :func:`get_backend`'s error unless ``name`` is registered;
+    imports nothing."""
+    _REGISTRY.require(name)
+
+
 def get_backend(name: str) -> Callable:
     """The factory registered under ``name`` (resolving lazy specs)."""
     return _REGISTRY.get(name)

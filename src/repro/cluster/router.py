@@ -32,7 +32,7 @@ from repro.serve.request import Request
 
 __all__ = ["AffinityRouter", "RoundRobinRouter", "available_routers",
            "create_router", "get_router", "register_router",
-           "unregister_router"]
+           "require_router", "unregister_router"]
 
 
 def _key_digest(batch_key: tuple) -> bytes:
@@ -155,6 +155,12 @@ def register_router(name, factory, *, replace: bool = False) -> None:
 def unregister_router(name: str) -> None:
     """Remove a router (no-op when absent); used by tests and plugins."""
     _REGISTRY.unregister(name)
+
+
+def require_router(name: str) -> None:
+    """Raise :func:`get_router`'s error unless ``name`` is registered;
+    imports nothing."""
+    _REGISTRY.require(name)
 
 
 def get_router(name: str):

@@ -125,13 +125,32 @@ class FactoryRegistry:
                 wrapper = self._resolve(prefix, self._namespaces[prefix])
                 self._namespaces[prefix] = wrapper
                 return wrapper(inner)
-            raise self.error(
-                f"unknown {self.kind} {name!r}; available: "
-                f"{', '.join(self.available()) or '(none)'}"
-            ) from None
+            raise self._unknown(name) from None
         spec = self._resolve(name, spec)
         self._entries[name] = spec
         return spec
+
+    def require(self, name: str) -> None:
+        """Raise :meth:`get`'s error for a name nothing is registered under.
+
+        Resolves no lazy spec, so it imports nothing.  A namespaced
+        ``"<prefix>:<inner>"`` name needs ``inner`` registered, as the
+        namespace wrapper looks it up when the factory runs.
+        """
+        if name in self._entries:
+            return
+        prefix, separator, inner = name.partition(":") if isinstance(
+            name, str) else ("", "", "")
+        if separator and inner and prefix in self._namespaces:
+            self.require(inner)
+            return
+        raise self._unknown(name)
+
+    def _unknown(self, name) -> Exception:
+        return self.error(
+            f"unknown {self.kind} {name!r}; available: "
+            f"{', '.join(self.available()) or '(none)'}"
+        )
 
     def available(self) -> Tuple[str, ...]:
         """Registered names, sorted (the CLI derives choices from this).

@@ -47,6 +47,12 @@ def unregister_scheduler(name: str) -> None:
     _REGISTRY.unregister(name)
 
 
+def require_scheduler(name: str) -> None:
+    """Raise :func:`get_scheduler`'s error unless ``name`` is registered;
+    imports nothing."""
+    _REGISTRY.require(name)
+
+
 def get_scheduler(name: str) -> Callable:
     """The factory registered under ``name`` (resolving lazy specs)."""
     return _REGISTRY.get(name)

@@ -22,7 +22,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.errors import ParameterError, require_count
+from repro.backends.registry import require_backend
+from repro.errors import ParameterError, SchedulerError, require_count
+from repro.sched.registry import require_scheduler
 from repro.serve.batcher import BatchPolicy
 from repro.serve.pool import EnginePool, PoolConfig
 from repro.serve.request import Request
@@ -85,6 +87,16 @@ class ReplayConfig:
                 require_count(name, getattr(self, name))
         require_count("pool_size", self.pool_size)
         require_count("subarrays", self.subarrays)
+        # Names are looked up here, with the errors a replay would raise
+        # on them; the lookups resolve no lazy factory spec.
+        if self.chips > 1:
+            from repro.cluster.router import require_router
+
+            if self.scheduler.startswith("cluster:"):
+                raise SchedulerError("cluster schedulers do not nest")
+            require_router(self.router)
+        require_scheduler(self.scheduler)
+        require_backend(self.backend)
         # Copy the dict fields so a shared kwargs dict can't mutate a
         # "frozen" config behind its back.
         object.__setattr__(self, "scheduler_options",

@@ -112,9 +112,11 @@ class Request:
             built once; requests with equal keys may share one engine
             invocation.
         checked_operands: init-only, not a field: a caller-owned dict
-            that remembers operand tuples already found canonical, so a
-            trace whose requests share a few operands checks each one
-            once (:mod:`repro.serve.workload` passes one per trace).
+            that remembers coefficient tuples (operands and payloads)
+            already found canonical, so a trace whose requests share a
+            few operands checks each one once, and payloads the caller
+            drew canonical and recorded are not scanned
+            (:mod:`repro.serve.workload` passes one per trace).
     """
 
     request_id: int
@@ -134,7 +136,8 @@ class Request:
                 f"unknown op {self.op!r}; expected one of {KERNEL_OPS}"
             )
         params = get_params(self.params_name)
-        object.__setattr__(self, "payload", _canonical(self.payload, params, "payload"))
+        object.__setattr__(self, "payload", _canonical(
+            self.payload, params, "payload", checked_operands))
         if self.op == "polymul":
             if self.operand is None:
                 raise ParameterError("polymul requests need a second operand")

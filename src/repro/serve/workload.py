@@ -272,6 +272,7 @@ def _materialize(scenario: Scenario, arrivals: List[float],
     weights = [c.weight for c in components]
     requests: List[Request] = []
     # Pool operands are shared by many requests: check each one once.
+    # Payloads are drawn canonical, so they are recorded as checked.
     checked: Dict[tuple, tuple] = {}
     next_id = 0
     for arrival in arrivals:
@@ -293,12 +294,14 @@ def _materialize(scenario: Scenario, arrivals: List[float],
             if c.op == "polymul":
                 operand = (shared if c.operand_schedule is None
                            else operand_pool[c.operand_schedule[index]])
+            payload = _random_poly(params.n, params.q, rng)
+            checked[id(payload), params.q] = payload
             requests.append(
                 Request(
                     request_id=next_id,
                     op=c.op,
                     params_name=c.params_name,
-                    payload=_random_poly(params.n, params.q, rng),
+                    payload=payload,
                     operand=operand,
                     arrival_s=arrival,
                     kind=c.kind,

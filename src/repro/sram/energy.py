@@ -16,6 +16,7 @@ would provide them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -77,6 +78,21 @@ class TechnologyModel:
     compute_overhead: float = 0.02
     energy_pj: Dict[str, float] = field(default_factory=lambda: dict(DEFAULT_ENERGY_PJ))
     cycles: Dict[str, int] = field(default_factory=lambda: dict(DEFAULT_CYCLES))
+
+    def __post_init__(self) -> None:
+        # Pricing sums these per instruction; its per-binade sums need
+        # every energy finite and >= 0, so that the running sum only grows.
+        for kind, energy in self.energy_pj.items():
+            if not (isinstance(energy, float) and math.isfinite(energy)
+                    and energy >= 0):
+                raise ParameterError(
+                    f"energy of {kind!r} must be a finite float >= 0, "
+                    f"got {energy!r}")
+        for kind, cycles in self.cycles.items():
+            if isinstance(cycles, bool) or not isinstance(cycles, int) \
+                    or cycles < 0:
+                raise ParameterError(
+                    f"cycles of {kind!r} must be an int >= 0, got {cycles!r}")
 
     def subarray_area_mm2(self, rows: int, cols: int) -> float:
         """Silicon area of one compute-enabled subarray.

@@ -13,12 +13,14 @@ price of its instruction mix, :func:`profile_program`, which
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
 from operator import add
-from typing import Dict, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ExecutionError
 from repro.sram.energy import TECH_45NM, TechnologyModel
@@ -123,31 +125,33 @@ def profile_program(program: Program, tech: TechnologyModel = TECH_45NM) -> Exec
     identity, each distinct block is read once, and blocks with the
     same class sequence (the same emitter on other rows) share one
     count: the class counts are a block's counts times how often it
-    occurs.  Only the energy total walks every instruction: it is the
-    left-to-right float sum over the program, one addition per
-    instruction in program order, because no per-block product gives
-    the same bits.
+    occurs.  The energy total has the bits of the left-to-right float
+    sum over the program, one addition per instruction in program
+    order; :func:`_fold_energy` gets them from per-binade integer sums
+    over the blocks and adds single instructions only where the sum
+    crosses into the next binade.
     """
     stats = ExecutionStats()
     blocks = program.blocks
     ids = list(map(id, blocks))
     uses = Counter(ids)
     # Each distinct block's class sequence (its shape), and per shape
-    # its total uses and one block that has it, in first-use order.
-    shape_of: Dict[int, tuple] = {}
+    # its total uses, one block that has it and its index, in first-use
+    # order; per distinct block, its shape's index.
+    code_of: Dict[int, int] = {}
     shapes: Dict[tuple, list] = {}
     for key, block in dict(zip(ids, blocks)).items():
-        shape = shape_of[key] = tuple(map(type, block))
+        shape = tuple(map(type, block))
         entry = shapes.get(shape)
         if entry is None:
-            shapes[shape] = [uses[key], block]
-        else:
-            entry[0] += uses[key]
+            entry = shapes[shape] = [0, block, len(shapes)]
+        entry[0] += uses[key]
+        code_of[key] = entry[2]
     cycles_of: Dict[type, int] = {}
     energy_of: Dict[type, float] = {}
     counts: Dict[type, int] = {}
     # Classes in first-seen order, so op_counts keys follow the program.
-    for shape, (used, block) in shapes.items():
+    for shape, (used, block, _) in shapes.items():
         for cls, count in Counter(shape).items():
             if cls not in counts:
                 kind = _instruction_kind(block[shape.index(cls)])
@@ -159,10 +163,9 @@ def profile_program(program: Program, tech: TechnologyModel = TECH_45NM) -> Exec
         stats.op_counts[cls.kind] = stats.op_counts.get(cls.kind, 0) + count
         if cls.kind == "shift":
             stats.shift_count += count
-    energies = {shape: tuple(map(energy_of.__getitem__, shape))
-                for shape in shapes}
-    stats.energy_pj = reduce(add, chain.from_iterable(
-        map(energies.__getitem__, map(shape_of.__getitem__, ids))), 0.0)
+    stats.energy_pj = _fold_energy(
+        ids, code_of,
+        [tuple(map(energy_of.__getitem__, shape)) for shape in shapes])
     stats.instructions = length = len(program)
     sections = program.sections
     spans: Dict[str, int] = {}
@@ -189,6 +192,122 @@ def profile_program(program: Program, tech: TechnologyModel = TECH_45NM) -> Exec
             before[end] - before[start]
         )
     return stats
+
+
+#: Fewest blocks a binade must have room for, at the program's mean
+#: block energy, to be added as one integer sum; otherwise the plain
+#: fold adds this many blocks before the next look.
+ULP_RUN_MIN_BLOCKS = 256
+_MIN_NORMAL = sys.float_info.min
+_ULPS_PER_BINADE = 1 << 53
+
+
+def _fold(s: float, blocks: Iterable[Tuple[float, ...]]) -> float:
+    """The plain fold: ``s`` plus each energy of each block, in order."""
+    return reduce(add, chain.from_iterable(blocks), s)
+
+
+def _fold_energy(ids: List[int], code_of: Dict[int, int],
+                 energies: List[Tuple[float, ...]]) -> float:
+    """The plain fold of a program's energies from ``0.0``, bit for bit.
+
+    ``ids`` lists the program's blocks by identity, ``code_of`` maps
+    each to its shape's index, and ``energies[c]`` holds shape ``c``'s
+    per-instruction energies (all finite and ``>= 0``, which
+    :class:`TechnologyModel` checks).
+
+    While the running sum ``s`` stays in one binade ``[2^(e-1), 2^e)``
+    its ulp ``u = 2^(e-53)`` is fixed, and adding ``x`` rounds to
+    ``s + round(x/u)*u`` exactly, provided ``x/u`` is exact and not a
+    half-integer (a tie rounds by the parity of ``s/u``).  So the run
+    of blocks that keeps the sum below ``2^e`` adds one integer: its
+    blocks' ulp counts, per shape (:func:`_shape_ulps`) times the
+    shape's uses in the run (:func:`_run`).  The block that crosses
+    into the next binade takes the plain fold, one addition per
+    instruction.  So do, :data:`ULP_RUN_MIN_BLOCKS` blocks at a time,
+    the start (``s`` below the smallest normal float), binades with a
+    tie or an inexact quotient and binades with room for fewer blocks
+    than that; and so does, whole, a program of at most that many
+    blocks or with more than 256 shapes.
+    """
+    if len(ids) <= ULP_RUN_MIN_BLOCKS or len(energies) > 256:
+        return _fold(0.0, map({key: energies[index] for key, index in
+                               code_of.items()}.__getitem__, ids))
+    codes = bytes(map(code_of.__getitem__, ids))
+    n = len(codes)
+    # A binade with room for fewer blocks than this takes the plain fold
+    # (the mean block energy, summed so that it overflows only when a
+    # block's own energy does).
+    short = ULP_RUN_MIN_BLOCKS * sum(
+        sum(shape) * (codes.count(code) / n)
+        for code, shape in enumerate(energies))
+    mixes = [Counter(shape).items() for shape in energies]
+    binades: Dict[int, Optional[List[int]]] = {}
+    s = 0.0
+    i = 0
+    while i < n:
+        stop = i + ULP_RUN_MIN_BLOCKS
+        if _MIN_NORMAL <= s < math.inf:
+            mantissa, e = math.frexp(s)
+            base = int(math.ldexp(mantissa, 53))  # s in ulps
+            if math.ldexp(float(_ULPS_PER_BINADE - base), e - 53) >= short:
+                if e not in binades:
+                    binades[e] = _shape_ulps(mixes, math.ldexp(1.0, e - 53))
+                ulps = binades[e]
+                if ulps is not None:
+                    i, total = _run(codes, ulps, i, _ULPS_PER_BINADE - base)
+                    s = math.ldexp(float(base + total), e - 53)
+                    stop = i + 1
+        s = _fold(s, map(energies.__getitem__, codes[i:stop]))
+        i = stop
+    return s
+
+
+def _run(codes: bytes, ulps: List[int], start: int, limit: int) -> Tuple[int, int]:
+    """The longest run of blocks from ``start`` whose ulps total stays
+    below ``limit``: its end and that total.
+
+    The run grows in chunks of doubling length while they fit, then
+    in halving ones; each chunk's total counts its blocks per shape.
+    """
+    present = [(code, count) for code, count in enumerate(ulps) if count]
+    n = len(codes)
+    end = start
+    total = 0
+    step = 1
+    growing = True
+    while step and end < n:
+        stop = min(n, end + step)
+        more = sum(count * codes.count(code, end, stop)
+                   for code, count in present)
+        if total + more < limit:
+            total += more
+            end = stop
+        else:
+            growing = False
+        step = step * 2 if growing else step // 2
+    return end, total
+
+
+def _shape_ulps(mixes, ulp: float) -> Optional[List[int]]:
+    """Each shape's energy in ``ulp`` units, as one binade rounds it.
+
+    ``None`` when some energy over ``ulp`` is inexact (an overflow or
+    underflow) or a tie.
+    """
+    rounded: Dict[float, int] = {}
+    for mix in mixes:
+        for energy, _ in mix:
+            if energy not in rounded:
+                quotient = energy / ulp
+                if quotient * ulp != energy:
+                    return None
+                whole = round(quotient)
+                if abs(quotient - whole) == 0.5:
+                    return None
+                rounded[energy] = whole
+    return [sum(rounded[energy] * count for energy, count in mix)
+            for mix in mixes]
 
 
 def _cycles_at(blocks, cycles_of: Dict[type, int], bounds) -> Dict[int, int]:

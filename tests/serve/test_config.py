@@ -4,6 +4,9 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,13 +17,14 @@ from hypothesis import strategies as st
 from repro.backends.model import ModelBackend
 from repro.cli import build_parser, main
 from repro.core.engine import BPNTTEngine
-from repro.errors import ParameterError, SchedulerError
+from repro.errors import BackendError, ParameterError, SchedulerError
 from repro.ntt.params import NTTParams
 from repro.obs import RecordingTracer, format_prometheus, to_jsonl
 from repro.serve import BatchPolicy, PoolConfig, ReplayConfig, format_serve_report
 from repro.serve.workload import bursty_trace, poisson_trace
 
 INF, NAN = float("inf"), float("nan")
+SRC = Path(__file__).resolve().parents[2] / "src"
 TINY = NTTParams(n=16, q=97)
 #: Scenarios on 256-point rings only, so a drawn replay compiles fast.
 CHEAP_SCENARIOS = ("ntt", "kyber", "dilithium")
@@ -112,6 +116,41 @@ class TestValidation:
         float or bool count would surface deep inside a replay."""
         with pytest.raises(ParameterError):
             build()
+
+    @pytest.mark.parametrize("kwargs, error, message", [
+        ({"scheduler": "nope"}, SchedulerError, "unknown scheduler 'nope'"),
+        ({"scheduler": "cluster:nope"}, SchedulerError,
+         "unknown scheduler 'nope'"),
+        ({"scheduler": "cluster:nope", "chips": 2}, SchedulerError,
+         "cluster schedulers do not nest"),
+        ({"router": "nope", "chips": 2}, SchedulerError,
+         "unknown router 'nope'"),
+        ({"backend": "nope"}, BackendError, "unknown backend 'nope'"),
+    ], ids=["scheduler", "cluster-inner", "cluster-nested", "router",
+            "backend"])
+    def test_unknown_names_raise_at_construction(self, kwargs, error, message):
+        """With the error and message a replay of them used to raise."""
+        with pytest.raises(error, match=message):
+            ReplayConfig(**kwargs)
+
+    def test_name_lookups_import_no_factory(self):
+        """Registered names construct without resolving a lazy spec
+        (so without importing numpy either)."""
+        script = (
+            "import sys\n"
+            "from repro.serve import ReplayConfig\n"
+            "before = set(sys.modules)\n"
+            "ReplayConfig(scheduler='adaptive', backend='sram', chips=2,\n"
+            "             router='round-robin')\n"
+            "print(sorted(m for m in set(sys.modules) - before\n"
+            "             if m.startswith(('numpy', 'repro.sched.',\n"
+            "                              'repro.backends.', 'repro.core'))))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_frozen_and_isolated_from_shared_dicts(self):
         options = {"queue_limit": 8}

@@ -197,6 +197,24 @@ class TestCanonical:
                    for i in range(2)]
         assert reduced == [operand, operand] and reduced[0] is not reduced[1]
 
+    def test_materialized_trace_scans_no_payload(self, monkeypatch):
+        """Drawn payloads are canonical by construction and recorded as
+        checked; only each distinct pool operand is scanned, once."""
+        import repro.serve.request as request_module
+        from repro.serve.workload import poisson_trace
+
+        scans = []
+
+        def counting_set(iterable):
+            scans.append(1)
+            return set(iterable)
+
+        monkeypatch.setattr(request_module, "set", counting_set, raising=False)
+        trace = poisson_trace("mixed", 400.0, 0.05, seed=3)
+        operands = {id(r.operand) for r in trace if r.operand is not None}
+        assert len(trace) > len(operands) > 0
+        assert len(scans) == len(operands)
+
     def test_numpy_ints_reduce_exactly_as_before(self, tiny_name):
         np = pytest.importorskip("numpy")
         coeffs = tuple(np.arange(TINY_N, dtype=np.int64))

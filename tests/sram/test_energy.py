@@ -67,3 +67,22 @@ class TestCustomModel:
         tech = TechnologyModel(energy_pj={"logic": 1.0}, cycles={"logic": 2})
         assert tech.instruction_energy_pj("logic") == 1.0
         assert tech.instruction_cycles("logic") == 2
+
+    @pytest.mark.parametrize("energy", [
+        -1.0, float("nan"), float("inf"), 1, True, "0.2", None,
+    ], ids=["negative", "nan", "inf", "int", "bool", "str", "none"])
+    def test_energies_must_be_finite_floats_at_least_zero(self, energy):
+        with pytest.raises(ParameterError, match="energy of 'logic'"):
+            TechnologyModel(energy_pj={"logic": energy})
+
+    @pytest.mark.parametrize("cycles", [
+        -1, 1.0, True, float("nan"), "1", None,
+    ], ids=["negative", "float", "bool", "nan", "str", "none"])
+    def test_cycles_must_be_ints_at_least_zero(self, cycles):
+        with pytest.raises(ParameterError, match="cycles of 'logic'"):
+            TechnologyModel(cycles={"logic": cycles})
+
+    def test_zero_costs_and_every_shipped_table_are_valid(self):
+        TechnologyModel(energy_pj={"logic": 0.0}, cycles={"logic": 0})
+        for nm in (7.0, 22.0, 45.0, 90.0):
+            TECH_45NM.scale_to(nm)

@@ -1,5 +1,7 @@
 """CLI smoke tests (the cheap targets; table1 is covered by benches)."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -390,3 +392,23 @@ class TestStreamingCli:
                   str(tmp_path / "b.json")])
         assert excinfo.value.code == 2
         assert "error" in capsys.readouterr().err
+
+
+#: sha256 of the stdout of the commands that print priced programs (Table
+#: I, Fig 8a/8b, the phase breakdown).  Their numbers come from
+#: ``profile_program``'s cycles and energy bits, so a change that moves
+#: a simulated number changes a digest.
+PRICED_OUTPUT_SHA256 = {
+    "table1": "8b902c725135c9ddd9820e4abea676aec54ecd9401c3500423ea64278253df45",
+    "fig8a": "918b29e53679387601c90533ec62ef1897886566cb30b0e075054b91a185ff14",
+    "fig8b": "eba4c72f493ca494ce4ee71fef089d8094fae9eb981de45bab1732c3cd0bb31b",
+    "breakdown": "70563db5c01389ef41bf320c81f7568ef08b4e5a7a5da2e5866a170b0d9f58be",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PRICED_OUTPUT_SHA256))
+def test_priced_output_is_byte_identical(capsys, command):
+    main([command])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == PRICED_OUTPUT_SHA256[command]
