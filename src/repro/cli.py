@@ -12,60 +12,48 @@ Usage::
     python -m repro.cli breakdown         # butterfly cycle breakdown
     python -m repro.cli serve             # request-level serving simulation
     python -m repro.cli trace t.json      # per-stage latency breakdown
+    python -m repro.cli watch             # windowed telemetry of a replay
     python -m repro.cli backends          # registered execution backends
     python -m repro.cli hedepth           # HE noise per multiplicative level
     python -m repro.cli check             # static analyzers (repro.check)
 
-``serve`` and ``verify`` accept ``--backend <name>`` to pick any
-execution backend registered in :mod:`repro.backends`; ``serve`` also
-accepts ``--scheduler <name>`` (any scheduler registered in
-:mod:`repro.sched`) plus ``--slo-ms`` / ``--queue-limit`` for the
-SLO-aware policies.  ``serve --scenario he-mul`` replays full BFV-lite
-ciphertext-ciphertext products (each call lowered into its tensor and
-relinearization products); ``hedepth`` charts the noise those products
-accumulate per multiplicative level on the paper's three HE parameter
-sets.
+Replays: one frozen :class:`repro.serve.ReplayConfig` describes a
+replay, and its fields are the replay flags.
+:func:`repro.serve.config.add_replay_flags` generates ``--scenario``,
+``--rate``, ``--backend``, ``--scheduler``, ``--chips``, ``--router``
+and the rest from the field table, reading choices from the scenario,
+backend, scheduler and router registries when the parser is built.
+``serve`` takes every replay flag; ``watch`` takes all but the
+``--trace-out``/``--metrics-out`` sinks, with live defaults of its own
+(``mixed-slo`` bursty traffic under ``slo``); ``check trace`` takes
+``--scheduler``, ``--chips`` and ``--seed``.  Each builds its replay
+through :meth:`~repro.serve.ReplayConfig.from_args`.
 
-Cluster serving (:mod:`repro.cluster`): ``serve --chips N`` shards the
-replay across N chips behind one front door — the router
-(``--router``, default ``affinity``: rendezvous-hashed key-material
-pinning) places each request on a chip, that chip's scheduler batches
-it, and the report aggregates per-chip gauges plus a cross-shard
-imbalance metric.  A cluster of one replays byte-identically to the
-single-chip path.  Every ``serve`` knob is one frozen
-:class:`repro.serve.ReplayConfig`; the CLI just builds one from its
-flags.
+``serve --chips N`` shards the replay across N chips behind one front
+door (:mod:`repro.cluster`): the router places each request on a chip,
+whose scheduler batches it; a cluster of one replays byte-identically
+to the single-chip path.  ``serve --scenario he-mul`` replays BFV-lite
+ciphertext products; ``hedepth`` charts the noise they accumulate per
+multiplicative level on the paper's three HE parameter sets.
 
-Observability (:mod:`repro.obs`): ``serve --trace-out t.json`` records
-the full request lifecycle and writes a Chrome-trace JSON (load it in
-Perfetto / ``chrome://tracing``; ``.jsonl`` extension writes raw JSONL
-events instead), ``--metrics-out m.prom`` dumps the replay's metrics
-registry in Prometheus text format, and ``trace <file>`` reads either
-trace format back and prints the per-stage latency breakdown
-(admission / batching / lane-wait / service) for the p50/p95/p99
-requests plus critical-path attribution.
-
-Streaming telemetry: ``serve --slo-policy policy.json`` evaluates
-multi-window burn-rate rules per tenant during the replay and appends
-the fired/resolved alert history to the report (alert events also land
-in ``--trace-out`` files); ``watch`` renders the windowed metric stream
-(rates, depth, occupancy, per-stage p95, attainment, active alerts) as
-a refreshing terminal table from a live replay or ``--from-jsonl``
-recording; ``bench compare baseline/ fresh/`` diffs ``BENCH_*.json``
-artifacts with a relative tolerance and exits non-zero on regression
-(the CI trend gate).
+Observability (:mod:`repro.obs`): ``serve --trace-out t.json`` writes
+the request lifecycle as a Chrome trace (``.jsonl``: raw events),
+``--metrics-out m.prom`` the metrics registry in Prometheus text, and
+``--slo-policy policy.json`` adds per-tenant burn-rate alerts to the
+report.  ``trace <file>`` prints the per-stage latency breakdown of a
+recorded trace; ``watch`` renders the windowed metric stream of a live
+replay or a ``--from-jsonl`` recording as a refreshing table; ``bench
+compare baseline/ fresh/`` diffs ``BENCH_*.json`` artifacts and exits
+non-zero on regression (the CI trend gate).
 
 Static checks (:mod:`repro.check`): ``check program`` verifies compiled
-instruction streams (dataflow, geometry, carry-chain widths, cost
-tables), ``check he`` bounds multiply-chain noise against the decrypt
-guarantee, ``check trace`` runs the scheduler-conformance rules over a
-recorded JSONL trace or a live ``--scenario`` replay (``--chips N``
-adds the cluster routing rules), ``check registry`` detects
-backend/scheduler/scenario/router registry drift, and ``check all``
-runs everything plus any user-registered rules.  ``--json`` emits
+instruction streams, ``check he`` bounds multiply-chain noise, ``check
+trace`` runs the scheduler-conformance rules over a recorded JSONL
+trace or a live ``--scenario`` replay (``--chips N`` adds the cluster
+routing rules), ``check registry`` detects registry drift, and ``check
+all`` runs everything plus any user-registered rules.  ``--json`` emits
 machine-readable findings; the exit code is 1 when any error-severity
-diagnostic fires (the CI gate relies on this) and ``--catalog`` lists
-every rule id.
+diagnostic fires and ``--catalog`` lists every rule id.
 
 All output goes to stdout; the heavy targets (table1, serve with HE
 traffic) run the cycle-level simulator or compile large programs and
@@ -177,32 +165,39 @@ def _cmd_breakdown(_: argparse.Namespace) -> None:
     print(f"latch fusion saves         : {saved:.1%}")
 
 
+def _replay(args: argparse.Namespace, tracer):
+    """The config ``args`` describe and its replay's report under
+    ``tracer``; exits 1 on an empty trace."""
+    from repro.serve import ReplayConfig
+
+    config = ReplayConfig.from_args(args)
+    trace = config.build_trace()
+    if not trace:
+        print("trace is empty; raise --rate or --duration")
+        sys.exit(1)
+    return config, config.build_simulator().replay(trace, tracer=tracer)
+
+
 def _cmd_serve(args: argparse.Namespace) -> None:
     from repro.errors import ReproError
-    from repro.serve import ReplayConfig, format_serve_report
+    from repro.serve import format_serve_report
 
     try:
-        config = ReplayConfig.from_args(args)
-        trace = config.build_trace()
-        if not trace:
-            print("trace is empty; raise --rate or --duration")
-            sys.exit(1)
-        simulator = config.build_simulator()
         tracer = None
-        if config.trace_out is not None:
+        if args.trace_out is not None:
             from repro.obs import RecordingTracer
 
             tracer = RecordingTracer()
         replay_tracer = tracer
-        if config.slo_policy is not None:
+        if args.slo_policy is not None:
             from repro.obs import SLOPolicy, SLOTracer
 
-            policy_spec = SLOPolicy.from_file(config.slo_policy)
             # Wrap whatever tracer is active: the SLO monitor feeds the
             # recording (alert events land in --trace-out files) and
             # surfaces its Alert history into the report.
-            replay_tracer = SLOTracer(policy_spec, inner=tracer)
-        report = simulator.replay(trace, tracer=replay_tracer)
+            replay_tracer = SLOTracer(SLOPolicy.from_file(args.slo_policy),
+                                      inner=tracer)
+        config, report = _replay(args, replay_tracer)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         sys.exit(2)
@@ -238,7 +233,7 @@ def _cmd_trace(args: argparse.Namespace) -> None:
 
 
 def _cmd_watch(args: argparse.Namespace) -> None:
-    from repro.errors import ReproError
+    from repro.errors import ReproError, require_count
     from repro.obs import WindowedAggregator, WindowSpec, format_alerts
     from repro.obs.stream import format_frame_row, format_watch_header
 
@@ -263,9 +258,10 @@ def _cmd_watch(args: argparse.Namespace) -> None:
             print(rows[-1], flush=True)
 
     try:
-        if args.window_ms <= 0:
+        if not 0 < args.window_ms < float("inf"):  # also nan
             raise ReproError(
-                f"--window-ms must be > 0, got {args.window_ms:g}")
+                f"--window-ms must be finite and > 0, got {args.window_ms:g}")
+        require_count("--rows", args.rows)
         aggregator = WindowedAggregator(
             (WindowSpec(args.window_ms * 1e-3),), on_frame=on_frame)
         tracer = aggregator
@@ -284,15 +280,7 @@ def _cmd_watch(args: argparse.Namespace) -> None:
                 tracer.emit(event)
             tracer.finish()
         else:
-            from repro.serve import ReplayConfig
-
-            config = ReplayConfig.from_args(args)
-            trace = config.build_trace()
-            if not trace:
-                print("trace is empty; raise --rate or --duration")
-                sys.exit(1)
-            simulator = config.build_simulator()
-            simulator.replay(trace, tracer=tracer)  # replay calls finish()
+            _replay(args, tracer)  # replay calls finish()
     except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         sys.exit(2)
@@ -396,13 +384,14 @@ def _check_program_suite(sets) -> List:
     return diagnostics
 
 
-def _check_scenario_trace(scenario: str, scheduler: Optional[str],
-                          seed: int, chips: int = 1) -> List:
+def _check_scenario_trace(scenario: str, args: argparse.Namespace) -> List:
     """Replay a workload scenario live under the conformance rules.
 
-    ``chips > 1`` replays the scenario through the cluster scheduler
-    and layers :func:`repro.check.check_cluster_trace` (chip
-    namespacing, dead-chip routing, per-chip SCHED rules) on top of the
+    ``args`` carries the replay flags ``check`` takes (``--scheduler``,
+    ``--chips``, ``--seed``).  ``chips > 1`` replays the scenario
+    through the cluster scheduler and layers
+    :func:`repro.check.check_cluster_trace` (chip namespacing,
+    dead-chip routing, per-chip SCHED rules) on top of the
     whole-stream conformance check.
     """
     import dataclasses
@@ -413,24 +402,24 @@ def _check_scenario_trace(scenario: str, scheduler: Optional[str],
     # SLO scenarios get the slo scheduler and bursty arrivals (the
     # traffic they were designed for); everything else replays fifo.
     slo_flavored = "slo" in scenario
-    scheduler = scheduler or ("slo" if slo_flavored else "fifo")
+    scheduler = args.scheduler or ("slo" if slo_flavored else "fifo")
     # Lane-sharing semantics follow the *inner* scheduler even behind
     # the cluster namespace: fifo numbers lanes per parameter set.
     inner = scheduler.partition(":")[2] or scheduler
     shared_lanes = inner != "fifo"
-    config = ReplayConfig(
-        scenario=scenario, arrivals="bursty" if slo_flavored else "poisson",
-        rate=400.0, duration=0.05, seed=seed, chips=chips,
+    config = ReplayConfig.from_args(dict(
+        vars(args), scenario=scenario, rate=400.0, duration=0.05,
+        arrivals="bursty" if slo_flavored else "poisson",
         # The cluster front door adds the cluster: namespace itself.
-        scheduler=inner if chips > 1 else scheduler,
+        scheduler=inner if args.chips > 1 else scheduler,
         queue_limit=64 if inner == "slo" else None,
-    )
+    ))
     tracer = CheckingTracer(shared_lanes=shared_lanes)
     config.build_simulator().replay(config.build_trace(), tracer=tracer)
     findings = tracer.finish()
-    if chips > 1:
+    if config.chips > 1:
         findings += check_cluster_trace(
-            tracer.events, chips=chips, shared_lanes=shared_lanes)
+            tracer.events, chips=config.chips, shared_lanes=shared_lanes)
     return [
         dataclasses.replace(d, location=f"{scenario}: {d.location}")
         for d in findings
@@ -500,8 +489,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
             for path in args.paths:
                 diagnostics.extend(_check_trace_file(path))
             for scenario in scenarios:
-                diagnostics.extend(_check_scenario_trace(
-                    scenario, args.scheduler, args.seed, args.chips))
+                diagnostics.extend(_check_scenario_trace(scenario, args))
         if run_all or args.mode == "registry":
             diagnostics.extend(checklib.check_registries())
         if run_all:
@@ -553,14 +541,11 @@ _COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     from repro.backends import available_backends
-    from repro.cluster import available_routers
-    from repro.sched import available_schedulers
     from repro.serve import available_scenarios
+    from repro.serve.config import add_replay_flags
 
     backend_names = available_backends()
-    scheduler_names = available_schedulers()
     scenario_names = available_scenarios()
-    router_names = available_routers()
     parser = argparse.ArgumentParser(
         prog="repro.cli",
         description="Regenerate BP-NTT paper artifacts from the reproduction.",
@@ -571,72 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd = sub.add_parser(
                 name, help="simulate request-level serving over pooled engines"
             )
-            cmd.add_argument("--scenario", choices=scenario_names,
-                             default="mixed",
-                             help="traffic mix, one of: "
-                                  f"{', '.join(scenario_names)} "
-                                  "(default mixed; any scenario registered "
-                                  "in repro.serve.workload appears here)")
-            cmd.add_argument("--rate", type=float, default=200.0,
-                             help="mean client calls per second (default 200)")
-            cmd.add_argument("--duration", type=float, default=1.0,
-                             help="trace length in seconds (default 1.0)")
-            cmd.add_argument("--pool-size", type=int, default=2,
-                             help="engines per parameter set (default 2)")
-            cmd.add_argument("--subarrays", type=int, default=1,
-                             help="data subarrays ganged per engine (default 1)")
-            cmd.add_argument("--max-wait-ms", type=float, default=2.0,
-                             help="batch coalescing window in ms (default 2)")
-            cmd.add_argument("--max-batch", type=int, default=None,
-                             help="cap requests per batch (default: capacity)")
-            cmd.add_argument("--arrivals", choices=("poisson", "bursty"),
-                             default="poisson", help="arrival process")
-            cmd.add_argument("--backend", choices=backend_names,
-                             default="model",
-                             help="execution backend, one of: "
-                                  f"{', '.join(backend_names)} "
-                                  "(default model; `repro.cli backends` "
-                                  "describes each)")
-            cmd.add_argument("--scheduler", choices=scheduler_names,
-                             default="fifo",
-                             help="serving scheduler, one of: "
-                                  f"{', '.join(scheduler_names)} "
-                                  "(default fifo; any name registered in "
-                                  "repro.sched appears here)")
-            cmd.add_argument("--slo-ms", type=float, default=None,
-                             help="uniform latency budget (ms) for requests "
-                                  "without a scenario-declared deadline")
-            cmd.add_argument("--queue-limit", type=int, default=None,
-                             help="slo scheduler: max waiting requests "
-                                  "before admission drops (scheduler "
-                                  "default 64); rejected by schedulers "
-                                  "that never drop")
-            cmd.add_argument("--chips", type=int, default=1,
-                             help="shard the replay across this many chips "
-                                  "behind one front door (default 1; the "
-                                  "scheduler runs per chip, the router "
-                                  "places requests)")
-            cmd.add_argument("--router", choices=router_names,
-                             default="affinity",
-                             help="cluster placement policy, one of: "
-                                  f"{', '.join(router_names)} "
-                                  "(default affinity: rendezvous-hashed "
-                                  "key-material pinning; only used with "
-                                  "--chips > 1)")
-            cmd.add_argument("--trace-out", default=None, metavar="PATH",
-                             help="record the request lifecycle and write a "
-                                  "Chrome-trace JSON here (Perfetto-loadable; "
-                                  "a .jsonl extension writes raw JSONL "
-                                  "events instead)")
-            cmd.add_argument("--metrics-out", default=None, metavar="PATH",
-                             help="write the replay's metrics registry here "
-                                  "in Prometheus text format")
-            cmd.add_argument("--slo-policy", default=None, metavar="PATH",
-                             help="JSON SLO policy (objective, burn-rate "
-                                  "rules); evaluates multi-window burn "
-                                  "rates per tenant during the replay and "
-                                  "adds the alert history to the report")
-            cmd.add_argument("--seed", type=int, default=2023)
+            add_replay_flags(cmd)
             continue
         if name == "watch":
             cmd = sub.add_parser(
@@ -649,33 +569,15 @@ def build_parser() -> argparse.ArgumentParser:
                                   "instead of replaying live")
             cmd.add_argument("--window-ms", type=float, default=2.0,
                              help="window width in ms (default 2)")
-            cmd.add_argument("--slo-policy", default=None, metavar="PATH",
-                             help="JSON SLO policy; adds live burn-rate "
-                                  "alerts to the view")
             cmd.add_argument("--rows", type=int, default=20,
                              help="visible rows in refresh mode (default 20)")
             cmd.add_argument("--no-refresh", action="store_true",
                              help="append one line per window even on a "
                                   "tty (the pipe/CI default)")
-            cmd.add_argument("--scenario", choices=scenario_names,
-                             default="mixed-slo",
-                             help="live mode traffic mix (default mixed-slo)")
-            cmd.add_argument("--rate", type=float, default=4000.0,
-                             help="live mode calls per second (default 4000)")
-            cmd.add_argument("--duration", type=float, default=0.05,
-                             help="live mode trace length in s (default 0.05)")
-            cmd.add_argument("--arrivals", choices=("poisson", "bursty"),
-                             default="bursty", help="live arrival process")
-            cmd.add_argument("--scheduler", choices=scheduler_names,
-                             default="slo",
-                             help="live mode scheduler (default slo)")
-            cmd.add_argument("--queue-limit", type=int, default=None,
-                             help="slo scheduler queue bound")
-            cmd.add_argument("--pool-size", type=int, default=2,
-                             help="engines per parameter set (default 2)")
-            cmd.add_argument("--max-wait-ms", type=float, default=2.0,
-                             help="batch coalescing window in ms (default 2)")
-            cmd.add_argument("--seed", type=int, default=2023)
+            add_replay_flags(cmd, exclude=("trace_out", "metrics_out"))
+            cmd.set_defaults(scenario="mixed-slo", rate=4000.0,
+                             duration=0.05, arrivals="bursty",
+                             scheduler="slo")
             continue
         if name == "bench":
             cmd = sub.add_parser(
@@ -743,21 +645,16 @@ def build_parser() -> argparse.ArgumentParser:
                              choices=scenario_names, default=None,
                              help="trace mode: replay this workload scenario "
                                   "live under a CheckingTracer (repeatable; "
-                                  "`check all` replays kyber and mixed-slo)")
-            cmd.add_argument("--scheduler", choices=scheduler_names,
-                             default=None,
-                             help="trace mode: scheduler for --scenario "
-                                  "replays (default: slo for *slo "
-                                  "scenarios, else fifo)")
-            cmd.add_argument("--chips", type=int, default=1,
-                             help="trace mode: replay --scenario traffic "
-                                  "across this many chips and add the "
-                                  "CLUSTER routing rules (default 1)")
+                                  "`check all` replays kyber and mixed-slo); "
+                                  "without --scheduler, *slo* scenarios "
+                                  "replay under slo, others under fifo, and "
+                                  "--chips > 1 adds the CLUSTER rules")
             cmd.add_argument("--json", action="store_true",
                              help="emit findings as JSON instead of text")
             cmd.add_argument("--catalog", action="store_true",
                              help="print the rule catalog and exit")
-            cmd.add_argument("--seed", type=int, default=2023)
+            add_replay_flags(cmd, ("scheduler", "chips", "seed"))
+            cmd.set_defaults(scheduler=None)  # chosen per --scenario
             continue
         if name == "hedepth":
             cmd = sub.add_parser(

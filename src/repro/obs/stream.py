@@ -194,10 +194,11 @@ class WindowSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.width_s <= 0:
-            raise ParameterError(f"window width must be > 0, got {self.width_s}")
+        if not (math.isfinite(self.width_s) and self.width_s > 0):
+            raise ParameterError(
+                f"window width must be finite and > 0, got {self.width_s}")
         stride = self.stride_s if self.stride_s is not None else self.width_s
-        if stride <= 0 or stride > self.width_s:
+        if not 0 < stride <= self.width_s:  # also nan, and inf > width
             raise ParameterError(
                 f"stride must be in (0, width={self.width_s:g}], got {stride}"
             )

@@ -227,6 +227,12 @@ def get_scenario(name: str) -> Scenario:
     return scenario
 
 
+def require_scenario(name: str) -> None:
+    """Raise :func:`get_scenario`'s error unless ``name`` is registered;
+    builds nothing."""
+    _REGISTRY.require(name)
+
+
 def available_scenarios() -> Tuple[str, ...]:
     """Registered scenario names, sorted (the CLI's ``--scenario`` choices)."""
     return _REGISTRY.available()
@@ -318,11 +324,13 @@ def _materialize(scenario: Scenario, arrivals: List[float],
 
 
 def check_rate_duration(rate: float, duration_s: float) -> None:
-    """Both must be finite and positive: an infinite rate or duration
-    never ends the arrival loop, and ``nan`` ends it before it starts."""
-    if not (math.isfinite(rate) and rate > 0):
+    """Both must be finite and positive numbers: an infinite rate or
+    duration never ends the arrival loop, ``nan`` ends it before it
+    starts, and a ``bool`` is not a number."""
+    if isinstance(rate, bool) or not (math.isfinite(rate) and rate > 0):
         raise ParameterError(f"rate must be finite and positive, got {rate}")
-    if not (math.isfinite(duration_s) and duration_s > 0):
+    if isinstance(duration_s, bool) or not (
+            math.isfinite(duration_s) and duration_s > 0):
         raise ParameterError(
             f"duration must be finite and positive, got {duration_s}")
 
@@ -331,7 +339,7 @@ def poisson_trace(scenario_name: str, rate: float, duration_s: float, *,
                   seed: int = 2023) -> List[Request]:
     """Poisson arrivals at ``rate`` calls/s for ``duration_s`` seconds."""
     check_rate_duration(rate, duration_s)
-    scenario = _get_scenario(scenario_name)
+    scenario = get_scenario(scenario_name)
     rng = random.Random(seed)
     arrivals: List[float] = []
     t = rng.expovariate(rate)
@@ -357,7 +365,7 @@ def bursty_trace(scenario_name: str, rate: float, duration_s: float, *,
         raise ParameterError(
             f"burst must be in [1, 1/duty={1 / duty:.2f}], got {burst}"
         )
-    scenario = _get_scenario(scenario_name)
+    scenario = get_scenario(scenario_name)
     rng = random.Random(seed)
     off_rate = rate * (1 - burst * duty) / (1 - duty)
     peak = burst * rate
@@ -371,14 +379,3 @@ def bursty_trace(scenario_name: str, rate: float, duration_s: float, *,
             arrivals.append(t)
         t += rng.expovariate(peak)
     return _materialize(scenario, arrivals, rng)
-
-
-def _get_scenario(name: str) -> Scenario:
-    try:
-        return get_scenario(name)
-    except ParameterError as error:
-        if "unknown scenario" not in str(error):
-            raise
-        known = ", ".join(available_scenarios())
-        raise ParameterError(
-            f"unknown scenario {name!r}; known: {known}") from None

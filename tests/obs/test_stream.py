@@ -41,6 +41,8 @@ class TestWindowSpec:
         (0.01, 0.0), (0.01, -0.005),      # bad stride
         (0.01, 0.02),                     # stride wider than window
         (0.01, 0.003),                    # width not a stride multiple
+        (math.nan, None), (math.inf, None),         # non-finite width
+        (0.01, math.nan), (math.inf, math.inf),     # non-finite stride
     ])
     def test_bad_geometry_rejected(self, width, stride):
         with pytest.raises(ParameterError):

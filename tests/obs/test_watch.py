@@ -125,6 +125,32 @@ class TestWatchCli:
         assert exc.value.code == 2
         assert "--window-ms" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--window-ms", "nan"), ("--window-ms", "inf"),
+        ("--rows", "0"), ("--rows", "-3"),
+    ])
+    def test_bad_view_flag_exits_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["watch", flag, value, "--duration", "0.001"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_live_view_matches_the_recorded_one(self, capsys, tmp_path):
+        """``watch`` live prints what ``serve --trace-out`` and then
+        ``watch --from-jsonl`` print for the same replay flags."""
+        replay = ["--scenario", "mixed-slo", "--arrivals", "bursty",
+                  "--scheduler", "slo", "--rate", "3000", "--duration",
+                  "0.02", "--seed", "5", "--chips", "2",
+                  "--router", "round-robin"]
+        main(["watch", "--no-refresh", *replay])
+        live = capsys.readouterr().out
+        trace = tmp_path / "t.jsonl"
+        main(["serve", *replay, "--trace-out", str(trace)])
+        capsys.readouterr()
+        main(["watch", "--no-refresh", "--from-jsonl", str(trace)])
+        assert capsys.readouterr().out == live
+        assert "completed window(s) of 2 ms" in live
+
     def test_bad_policy_exits_2(self, capsys, tmp_path, overload_jsonl):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
