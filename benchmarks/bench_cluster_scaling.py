@@ -28,16 +28,19 @@ Acceptance bars, asserted in the pytest entry and in full script runs:
 - cross-shard busy-time imbalance (max/mean) <= 1.5 at 16 chips;
 - zero drops at every scale (routing never loses a request).
 
-Run as a script for the full ~10^6-request sweep (several minutes), or
+Run as a script for the full ~10^6-request sweep (about a minute), or
 ``--quick`` for the CI-sized ~3x10^4-request sweep with the same
 assertions; the pytest entry runs quick-sized so the tier-1 suite stays
 fast.  Both write ``BENCH_cluster.json`` (deterministic simulated
-metrics only — safe for the bench compare gate).
+metrics only — safe for the bench compare gate); the script run also
+prints its own wall time and peak RSS.
 """
 
 import argparse
+import resource
 import time
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 from _bench_json import write_bench_json
 from repro.cluster import cluster_imbalance
@@ -90,8 +93,25 @@ def build_trace(chips: int, count: int) -> List[Request]:
     return trace
 
 
-def run_scaling(base_count: int) -> Dict[int, Tuple[object, float, float]]:
-    """Replay the sweep; returns chips -> (report, imbalance, host_s)."""
+@dataclass(frozen=True)
+class ChipResult:
+    """What the sweep prints and asserts for one chip count.
+
+    Only these numbers outlive a chip count's replay, so the report, its
+    responses and the trace are freed before the next, larger one runs.
+    """
+
+    count: int
+    offered: int
+    drops: int
+    throughput_rps: float
+    utilization: float
+    imbalance: float
+    host_s: float
+
+
+def run_scaling(base_count: int) -> Dict[int, ChipResult]:
+    """Replay the sweep; returns chips -> its :class:`ChipResult`."""
     STANDARD_PARAMS[RING_NAME] = NTTParams(n=RING_N, q=RING_Q,
                                            name="bench cluster ring")
     try:
@@ -114,21 +134,27 @@ def run_scaling(base_count: int) -> Dict[int, Tuple[object, float, float]]:
             start = time.perf_counter()
             report = simulator.replay(trace)
             host_s = time.perf_counter() - start
-            results[chips] = (report, cluster_imbalance(report, chips),
-                              host_s)
+            del trace
+            results[chips] = ChipResult(
+                count=report.count, offered=report.offered,
+                drops=len(report.drops),
+                throughput_rps=report.throughput_rps,
+                utilization=report.utilization,
+                imbalance=cluster_imbalance(report, chips), host_s=host_s)
+            del report
         return results
     finally:
         STANDARD_PARAMS.pop(RING_NAME, None)
 
 
-def efficiencies(results) -> Dict[int, float]:
+def efficiencies(results: Dict[int, ChipResult]) -> Dict[int, float]:
     """Weak-scaling efficiency per chip count (1.0 = perfectly linear)."""
-    base = results[1][0].throughput_rps
-    return {chips: report.throughput_rps / (chips * base)
-            for chips, (report, _, _) in results.items()}
+    base = results[1].throughput_rps
+    return {chips: result.throughput_rps / (chips * base)
+            for chips, result in results.items()}
 
 
-def format_table(results, base_count: int) -> str:
+def format_table(results: Dict[int, ChipResult], base_count: int) -> str:
     header = (
         f"{'Chips':>5} {'Requests':>9} {'Thr(req/s)':>12} {'Effic':>6} "
         f"{'Util':>6} {'Imbal':>6} {'Drops':>5} {'Host(s)':>8}"
@@ -142,42 +168,43 @@ def format_table(results, base_count: int) -> str:
         "-" * len(header),
     ]
     eff = efficiencies(results)
-    for chips, (report, imbalance, host_s) in results.items():
+    for chips, result in results.items():
         lines.append(
-            f"{chips:>5} {report.count:>9,} {report.throughput_rps:>12,.0f} "
-            f"{eff[chips]:>6.2f} {report.utilization:>6.1%} "
-            f"{imbalance:>6.2f} {len(report.drops):>5} {host_s:>8.2f}"
+            f"{chips:>5} {result.count:>9,} {result.throughput_rps:>12,.0f} "
+            f"{eff[chips]:>6.2f} {result.utilization:>6.1%} "
+            f"{result.imbalance:>6.2f} {result.drops:>5} "
+            f"{result.host_s:>8.2f}"
         )
     return "\n".join(lines)
 
 
-def bench_metrics(results) -> Dict[str, float]:
+def bench_metrics(results: Dict[int, ChipResult]) -> Dict[str, float]:
     """Flat BENCH_cluster.json metrics — simulated numbers only, so the
     artifact is deterministic and safe for the regression gate."""
     eff = efficiencies(results)
     metrics = {}
-    for chips, (report, imbalance, _) in results.items():
-        metrics[f"throughput_rps_{chips}chip"] = report.throughput_rps
-        metrics[f"imbalance_{chips}chip"] = imbalance
+    for chips, result in results.items():
+        metrics[f"throughput_rps_{chips}chip"] = result.throughput_rps
+        metrics[f"imbalance_{chips}chip"] = result.imbalance
     metrics["efficiency_4chip"] = eff[4]
     metrics["efficiency_16chip"] = eff[16]
     return metrics
 
 
-def assert_scaling_holds(results) -> None:
+def assert_scaling_holds(results: Dict[int, ChipResult]) -> None:
     """The acceptance bars the PR claims."""
     eff = efficiencies(results)
-    for chips, (report, imbalance, _) in results.items():
-        assert not report.drops, (
-            f"{chips} chips: routing dropped {len(report.drops)} requests"
+    for chips, result in results.items():
+        assert not result.drops, (
+            f"{chips} chips: routing dropped {result.drops} requests"
         )
-        assert report.count == report.offered
+        assert result.count == result.offered
     for chips in (4, 16):
         assert eff[chips] >= MIN_EFFICIENCY, (
             f"{chips} chips reach only {eff[chips]:.2f}x linear "
             f"(bar: {MIN_EFFICIENCY})"
         )
-    imbalance_16 = results[16][1]
+    imbalance_16 = results[16].imbalance
     assert imbalance_16 <= MAX_IMBALANCE, (
         f"16-chip busy-time imbalance {imbalance_16:.2f} exceeds "
         f"{MAX_IMBALANCE}"
@@ -204,6 +231,7 @@ def main() -> None:
                         help="CI smoke: ~3e4 requests instead of ~1e6 "
                              "(same assertions)")
     args = parser.parse_args()
+    start = time.perf_counter()
     base = QUICK_BASE_COUNT if args.quick else BASE_COUNT
     results = run_scaling(base)
     print(format_table(results, base))
@@ -214,8 +242,12 @@ def main() -> None:
     assert_scaling_holds(results)
     eff = efficiencies(results)
     print(f"\n16 chips deliver {eff[16]:.2f}x linear throughput "
-          f"(bar {MIN_EFFICIENCY}); imbalance {results[16][1]:.2f} "
+          f"(bar {MIN_EFFICIENCY}); imbalance {results[16].imbalance:.2f} "
           f"(bar {MAX_IMBALANCE})")
+    # ru_maxrss is in KiB on Linux.
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"sweep wall time {time.perf_counter() - start:.1f} s, "
+          f"peak RSS {peak_mb:,.0f} MB")
 
 
 if __name__ == "__main__":

@@ -232,6 +232,24 @@ def _cmd_trace(args: argparse.Namespace) -> None:
         sys.exit(2)
 
 
+#: ``watch``'s live replay defaults, where they differ from ``serve``'s.
+_WATCH_DEFAULTS = {"scenario": "mixed-slo", "rate": 4000.0, "duration": 0.05,
+                   "arrivals": "bursty", "scheduler": "slo"}
+
+
+def _moved_replay_flags(args: argparse.Namespace) -> List[str]:
+    """The replay flags ``watch`` was given away from their defaults.
+
+    ``--slo-policy`` is not among them: it shapes a recorded view too.
+    """
+    from repro.serve.config import FLAG_FIELDS
+
+    return ["--" + f.name.replace("_", "-") for f in FLAG_FIELDS
+            if f.name not in ("trace_out", "metrics_out", "slo_policy")
+            and getattr(args, f.name) != _WATCH_DEFAULTS.get(f.name,
+                                                             f.default)]
+
+
 def _cmd_watch(args: argparse.Namespace) -> None:
     from repro.errors import ReproError, require_count
     from repro.obs import WindowedAggregator, WindowSpec, format_alerts
@@ -262,6 +280,11 @@ def _cmd_watch(args: argparse.Namespace) -> None:
             raise ReproError(
                 f"--window-ms must be finite and > 0, got {args.window_ms:g}")
         require_count("--rows", args.rows)
+        moved = [] if args.from_jsonl is None else _moved_replay_flags(args)
+        if moved:
+            raise ReproError(
+                f"--from-jsonl streams a recorded trace, so the replay "
+                f"flag(s) {', '.join(moved)} would be ignored")
         aggregator = WindowedAggregator(
             (WindowSpec(args.window_ms * 1e-3),), on_frame=on_frame)
         tracer = aggregator
@@ -575,9 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="append one line per window even on a "
                                   "tty (the pipe/CI default)")
             add_replay_flags(cmd, exclude=("trace_out", "metrics_out"))
-            cmd.set_defaults(scenario="mixed-slo", rate=4000.0,
-                             duration=0.05, arrivals="bursty",
-                             scheduler="slo")
+            cmd.set_defaults(**_WATCH_DEFAULTS)
             continue
         if name == "bench":
             cmd = sub.add_parser(

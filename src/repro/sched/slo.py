@@ -29,10 +29,22 @@ result instead of an unbounded queue:
 Lanes are the global shared pool of :class:`~repro.sched.base.
 GlobalLanePool`: idle capacity from any parameter set serves any
 tenant's burst.
+
+Wake-ups visit no open batch.  The max-wait half of the dispatch
+deadline is the batcher's deadline index; the SLO half is a lazy
+min-heap of ``tightest deadline - service`` per batch, pushed whenever a
+queued request carries its batch's tightest deadline (the batch keeps
+that running minimum, as it keeps its oldest arrival).  Both are exact:
+float rounding of ``x - s`` never decreases as ``x`` grows, so
+``min(d - s)`` over a batch's requests is ``min(d) - s`` bit for bit,
+and the minimum over batches of ``min(a, b)`` is the smaller of the two
+indexes' tops.
 """
 
 from __future__ import annotations
 
+import itertools
+from heapq import heappop, heappush
 from typing import Dict, List, Mapping, Optional
 
 from repro.errors import SchedulerError
@@ -77,6 +89,11 @@ class SLOScheduler(BatchingScheduler):
         self.quantum = quantum
         self._deficit: Dict[str, float] = {}
         self._last_tenant: Optional[str] = None
+        # Lazy min-heap of (tightest deadline - service, seq, group,
+        # batch); an entry is live while its batch is the group's open
+        # batch (module docs).
+        self._slo_index: List[tuple] = []
+        self._slo_seq = itertools.count()
 
     # -- weighted shares ---------------------------------------------------
 
@@ -113,37 +130,57 @@ class SLOScheduler(BatchingScheduler):
 
     def enqueue(self, request: Request, now_s: float) -> List[PolyBatch]:
         self._lanes.ensure(request.params_name)
-        return self._add(request, now_s)
+        ready = self._add(request, now_s)
+        # Price the key as soon as a batch of it is queued: the pool
+        # emits a key's one profile event when it first prices it, and
+        # that event keeps its place in the stream.
+        service = self._service_s(request.batch_key)
+        deadline = request.deadline_s
+        if deadline is not None and not ready:
+            group = self._batcher.group_of(request)
+            batch = self._batcher.open_batch(group)
+            if batch.tightest_deadline_s == deadline:
+                heappush(self._slo_index, (deadline - service,
+                                           next(self._slo_seq), group, batch))
+        return ready
 
     def waiting(self) -> int:
         return len(self._batcher)
 
     # -- dispatch ----------------------------------------------------------
 
-    def _dispatch_deadline_s(self, batch: PolyBatch) -> float:
-        """Latest instant the batch may wait and still meet every SLO."""
-        deadline = batch.oldest_arrival_s + self.policy.max_wait_s
-        service = self._service_s(batch.key)
-        for request in batch.requests:
-            if request.deadline_s is not None:
-                deadline = min(deadline, request.deadline_s - service)
-        return deadline
+    def _slo_top(self) -> Optional[tuple]:
+        """The live SLO-index entry with the earliest start-by time."""
+        index = self._slo_index
+        while index:
+            _, _, group, batch = entry = index[0]
+            if self._batcher.open_batch(group) is batch:
+                return entry
+            heappop(index)
+        return None
 
     def next_event_s(self) -> float:
-        deadlines = [
-            self._dispatch_deadline_s(batch)
-            for _, batch in self._batcher.open_items()
-        ]
-        return min(deadlines, default=float("inf"))
+        """Earliest dispatch deadline: the min over open batches of
+        ``min(oldest + max_wait_s, tightest - service)``, from the two
+        indexes (module docs)."""
+        entry = self._slo_top()
+        slo_s = float("inf") if entry is None else entry[0]
+        return min(self._batcher.next_deadline_s(), slo_s)
 
     def poll(self, now_s: float) -> List[PolyBatch]:
-        expired = [
-            group for group, batch in self._batcher.open_items()
-            if self._dispatch_deadline_s(batch) <= now_s
-        ]
-        return self._drr_order([self._batcher.pop(group) for group in expired])
+        expired = self._batcher.take_expired(now_s)
+        while True:
+            entry = self._slo_top()
+            if entry is None or entry[0] > now_s:
+                break
+            heappop(self._slo_index)
+            expired.append(self._batcher.pop(entry[2]))
+        # DRR orders by tenant, then (oldest arrival, batch id): the
+        # order the batches expired in does not matter.
+        return self._drr_order(expired)
 
     def flush(self, now_s: float) -> List[PolyBatch]:
+        self._slo_index.clear()
         return self._drr_order(self._batcher.drain())
 
     def _drr_order(self, batches: List[PolyBatch]) -> List[PolyBatch]:

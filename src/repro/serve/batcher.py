@@ -14,12 +14,26 @@ the paper's convention for under-full subarrays (the engine's
 with zero polynomials); the padding count is carried on the batch so
 per-request energy accounting can charge the waste to the live
 requests.
+
+The batcher finds its next deadline without visiting the open batches:
+it keeps a lazy min-heap of ``(oldest arrival, batch id, group,
+batch)`` entries.  A batch gets an entry when it opens and a new one
+whenever an added request lowers its oldest arrival (a failed chip
+re-enqueueing older requests into a newer batch).  An entry is live
+while its batch is still the group's open batch and the batch's oldest
+arrival still equals the key; stale entries are dropped when they reach
+the top.  The result is exact, not approximate: float rounding of
+``x + c`` never decreases as ``x`` grows, so ``min(o + c)`` over the
+batches equals ``min(o) + c`` bit for bit, and the batches whose
+``o + c`` has passed are a prefix of the heap order.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import CapacityError, ParameterError
@@ -63,12 +77,17 @@ class PolyBatch:
     capacity: int
     batch_id: int = field(default_factory=lambda: next(_batch_ids))
     requests: List[Request] = field(default_factory=list)
-    # Running min of the members' arrivals, so deadlines are O(1) reads.
+    # Running mins of the members' arrivals and deadlines, so a batch's
+    # deadlines are O(1) reads.
     _oldest_s: float = field(init=False, repr=False, compare=False)
+    _tightest_s: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._oldest_s = min((r.arrival_s for r in self.requests),
                              default=float("inf"))
+        self._tightest_s = min((r.deadline_s for r in self.requests
+                                if r.deadline_s is not None),
+                               default=float("inf"))
 
     def add(self, request: Request) -> None:
         """Append a compatible request; reject mismatches loudly."""
@@ -85,6 +104,9 @@ class PolyBatch:
         self.requests.append(request)
         if request.arrival_s < self._oldest_s:
             self._oldest_s = request.arrival_s
+        deadline = request.deadline_s
+        if deadline is not None and deadline < self._tightest_s:
+            self._tightest_s = deadline
 
     @property
     def size(self) -> int:
@@ -104,6 +126,11 @@ class PolyBatch:
         if not self.requests:
             raise CapacityError(f"batch {self.batch_id} is empty")
         return self._oldest_s
+
+    @property
+    def tightest_deadline_s(self) -> float:
+        """Earliest member deadline (inf when no member carries one)."""
+        return self._tightest_s
 
     def deadline_s(self, policy: BatchPolicy) -> float:
         """Latest instant this batch may keep waiting."""
@@ -127,12 +154,18 @@ class CoalescingBatcher:
                  group_of: Optional[Callable[[Request], tuple]] = None):
         # ``id_factory`` overrides the module-global batch-id counter;
         # schedulers pass a per-replay counter so two replays of the
-        # same trace produce byte-identical reports.
+        # same trace produce byte-identical reports.  Ids must increase
+        # from call to call (both counters do): the deadline index breaks
+        # ties on them, and their order is the open batches' insertion
+        # order.
         self.policy = policy
         self.capacity_of = capacity_of
         self._id_factory = id_factory or (lambda: next(_batch_ids))
         self.group_of = group_of or (lambda request: request.batch_key)
         self._open: Dict[tuple, PolyBatch] = {}
+        # Lazy min-heap of (oldest arrival, batch id, group, batch); see
+        # the module docs.
+        self._index: List[tuple] = []
         # Running counts of the requests in open batches, kept on every
         # add and close so readers never rescan the open batches.
         self._waiting = 0
@@ -156,6 +189,7 @@ class CoalescingBatcher:
         """Admit one request; returns the batch if this filled it."""
         group = self.group_of(request)
         batch = self._open.get(group)
+        lowered = batch is None or request.arrival_s < batch._oldest_s
         if batch is None:
             capacity = self.policy.effective_capacity(
                 self.capacity_of(request.batch_key)
@@ -179,6 +213,9 @@ class CoalescingBatcher:
         self._tenant_waiting[tenant] = self._tenant_waiting.get(tenant, 0) + 1
         if batch.full:
             return self.pop(group)
+        if lowered:
+            heappush(self._index,
+                     (batch._oldest_s, batch.batch_id, group, batch))
         return None
 
     def open_batch(self, group: tuple) -> Optional[PolyBatch]:
@@ -201,24 +238,54 @@ class CoalescingBatcher:
             self._tenant_waiting[request.tenant] -= 1
         return batch
 
+    def _top(self) -> Optional[tuple]:
+        """The live index entry of the oldest open batch, if any."""
+        index = self._index
+        while index:
+            entry = index[0]
+            oldest_s, _, group, batch = entry
+            if self._open.get(group) is batch and batch._oldest_s == oldest_s:
+                return entry
+            heappop(index)
+        return None
+
+    def oldest_item(self) -> Optional[tuple]:
+        """The (group, batch) pair whose oldest member arrived first.
+
+        Ties go to the lower batch id, so repeated calls walk the open
+        batches in ``(oldest_arrival_s, batch_id)`` order as the caller
+        pops them.  ``None`` when no batch is open.
+        """
+        entry = self._top()
+        return None if entry is None else entry[2:]
+
     def next_deadline_s(self) -> float:
         """Earliest max-wait expiry among open batches (inf when idle)."""
-        if not self._open:
+        entry = self._top()
+        if entry is None:
             return float("inf")
-        return min(b.deadline_s(self.policy) for b in self._open.values())
+        return entry[3].deadline_s(self.policy)
 
     def take_expired(self, now_s: float) -> List[PolyBatch]:
-        """Pop every open batch whose max-wait deadline has passed."""
-        ready = [
-            key for key, b in self._open.items()
-            if b.deadline_s(self.policy) <= now_s
-        ]
-        return [self.pop(key) for key in ready]
+        """Pop every open batch whose max-wait deadline has passed.
+
+        The batches come back in insertion order.  When nothing has
+        expired, only the oldest batch's deadline is read.
+        """
+        expired = []
+        while True:
+            entry = self._top()
+            if entry is None or entry[3].deadline_s(self.policy) > now_s:
+                break
+            expired.append(heappop(self._index))
+        expired.sort(key=itemgetter(1))
+        return [self.pop(entry[2]) for entry in expired]
 
     def drain(self) -> List[PolyBatch]:
         """Pop all open batches (end of trace)."""
         batches = list(self._open.values())
         self._open.clear()
+        self._index.clear()
         self._waiting = 0
         self._tenant_waiting.clear()
         return batches

@@ -133,6 +133,10 @@ class ReplayConfig:
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ParameterError(f"seed must be an int, got {self.seed!r}")
         require_count("chips", self.chips)
+        for name in ("slo_ms", "max_wait_ms"):
+            if isinstance(getattr(self, name), bool):
+                raise ParameterError(
+                    f"{name} must be a number, got {getattr(self, name)!r}")
         if self.slo_ms is not None and not (
                 math.isfinite(self.slo_ms) and self.slo_ms > 0):
             raise ParameterError(

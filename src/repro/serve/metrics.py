@@ -175,7 +175,9 @@ class MetricsRecorder:
     :class:`Response` once the result exists; :func:`aggregate` feeds
     standalone record lists through :meth:`response` and the rest.
     Each ``(name, labels)`` handle is resolved once, on first use, so a
-    series exists only once something was recorded into it.  Observation order is record order, so every histogram's running
+    series exists only once something was recorded into it, and
+    :meth:`served` resolves its handles once per ``(kind, tenant)``.
+    Observation order is record order, so every histogram's running
     sum reproduces ``sum(list)`` float-for-float.
     """
 
@@ -185,6 +187,8 @@ class MetricsRecorder:
         self.batches: List[BatchRecord] = []
         self.drops: List[DropRecord] = []
         self._handles: Dict[tuple, Instrument] = {}
+        # (kind, tenant) -> the bound inc/observe methods served() calls.
+        self._served: Dict[Tuple[str, str], tuple] = {}
 
     def _handle(self, factory: str, name: str, label: str = "", value=None):
         handle = self._handles.get((name, label, value))
@@ -206,24 +210,56 @@ class MetricsRecorder:
         both at once.  The timings are :class:`Response`'s properties,
         computed the same way.
         """
-        handle = self._handle
+        tenant = request.tenant
+        handles = self._served.get((request.kind, tenant))
+        if handles is None:
+            handles = self._served_handles(request.kind, tenant)
+        counters, latency, queue, service, energy = handles
         latency_ms = (finish_s - request.arrival_s) * 1e3
         queue_s = start_s - request.arrival_s
         service_s = finish_s - start_s
-        for label in (("", None), ("kind", request.kind)):
-            handle("counter", "serve.requests", *label).inc()
-            handle("histogram", "serve.latency_ms", *label).observe(latency_ms)
-            handle("histogram", "serve.queue_s", *label).observe(queue_s)
-            handle("histogram", "serve.service_s", *label).observe(service_s)
-            handle("histogram", "serve.energy_nj", *label).observe(energy_nj)
-        tenant = ("tenant", request.tenant)
-        handle("counter", "serve.tenant_served", *tenant).inc()
-        handle("histogram", "serve.tenant_latency_ms", *tenant).observe(latency_ms)
-        handle("histogram", "serve.tenant_energy_nj", *tenant).observe(energy_nj)
+        for inc in counters:
+            inc()
+        for observe in latency:
+            observe(latency_ms)
+        for observe in queue:
+            observe(queue_s)
+        for observe in service:
+            observe(service_s)
+        for observe in energy:
+            observe(energy_nj)
         if request.deadline_s is not None:
-            handle("counter", "serve.deadline_offered", *tenant).inc()
+            self._handle("counter", "serve.deadline_offered", "tenant",
+                         tenant).inc()
             if finish_s <= request.deadline_s:
-                handle("counter", "serve.deadline_met", *tenant).inc()
+                self._handle("counter", "serve.deadline_met", "tenant",
+                             tenant).inc()
+
+    def _served_handles(self, kind: str, tenant: str) -> tuple:
+        """The bound ``inc``/``observe`` methods :meth:`served` calls for
+        one ``(kind, tenant)``, grouped by the value each takes.
+
+        Each new series registers here, when the pair's first request
+        is served, in the order named below: series order follows first
+        use, as everywhere else in the recorder.
+        """
+        handle = self._handle
+        # One row per label, transposed into one tuple per value.
+        counters, latency, queue, service, energy = zip(*(
+            (handle("counter", "serve.requests", *label).inc,
+             *(handle("histogram", f"serve.{name}", *label).observe
+               for name in ("latency_ms", "queue_s", "service_s",
+                            "energy_nj")))
+            for label in (("", None), ("kind", kind))))
+        served, tenant_latency, tenant_energy = (
+            handle(factory, f"serve.tenant_{name}", "tenant", tenant)
+            for factory, name in (("counter", "served"),
+                                  ("histogram", "latency_ms"),
+                                  ("histogram", "energy_nj")))
+        handles = self._served[kind, tenant] = (
+            (*counters, served.inc), (*latency, tenant_latency.observe),
+            queue, service, (*energy, tenant_energy.observe))
+        return handles
 
     def drop(self, d: DropRecord) -> None:
         self.drops.append(d)

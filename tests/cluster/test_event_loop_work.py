@@ -1,12 +1,14 @@
-"""The cluster event loop's work per request stays flat in chip count.
+"""The cluster event loop's work per request stays flat.
 
 The cluster caches each chip's next wake-up, so the simulator's event
 loop asks a chip again only after a protocol call on that chip changed
-it.  Counting the inner ``next_event_s`` calls pins that without a
-clock: counts are deterministic, so the bound is CI-stable.  The
-traffic is the host benchmark's cluster shape (tiny ring, 40 requests
-per chip, Poisson arrivals at 2M/s per chip, 60% ``polymul`` over four
-operand keys per chip, affinity routing with replication).
+it; and a chip reads its next deadline from the batcher's index, so a
+wake-up visits O(1) open batches however many are open.  Counting
+calls pins both without a clock: counts are deterministic, so the
+bounds are CI-stable.  The traffic is the host benchmark's cluster
+shape (tiny ring, 40 requests per chip, Poisson arrivals at 2M/s per
+chip, 60% ``polymul`` over four operand keys per chip, affinity routing
+with replication).
 """
 
 import random
@@ -17,6 +19,7 @@ from repro.ntt.params import STANDARD_PARAMS, NTTParams
 from repro.sched.adaptive import AdaptiveScheduler
 from repro.sched.fifo import FifoScheduler
 from repro.serve import BatchPolicy, EnginePool, PoolConfig, ServingSimulator
+from repro.serve.batcher import PolyBatch
 from repro.serve.request import Request
 
 RING = "tiny-cluster-loop"
@@ -29,6 +32,17 @@ RATE_PER_CHIP = 2e6
 #: cache costs 1.43 / 1.79 / 1.83 / 1.83; scanning every chip on every
 #: turn cost 1.2 / 6.65 / 27.2 / 108.8.
 MAX_CALLS_PER_REQUEST = 2.5
+#: The per-batch deadline reads: a call of any of these visits one open
+#: batch.
+VISITS = ((PolyBatch, "deadline_s"), (AdaptiveScheduler, "_deadline_s"),
+          (AdaptiveScheduler, "_eligible_at_s"))
+#: Open-batch visits per dispatched batch, at 4 chips x 200 requests.
+#: From 4 to 96 keys per chip the index visits 5.2 / 5.0 (fifo) and
+#: 10.3 / 9.0 (adaptive) per batch, 1.4 / 3.5 and 2.8 / 6.3 per request
+#: (batches get smaller); scanning every open batch on every wake-up
+#: visited 56 / 251 and 115 / 603 per batch.
+MAX_VISITS_PER_BATCH = 12
+MAX_VISITS_PER_REQUEST = 8
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +53,10 @@ def pool():
     STANDARD_PARAMS.pop(RING, None)
 
 
-def cluster_trace(chips, seed=2023):
+def cluster_trace(chips, seed=2023, *, per_chip=PER_CHIP,
+                  keys_per_chip=KEYS_PER_CHIP):
     rng = random.Random(seed)
-    keys = KEYS_PER_CHIP * chips
+    keys = keys_per_chip * chips
 
     def poly():
         return tuple(rng.randrange(RING_Q) for _ in range(RING_N))
@@ -50,7 +65,7 @@ def cluster_trace(chips, seed=2023):
     operands = [poly() for _ in range(keys)]
     trace = []
     t_s = 0.0
-    for i in range(chips * PER_CHIP):
+    for i in range(chips * per_chip):
         t_s += rng.expovariate(RATE_PER_CHIP * chips)
         if i % 5 >= 3:
             trace.append(Request(
@@ -78,12 +93,38 @@ def test_inner_wakeup_calls_per_request_are_flat(pool, monkeypatch, inner,
         return next_event_s(self)
 
     monkeypatch.setattr(scheduler_class, "next_event_s", counted)
+    trace = cluster_trace(chips)
+    report = replay(pool, inner, chips, trace)
+    assert report.count == len(trace)
+    assert len(calls) / len(trace) <= MAX_CALLS_PER_REQUEST
+
+
+def replay(pool, inner, chips, trace):
     sim = ServingSimulator(
         pool, BatchPolicy(max_wait_s=2e-4), scheduler=f"cluster:{inner}",
         scheduler_options={"chips": chips, "router": "affinity",
                            "router_options": {"replicate": {"": 3,
                                                             "hot": 6}}})
-    trace = cluster_trace(chips)
-    report = sim.replay(trace)
-    assert report.count == len(trace)
-    assert len(calls) / len(trace) <= MAX_CALLS_PER_REQUEST
+    return sim.replay(trace)
+
+
+@pytest.mark.parametrize("inner", ("fifo", "adaptive"))
+def test_open_batch_visits_stay_flat_in_keys_per_chip(pool, monkeypatch,
+                                                      inner):
+    visits = []
+    for owner, name in VISITS:
+        def counted(*args, _method=getattr(owner, name)):
+            visits.append(None)
+            return _method(*args)
+        monkeypatch.setattr(owner, name, counted)
+    per_batch = {}
+    for keys_per_chip in (4, 96):
+        visits.clear()
+        trace = cluster_trace(4, per_chip=200, keys_per_chip=keys_per_chip)
+        report = replay(pool, inner, 4, trace)
+        assert report.count == len(trace)
+        assert len(visits) / len(trace) <= MAX_VISITS_PER_REQUEST
+        per_batch[keys_per_chip] = len(visits) / len(report.batches)
+        assert per_batch[keys_per_chip] <= MAX_VISITS_PER_BATCH
+    # Flat: 24x the keys, no more visits per batch.
+    assert per_batch[96] <= per_batch[4]

@@ -151,6 +151,22 @@ class TestWatchCli:
         assert capsys.readouterr().out == live
         assert "completed window(s) of 2 ms" in live
 
+    @pytest.mark.parametrize("flags", [
+        ["--chips", "0"], ["--rate", "100"],
+        ["--scheduler", "fifo", "--seed", "3", "--max-wait-ms", "1"],
+    ])
+    def test_from_jsonl_rejects_replay_flags(self, capsys, overload_jsonl,
+                                             flags):
+        """A recorded trace is streamed as it was: a replay flag would be
+        silently ignored, so naming one is an error, even one that is
+        invalid on its own (``--chips 0``)."""
+        with pytest.raises(SystemExit) as exc:
+            main(["watch", "--from-jsonl", str(overload_jsonl), *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        for flag in flags[::2]:
+            assert flag in err
+
     def test_bad_policy_exits_2(self, capsys, tmp_path, overload_jsonl):
         bad = tmp_path / "bad.json"
         bad.write_text("{")

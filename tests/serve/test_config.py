@@ -123,6 +123,10 @@ class TestValidation:
         lambda: ReplayConfig(duration=True),
         lambda: ReplayConfig(max_wait_ms=NAN),
         lambda: ReplayConfig(max_wait_ms=-1.0),
+        lambda: ReplayConfig(scenario="kyber", rate=2000.0, duration=0.01,
+                             slo_ms=True),
+        lambda: ReplayConfig(scenario="kyber", rate=2000.0, duration=0.01,
+                             max_wait_ms=True),
     ], ids=["rate-inf", "rate-nan", "duration-inf", "duration-nan",
             "pool_size-float", "pool_size-bool", "subarrays-float",
             "chips-bool", "pool-config-size-float", "pool-config-size-bool",
@@ -131,14 +135,15 @@ class TestValidation:
             "max-wait-nan", "slo_ms-nan", "slo_ms-inf", "max_batch-float",
             "queue_limit-float", "seed-str", "seed-float", "seed-bool",
             "rate-bool", "duration-bool", "max_wait_ms-nan",
-            "max_wait_ms-negative"])
+            "max_wait_ms-negative", "slo_ms-bool", "max_wait_ms-bool"])
     def test_boundary_inputs_raise_at_construction(self, build):
         """An infinite rate or duration would never end the arrival
         loop, a ``nan`` one would build an empty trace, a ``nan`` wait
         would never end the replay, a ``nan`` or infinite SLO would
         give every request a deadline nothing can meet or miss, a
-        float or bool count would surface deep inside a replay, and a
-        str, float or bool seed would draw some other trace."""
+        float or bool count would surface deep inside a replay, a
+        ``bool`` SLO or wait would pass for 1 ms, and a str, float or
+        bool seed would draw some other trace."""
         with pytest.raises(ParameterError):
             build()
 
