@@ -3,7 +3,7 @@
 A *backend* is anything that can run the serving runtime's three kernel
 ops — ``ntt``, ``intt``, ``polymul`` — on a batch of polynomials and
 price the invocation with the paper's cycle/energy model.  The contract
-is four methods:
+is four methods, and one optional one:
 
 - :meth:`Backend.capabilities` — static facts: batch capacity, the ops
   supported, and whether the instance holds per-lane state.
@@ -12,14 +12,20 @@ is four methods:
   story: handles are cached and shared across batches).
 - :meth:`Backend.execute` — run one handle over a list of payload
   polynomials, returning one canonical coefficient list per payload.
-  A replay calls it after its event loop, not per dispatch: a pure
-  backend (``stateful=False``) gets the rows of many batches of one
-  kernel in chunks, so its results must not depend on which other
-  rows share the call; a stateful one gets one batch per call.
+  A replay never calls it per dispatch.  A stateful backend gets one
+  batch per call after the event loop.  A pure backend
+  (``stateful=False``) gets the rows of many batches of one kernel in
+  chunks, and only when someone reads one of their results, so its
+  results must not depend on which other rows share the call.
 - :meth:`Backend.profile` — the handle's :class:`CostReport`: the
   static price of the compiled programs' instruction mix, which is what
   the executor's stats are, so every backend reports byte-identical
   cycles and energy for the same kernel.
+- ``detach(kernel)`` (optional, pure backends) — a ``(backend,
+  kernel)`` pair that executes as this backend and ``kernel`` do and
+  keeps no compiled program alive.  A replay's pending results hold
+  that pair when the method exists, and the backend and kernel
+  themselves when it does not.
 
 Backends are constructed by registry factories with the uniform
 signature ``factory(params, *, rows, cols, subarrays, tech, template,

@@ -19,7 +19,7 @@ small replay's peak memory), wider moduli, and installs without numpy.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.backends.base import BackendCapabilities, CompiledKernel
 from repro.core.engine import BPNTTEngine
@@ -77,20 +77,22 @@ class ModelBackend:
             params, width=width, rows=rows, cols=cols, tech=tech
         )
         self.tech = self.template.tech
+        self.table = self.template.twiddle_table
         # Short-circuits so a tiny ring never imports numpy.
         self.batched = (params.n >= BATCH_MIN_N
                         and params.q.bit_length() <= BATCH_MAX_MODULUS_BITS
                         and _numpy_importable())
-
-    # -- protocol ---------------------------------------------------------
-
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
+        self._capabilities = BackendCapabilities(
             name=self.name,
             description=self.description,
             batch=self.template.batch * self.subarrays,
             stateful=False,
         )
+
+    # -- protocol ---------------------------------------------------------
+
+    def capabilities(self) -> BackendCapabilities:
+        return self._capabilities
 
     def compile(self, op: str,
                 operand: Optional[Sequence[int]] = None) -> CompiledKernel:
@@ -109,10 +111,27 @@ class ModelBackend:
     def profile(self, kernel: CompiledKernel) -> CostReport:
         return self.template.profile(kernel).replicate(self.subarrays)
 
+    def detach(self, kernel: CompiledKernel
+               ) -> Tuple["ModelBackend", CompiledKernel]:
+        """A backend and kernel that ``execute`` as this one and ``kernel``
+        do, keeping no compiled program alive.
+
+        They are a copy of this backend without its template engine (an
+        instance of this class, so an override of ``execute`` still
+        runs) and a copy of ``kernel`` without its programs: what
+        ``execute`` reads is the ring, its twiddle table and the
+        kernel's op and operand.  The pool's pending results hold them,
+        so a report can outlive the pool's program store.
+        """
+        view = object.__new__(type(self))
+        view.__dict__.update(vars(self), template=None)
+        return view, CompiledKernel(kernel.op, kernel.operand,
+                                    kernel.operand_hat, programs=())
+
     # -- gold math --------------------------------------------------------
 
     def _transform(self, kernel: CompiledKernel, payload: List[int]) -> List[int]:
-        table = self.template.twiddle_table
+        table = self.table
         if kernel.op == "ntt":
             return ntt_negacyclic(payload, self.params, table)
         if kernel.op == "intt":
@@ -126,7 +145,7 @@ class ModelBackend:
 
     def _transform_batch(self, kernel: CompiledKernel,
                          payloads: Sequence[Sequence[int]]):
-        table = self.template.twiddle_table
+        table = self.table
         if kernel.op == "ntt":
             return ntt_negacyclic_batch(payloads, self.params, table)
         if kernel.op == "intt":

@@ -181,6 +181,7 @@ class BPNTTEngine:
         for executor in self.gang:
             executor.subarray.broadcast_word(self.layout.scratch.mod, params.q)
         self._loaded = False
+        self._capabilities: Optional[BackendCapabilities] = None
 
     # -- capacity ---------------------------------------------------------
 
@@ -348,18 +349,23 @@ class BPNTTEngine:
     backend_name = "sram"
 
     def capabilities(self) -> BackendCapabilities:
-        """Backend-protocol facts: exact interpreter, one lane per instance."""
-        if self.subarrays == 1:
-            description = "bitline-accurate subarray interpreter (exact, slow)"
-        else:
-            description = (f"bitline-accurate interpreter, {self.subarrays} "
-                           "data subarrays in lockstep")
-        return BackendCapabilities(
-            name=self.backend_name,
-            description=description,
-            batch=self.batch,
-            stateful=True,
-        )
+        """Backend-protocol facts: exact interpreter, one lane per instance.
+
+        Built on the first call and kept: they are fixed per instance.
+        """
+        if self._capabilities is None:
+            if self.subarrays == 1:
+                description = "bitline-accurate subarray interpreter (exact, slow)"
+            else:
+                description = (f"bitline-accurate interpreter, {self.subarrays} "
+                               "data subarrays in lockstep")
+            self._capabilities = BackendCapabilities(
+                name=self.backend_name,
+                description=description,
+                batch=self.batch,
+                stateful=True,
+            )
+        return self._capabilities
 
     def compile(self, op: str, operand: Optional[Sequence[int]] = None) -> CompiledKernel:
         """The cached backend handle for one ``(op, operand)`` kernel.

@@ -172,7 +172,7 @@ class MetricsRecorder:
 
     The simulator hands every drop and batch over as it happens, and
     every served request at dispatch (:meth:`served`), keeping its
-    :class:`Response` once the result exists; :func:`aggregate` feeds
+    :class:`Response` once the event loop is done; :func:`aggregate` feeds
     standalone record lists through :meth:`response` and the rest.
     Each ``(name, labels)`` handle is resolved once, on first use, so a
     series exists only once something was recorded into it, and
@@ -206,7 +206,7 @@ class MetricsRecorder:
         """Record a served request into the registry alone.
 
         The simulator calls this at dispatch and keeps the
-        :class:`Response` once the result exists; :meth:`response` does
+        :class:`Response` once the event loop is done; :meth:`response` does
         both at once.  The timings are :class:`Response`'s properties,
         computed the same way.
         """

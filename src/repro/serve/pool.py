@@ -20,22 +20,24 @@ per lane, all over the template's single program store; pure backends
 share a single instance across every lane.
 
 Serving splits in two.  :meth:`EnginePool.validate` checks and prices a
-batch when it dispatches; :meth:`EnginePool.execute_batches` computes
-the results of any number of validated batches later.  A replay runs
-it once, after its event loop: a pure backend's batches are grouped per
-kernel and their rows run in chunks of at most
-:data:`EXECUTE_CHUNK_COEFFS` coefficients, and a stateful backend runs
-each batch on its lane in dispatch order.  :meth:`EnginePool.serve` is
-both steps on one batch.
+batch when it dispatches; :meth:`EnginePool.execute_batches` gives the
+results of any number of validated batches later.  A replay calls it
+once, after its event loop: a stateful backend runs each batch on its
+lane then, in dispatch order, and a pure backend's batches are grouped
+per kernel into a :class:`PendingGroup` whose rows run, in chunks of at
+most :data:`EXECUTE_CHUNK_COEFFS` coefficients, only when one of its
+results is first read.  :meth:`EnginePool.serve` is both steps on one
+batch, and reads its results before it returns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.backends import get_backend
-from repro.backends.base import Backend
+from repro.backends.base import Backend, CompiledKernel
 from repro.core.engine import BPNTTEngine
 from repro.errors import BackendError, ParameterError, require_count
 from repro.ntt.params import get_params
@@ -48,6 +50,79 @@ from repro.sram.energy import TECH_45NM, TechnologyModel
 #: :meth:`EnginePool.execute_batches` chunks a kernel's rows: 64 rows of
 #: a 1024-point ring, 256 of a 256-point one.
 EXECUTE_CHUNK_COEFFS = 64 * 1024
+
+
+def _checked(name: str, out: Sequence[Sequence[int]],
+             rows: int) -> List[Tuple[int, ...]]:
+    """``out`` as tuples, refused unless it holds one result per row."""
+    out = list(map(tuple, out))
+    if len(out) != rows:
+        raise BackendError(
+            f"backend {name!r} returned {len(out)} results for "
+            f"{rows} payloads"
+        )
+    return out
+
+
+class PendingGroup:
+    """A pure backend's results for one kernel group, run on first read.
+
+    ``backend`` and ``kernel`` run the rows: the pool's backend and
+    kernel, or the copies its ``detach`` gives (which keep no compiled
+    program alive).  ``rows`` are the payloads of the group's batches
+    in dispatch order.  The first :meth:`results` call runs them
+    through ``backend.execute`` in chunks of at most
+    :data:`EXECUTE_CHUNK_COEFFS` coefficients, the bound in force when
+    the group was made, keeps the result tuples and lets go of the
+    rest.
+    """
+
+    __slots__ = ("name", "_backend", "_kernel", "_rows", "_step", "_results")
+
+    def __init__(self, name: str, backend: Backend, kernel: CompiledKernel,
+                 rows: List[Tuple[int, ...]]):
+        self.name = name
+        self._backend = backend
+        self._kernel = kernel
+        self._rows = rows
+        self._step = max(1, EXECUTE_CHUNK_COEFFS // len(rows[0]))
+        self._results: Optional[List[Tuple[int, ...]]] = None
+
+    def results(self) -> List[Tuple[int, ...]]:
+        """Every row's result tuple, computed on the first call."""
+        if self._results is None:
+            rows, step = self._rows, self._step
+            out: List[Tuple[int, ...]] = []
+            for start in range(0, len(rows), step):
+                chunk = rows[start:start + step]
+                out += _checked(self.name, self._backend.execute(
+                    self._kernel, chunk), len(chunk))
+            self._results = out
+            self._backend = self._kernel = self._rows = None
+        return self._results
+
+
+class BatchResults(Sequence):
+    """One batch's results: a span of a :class:`PendingGroup`.
+
+    Reading any item runs the whole group once.
+    """
+
+    __slots__ = ("_group", "_span")
+
+    def __init__(self, group: PendingGroup, start: int, stop: int):
+        self._group = group
+        self._span = range(start, stop)
+
+    def __len__(self) -> int:
+        return len(self._span)
+
+    def __getitem__(self, index):
+        where = self._span[index]
+        results = self._group.results()
+        if isinstance(where, range):
+            return [results[i] for i in where]
+        return results[where]
 
 
 @dataclass(frozen=True)
@@ -251,56 +326,50 @@ class EnginePool:
 
     def execute_batches(self, pending: Sequence[Tuple[PolyBatch, int]], *,
                         backend: Optional[str] = None
-                        ) -> List[List[Tuple[int, ...]]]:
-        """Results of validated ``(batch, lane)`` pairs, one list per batch.
+                        ) -> List[Sequence[Tuple[int, ...]]]:
+        """Results of validated ``(batch, lane)`` pairs, one sequence per batch.
 
-        Each list holds one coefficient tuple per live request, in batch
-        order.  A stateful backend runs one ``execute`` per batch on its
-        lane, in ``pending`` order, because a lane is a subarray the
-        batch is loaded into.  A pure backend computes every row the
-        same way whatever batch or call it rides in, so its batches are
-        grouped per instance and batch key, and their payload rows run
-        through ``execute`` in chunks of at most
-        :data:`EXECUTE_CHUNK_COEFFS` coefficients.  One call then
-        amortizes its fixed host cost over many batches, and the chunk
-        bound keeps the arrays of a batched kernel small.
+        Each sequence holds one coefficient tuple per live request, in
+        batch order.  A stateful backend runs one ``execute`` per batch
+        on its lane now, in ``pending`` order, because a lane is a
+        subarray the batch is loaded into.  A pure backend computes
+        every row the same way whatever batch or call it rides in, so
+        its batches are grouped per instance and batch key into a
+        :class:`PendingGroup` that runs nothing until one of its results
+        is read.  The first read runs the group's payload rows through
+        ``execute`` in chunks of at most :data:`EXECUTE_CHUNK_COEFFS`
+        coefficients: one call amortizes its fixed host cost over many
+        batches, and the chunk bound keeps the arrays of a batched
+        kernel small.  A caller that reads no result runs no math.
         """
         name = backend if backend is not None else "model"
-        results: List[List[Tuple[int, ...]]] = [[] for _ in pending]
+        results: List[Sequence[Tuple[int, ...]]] = [[] for _ in pending]
         groups: Dict[Tuple[int, tuple], List[int]] = {}
         for index, (batch, lane) in enumerate(pending):
             impl = self.backend_lanes(name, batch.key[0])[lane]
             if impl.capabilities().stateful:
-                results[index] = self._run(
-                    name, impl, batch.key, [r.payload for r in batch.requests])
+                _, op, operand = batch.key
+                results[index] = _checked(
+                    name, impl.execute(impl.compile(op, operand),
+                                       [r.payload for r in batch.requests]),
+                    batch.size)
             else:
                 groups.setdefault((id(impl), batch.key), []).append(index)
         for (_, key), indices in groups.items():
             impl = self.backend_lanes(name, key[0])[pending[indices[0]][1]]
-            rows = [request.payload for index in indices
-                    for request in pending[index][0].requests]
-            step = max(1, EXECUTE_CHUNK_COEFFS // len(rows[0]))
-            out: List[Tuple[int, ...]] = []
-            for start in range(0, len(rows), step):
-                out += self._run(name, impl, key, rows[start:start + step])
+            kernel = impl.compile(key[1], key[2])
+            detach = getattr(impl, "detach", None)
+            group = PendingGroup(
+                name, *(detach(kernel) if detach is not None
+                        else (impl, kernel)),
+                [request.payload for index in indices
+                 for request in pending[index][0].requests])
             start = 0
             for index in indices:
                 end = start + pending[index][0].size
-                results[index] = out[start:end]
+                results[index] = BatchResults(group, start, end)
                 start = end
         return results
-
-    @staticmethod
-    def _run(name: str, impl: Backend, key: tuple,
-             rows: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
-        _, op, operand = key
-        out = list(map(tuple, impl.execute(impl.compile(op, operand), rows)))
-        if len(out) != len(rows):
-            raise BackendError(
-                f"backend {name!r} returned {len(out)} results for "
-                f"{len(rows)} payloads"
-            )
-        return out
 
     def serve(self, batch: PolyBatch, *, backend: Optional[str] = None,
               lane: int) -> Tuple[List[Tuple[int, ...]], ServiceProfile, int]:
@@ -313,5 +382,5 @@ class EnginePool:
         ``"model"``).  All backends charge the same profile.
         """
         profile = self.validate(batch, backend=backend, lane=lane)
-        results = self.execute_batches([(batch, lane)], backend=backend)[0]
+        results = list(self.execute_batches([(batch, lane)], backend=backend)[0])
         return results, profile, lane

@@ -27,16 +27,16 @@ pointwise program bakes the second operand into its constants.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import InitVar, dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.backends.base import KERNEL_OPS
 from repro.crypto.he import HECiphertext, HEContext, RelinKey
 from repro.errors import ParameterError
 from repro.ntt.params import NTTParams, get_params
 
-__all__ = ["KERNEL_OPS", "BatchKey", "Request", "Response", "gold_result",
-           "kyber_polymul_request", "dilithium_ntt_request",
+__all__ = ["KERNEL_OPS", "BatchKey", "Request", "Response", "ResultSlot",
+           "gold_result", "kyber_polymul_request", "dilithium_ntt_request",
            "he_multiply_plain_requests", "he_multiply_requests"]
 
 
@@ -158,18 +158,44 @@ class Request:
         return get_params(self.params_name)
 
 
-@dataclass(frozen=True)
+class ResultSlot:
+    """A response's result not read yet: item ``index`` of ``results``.
+
+    ``results`` is a batch's result sequence, which may compute on
+    first read (:meth:`~repro.serve.pool.EnginePool.execute_batches`).
+    """
+
+    __slots__ = ("results", "index")
+
+    def __init__(self, results: Sequence[Tuple[int, ...]], index: int):
+        self.results = results
+        self.index = index
+
+
+@dataclass(frozen=True, slots=True)
 class Response:
-    """The served result of one request, with its timing breakdown."""
+    """The served result of one request, with its timing breakdown.
+
+    ``result`` is given as the coefficient tuple or as a
+    :class:`ResultSlot`, which a replay gives: reading ``result`` then
+    computes it (and the rest of its kernel group), so a caller that
+    reads no result runs no result math.  Either way a read gives the
+    tuple.  Equality and ``repr`` leave the result out.
+    """
 
     request: Request
-    result: Tuple[int, ...]
+    result: InitVar[Union[Tuple[int, ...], ResultSlot]]
     start_s: float
     finish_s: float
     energy_nj: float
     engine_index: int
     batch_size: int
     batch_padding: int
+    _result: Union[Tuple[int, ...], ResultSlot] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self, result) -> None:
+        object.__setattr__(self, "_result", result)
 
     @property
     def queue_s(self) -> float:
@@ -185,6 +211,18 @@ class Response:
     def latency_s(self) -> float:
         """Arrival-to-completion latency."""
         return self.finish_s - self.request.arrival_s
+
+
+def _read_result(response: Response) -> Tuple[int, ...]:
+    result = response._result
+    if type(result) is ResultSlot:
+        return result.results[result.index]
+    return result
+
+
+# Set after the dataclass is built: a ``result`` property in the class
+# body would become the default of the ``result`` init argument.
+Response.result = property(_read_result, doc="The result coefficients.")
 
 
 def gold_result(request: Request) -> List[int]:

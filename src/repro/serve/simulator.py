@@ -15,11 +15,15 @@ latency model rather than in host wall-clock.
 A dispatch validates, prices and places its batch, but computes no
 result: results feed no scheduling, timing or energy decision.  Once
 the event loop is done, :meth:`~repro.serve.pool.EnginePool.execute_batches`
-runs every dispatched batch: a pure backend's rows in cross-batch
-chunks per kernel (one call amortized over many batches, as one
-instruction stream is amortized over a subarray's tiles), a stateful
-backend's batches one by one on their lanes.  Each response gets its
-result then, so the report is what executing at dispatch would give.
+takes every dispatched batch: a stateful backend's batches run one by
+one on their lanes then, and a pure backend's (the default ``model``)
+are grouped per kernel and run on demand.  Each response holds a
+:class:`~repro.serve.request.ResultSlot`, and the first read of a
+result runs its kernel group's rows in cross-batch chunks (one call
+amortized over many batches, as one instruction stream is amortized
+over a subarray's tiles).  A caller that reads no result runs no result
+math; one that reads them all gets what executing at dispatch would
+give, and the report's bytes are the same either way.
 
 The replay is deterministic: same trace, same pool, same scheduler
 config, byte-identical report — including the drop set, per-tenant
@@ -36,7 +40,7 @@ from repro.obs.tracer import NULL_TRACER, TraceEvent, Tracer
 from repro.serve.batcher import BatchPolicy, PolyBatch
 from repro.serve.metrics import BatchRecord, DropRecord, MetricsRecorder, ServeReport, aggregate
 from repro.serve.pool import EnginePool
-from repro.serve.request import Request, Response
+from repro.serve.request import Request, Response, ResultSlot
 
 
 class ServingSimulator:
@@ -107,8 +111,8 @@ class ServingSimulator:
         def record_depth(now_s: float) -> None:
             depth_gauge.sample(now_s, scheduler.waiting())
 
-        # Per dispatch: (batch, pool lane) to execute after the loop, and
-        # the fields of the batch's responses, built once results exist.
+        # Per dispatch: (batch, pool lane) for execute_batches after the
+        # loop, and the fields of the batch's responses, built then.
         pending: List[Tuple[PolyBatch, int]] = []
         dispatched: List[Tuple[float, float, float, int, int]] = []
 
@@ -222,15 +226,15 @@ class ServingSimulator:
                     dispatch(batch, end_s)
                 record_depth(end_s)
 
-        # Results feed no decision of the loop, so every batch runs only
-        # now, and pure backends chunk their rows across batches.
+        # Results feed no decision of the loop: stateful backends run
+        # every batch now, and a pure backend's results run when read.
         results = self.pool.execute_batches(pending, backend=self.backend)
         for (batch, _), fields, rows in zip(pending, dispatched, results):
             start, finish, energy_per_request, lane, padding = fields
             recorder.responses.extend(
                 Response(
                     request=request,
-                    result=result,
+                    result=ResultSlot(rows, index),
                     start_s=start,
                     finish_s=finish,
                     energy_nj=energy_per_request,
@@ -238,7 +242,7 @@ class ServingSimulator:
                     batch_size=batch.size,
                     batch_padding=padding,
                 )
-                for request, result in zip(batch.requests, rows)
+                for index, request in enumerate(batch.requests)
             )
 
         lanes = scheduler.lane_report()

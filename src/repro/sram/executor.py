@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
 from operator import add
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.sram.energy import TECH_45NM, TechnologyModel
@@ -133,25 +133,32 @@ def profile_program(program: Program, tech: TechnologyModel = TECH_45NM) -> Exec
     """
     stats = ExecutionStats()
     blocks = program.blocks
-    ids = list(map(id, blocks))
-    uses = Counter(ids)
-    # Each distinct block's class sequence (its shape), and per shape
-    # its total uses, one block that has it and its index, in first-use
-    # order; per distinct block, its shape's index.
+    # Each distinct block's class sequence (its shape), in first-use
+    # order, with its index (the shape's code) and one block that has
+    # it; per distinct block, its shape's code.
     code_of: Dict[int, int] = {}
-    shapes: Dict[tuple, list] = {}
-    for key, block in dict(zip(ids, blocks)).items():
+    shapes: Dict[tuple, Tuple[int, tuple]] = {}
+    for key, block in dict(zip(map(id, blocks), blocks)).items():
         shape = tuple(map(type, block))
         entry = shapes.get(shape)
         if entry is None:
-            entry = shapes[shape] = [0, block, len(shapes)]
-        entry[0] += uses[key]
-        code_of[key] = entry[2]
+            entry = shapes[shape] = (len(shapes), block)
+        code_of[key] = entry[0]
+    # The program as shape codes, one per block reference, and each
+    # shape's uses counted from them.
+    codes: Sequence[int]
+    if len(shapes) <= 256:
+        codes = bytes(map(code_of.__getitem__, map(id, blocks)))
+        uses = list(map(codes.count, range(len(shapes))))
+    else:
+        codes = list(map(code_of.__getitem__, map(id, blocks)))
+        counted = Counter(codes)
+        uses = list(map(counted.__getitem__, range(len(shapes))))
     cycles_of: Dict[type, int] = {}
     energy_of: Dict[type, float] = {}
     counts: Dict[type, int] = {}
     # Classes in first-seen order, so op_counts keys follow the program.
-    for shape, (used, block, _) in shapes.items():
+    for (shape, (_, block)), used in zip(shapes.items(), uses):
         for cls, count in Counter(shape).items():
             if cls not in counts:
                 kind = _instruction_kind(block[shape.index(cls)])
@@ -164,7 +171,7 @@ def profile_program(program: Program, tech: TechnologyModel = TECH_45NM) -> Exec
         if cls.kind == "shift":
             stats.shift_count += count
     stats.energy_pj = _fold_energy(
-        ids, code_of,
+        codes, uses,
         [tuple(map(energy_of.__getitem__, shape)) for shape in shapes])
     stats.instructions = length = len(program)
     sections = program.sections
@@ -207,12 +214,13 @@ def _fold(s: float, blocks: Iterable[Tuple[float, ...]]) -> float:
     return reduce(add, chain.from_iterable(blocks), s)
 
 
-def _fold_energy(ids: List[int], code_of: Dict[int, int],
+def _fold_energy(codes: Sequence[int], uses: List[int],
                  energies: List[Tuple[float, ...]]) -> float:
     """The plain fold of a program's energies from ``0.0``, bit for bit.
 
-    ``ids`` lists the program's blocks by identity, ``code_of`` maps
-    each to its shape's index, and ``energies[c]`` holds shape ``c``'s
+    ``codes`` lists the program's blocks by their shape's index (as
+    bytes when there are at most 256 shapes), ``uses[c]`` counts shape
+    ``c`` in it, and ``energies[c]`` holds shape ``c``'s
     per-instruction energies (all finite and ``>= 0``, which
     :class:`TechnologyModel` checks).
 
@@ -230,16 +238,14 @@ def _fold_energy(ids: List[int], code_of: Dict[int, int],
     than that; and so does, whole, a program of at most that many
     blocks or with more than 256 shapes.
     """
-    if len(ids) <= ULP_RUN_MIN_BLOCKS or len(energies) > 256:
-        return _fold(0.0, map({key: energies[index] for key, index in
-                               code_of.items()}.__getitem__, ids))
-    codes = bytes(map(code_of.__getitem__, ids))
+    if len(codes) <= ULP_RUN_MIN_BLOCKS or len(energies) > 256:
+        return _fold(0.0, map(energies.__getitem__, codes))
     n = len(codes)
     # A binade with room for fewer blocks than this takes the plain fold
     # (the mean block energy, summed so that it overflows only when a
     # block's own energy does).
     short = ULP_RUN_MIN_BLOCKS * sum(
-        sum(shape) * (codes.count(code) / n)
+        sum(shape) * (uses[code] / n)
         for code, shape in enumerate(energies))
     mixes = [Counter(shape).items() for shape in energies]
     binades: Dict[int, Optional[List[int]]] = {}

@@ -8,19 +8,21 @@ calls pins both without a clock: counts are deterministic, so the
 bounds are CI-stable.  The traffic is the host benchmark's cluster
 shape (tiny ring, 40 requests per chip, Poisson arrivals at 2M/s per
 chip, 60% ``polymul`` over four operand keys per chip, affinity routing
-with replication).
+with replication).  A replay nobody reads results from runs no result
+math at all, on any chip.
 """
 
 import random
 
 import pytest
 
+from repro.backends.model import ModelBackend
 from repro.ntt.params import STANDARD_PARAMS, NTTParams
 from repro.sched.adaptive import AdaptiveScheduler
 from repro.sched.fifo import FifoScheduler
 from repro.serve import BatchPolicy, EnginePool, PoolConfig, ServingSimulator
 from repro.serve.batcher import PolyBatch
-from repro.serve.request import Request
+from repro.serve.request import Request, gold_result
 
 RING = "tiny-cluster-loop"
 RING_N = 16
@@ -97,6 +99,25 @@ def test_inner_wakeup_calls_per_request_are_flat(pool, monkeypatch, inner,
     report = replay(pool, inner, chips, trace)
     assert report.count == len(trace)
     assert len(calls) / len(trace) <= MAX_CALLS_PER_REQUEST
+
+
+@pytest.mark.parametrize("inner", ("fifo", "adaptive"))
+def test_a_replay_nobody_reads_runs_no_result_math(pool, monkeypatch, inner):
+    calls = []
+    execute = ModelBackend.execute
+
+    def counted(self, kernel, payloads):
+        calls.append(len(payloads))
+        return execute(self, kernel, payloads)
+
+    monkeypatch.setattr(ModelBackend, "execute", counted)
+    trace = cluster_trace(16)
+    report = replay(pool, inner, 16, trace)
+    assert report.count == len(trace)
+    assert calls == []
+    first = report.responses[0]
+    assert list(first.result) == gold_result(first.request)
+    assert 0 < sum(calls) < len(trace)
 
 
 def replay(pool, inner, chips, trace):

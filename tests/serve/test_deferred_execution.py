@@ -1,28 +1,40 @@
-"""Result math after the event loop, in cross-batch chunks.
+"""Result math on demand, in cross-batch chunks.
 
 A replay validates, prices and places every batch as it dispatches, and
-runs the batches once the event loop is done:
+computes results only when they are read:
 :meth:`~repro.serve.pool.EnginePool.execute_batches` groups the batches
-of a pure backend per instance and batch key and runs their rows in
-chunks of at most :data:`~repro.serve.pool.EXECUTE_CHUNK_COEFFS`
-coefficients, and runs a stateful backend's batches one by one on their
-lanes.  These tests hold every per-request result to the gold model and
-to the one-batch-at-a-time path of :meth:`EnginePool.serve`, and count
-the ``execute`` calls the chunking leaves.
+of a pure backend per instance and batch key, and the first read of any
+result in a group runs the group's rows in chunks of at most
+:data:`~repro.serve.pool.EXECUTE_CHUNK_COEFFS` coefficients; a stateful
+backend runs its batches one by one on their lanes after the event
+loop.  These tests hold every per-request result to the gold model and
+to the one-batch-at-a-time path of :meth:`EnginePool.serve`, count the
+``execute`` calls that reads (and no reads) leave, and check that a
+report's pending results keep no pool alive.
 """
 
+import gc
 import math
 import random
+import weakref
 from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.backends import register_backend, unregister_backend
 from repro.backends.model import BATCH_MIN_N, ModelBackend
 from repro.errors import BackendError
 from repro.ntt.params import STANDARD_PARAMS, NTTParams
-from repro.serve import BatchPolicy, EnginePool, PoolConfig, ServingSimulator
+from repro.serve import (
+    BatchPolicy,
+    EnginePool,
+    PoolConfig,
+    ReplayConfig,
+    ServingSimulator,
+    serialize_report,
+)
 from repro.serve import pool as pool_module
 from repro.serve.batcher import PolyBatch
 from repro.serve.request import Request, gold_result
@@ -95,9 +107,11 @@ class _Recorder:
        operands=st.integers(1, 3),
        size=st.integers(1, 2),
        scheduler=st.sampled_from(("fifo", "adaptive")),
-       chunk_rows=st.integers(1, 5))
+       chunk_rows=st.integers(1, 5),
+       data=st.data())
 def test_replay_results_equal_gold_and_the_per_batch_path(
-        rings, case, count, seed, ops, operands, size, scheduler, chunk_rows):
+        rings, case, count, seed, ops, operands, size, scheduler, chunk_rows,
+        data):
     backend, ring = case
     if backend == "sram":
         count = min(count, 8)  # the interpreter is slow
@@ -106,14 +120,22 @@ def test_replay_results_equal_gold_and_the_per_batch_path(
     recorder = _Recorder(pool)
     simulator = ServingSimulator(pool, BatchPolicy(max_wait_s=1e-4),
                                  backend=backend, scheduler=scheduler)
-    # A budget of a few rows makes the draws' kernels cross chunks.
+    # A budget of a few rows makes the draws' kernels cross chunks; the
+    # budget in force at the replay holds for reads after it too.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pool_module, "EXECUTE_CHUNK_COEFFS",
                       chunk_rows * RINGS[ring].n)
         report = simulator.replay(trace)
     assert report.count == len(trace)
-    for response in report.responses:
+    unread = serialize_report(report)
+    # A drawn subset first, in a drawn order, then the rest.
+    first = data.draw(st.lists(st.sampled_from(range(len(trace))),
+                               unique=True), label="read first")
+    rest = [index for index in range(len(trace)) if index not in first]
+    for index in first + rest:
+        response = report.responses[index]
         assert list(response.result) == gold_result(response.request)
+    assert serialize_report(report) == unread
     dispatched = list(recorder.pending)  # serve() below records too
     per_batch = [result for batch, lane in dispatched
                  for result in pool.serve(batch, backend=backend, lane=lane)[0]]
@@ -162,9 +184,14 @@ class TestExecuteCalls:
         budget = max(1, pool_module.EXECUTE_CHUNK_COEFFS // n)
         return calls, rows, budget, report
 
+    def read_all(self, report):
+        for response in report.responses:
+            assert response.result is not None
+
     def test_at_most_ceil_rows_over_budget_per_kernel(self, rings,
                                                       monkeypatch):
         calls, rows, budget, report = self.replay_counting(rings, monkeypatch)
+        self.read_all(report)
         # 60 requests fit one chunk per kernel, however many batches
         # carried them: one call per kernel, not one per batch.
         assert sum(rows.values()) == 60
@@ -173,12 +200,133 @@ class TestExecuteCalls:
             assert count <= math.ceil(rows[key] / budget) == 1
 
     def test_a_small_budget_chunks_each_kernel(self, rings, monkeypatch):
-        calls, rows, budget, _ = self.replay_counting(rings, monkeypatch,
-                                                      budget_rows=4)
+        calls, rows, budget, report = self.replay_counting(
+            rings, monkeypatch, budget_rows=4)
+        self.read_all(report)
         assert budget == 4
         assert any(count > 1 for count in calls.values())
         for key, count in calls.items():
             assert count == math.ceil(rows[key] / budget)
+
+    def test_reading_one_result_runs_its_group_alone(self, rings,
+                                                     monkeypatch):
+        calls, rows, budget, report = self.replay_counting(
+            rings, monkeypatch, budget_rows=4)
+        assert not calls
+        response = report.responses[len(report.responses) // 2]
+        request = response.request
+        group_rows = sum(r.request.batch_key == request.batch_key
+                         for r in report.responses)
+        assert list(response.result) == gold_result(request)
+        key = (request.op, request.operand)
+        assert dict(rows) == {key: group_rows}
+        assert dict(calls) == {key: math.ceil(group_rows / budget)}
+        # Its group's other results are already there.
+        for other in report.responses:
+            if other.request.batch_key == request.batch_key:
+                assert list(other.result) == gold_result(other.request)
+        assert dict(calls) == {key: math.ceil(group_rows / budget)}
+
+
+def _count_model_execute(monkeypatch):
+    calls = []
+    execute = ModelBackend.execute
+
+    def counting(self, kernel, payloads):
+        calls.append(len(payloads))
+        return execute(self, kernel, payloads)
+
+    monkeypatch.setattr(ModelBackend, "execute", counting)
+    return calls
+
+
+def test_a_replay_nobody_reads_runs_no_result_math(monkeypatch):
+    """The host benchmark's pqc-slo-cold shape, over a short window."""
+    calls = _count_model_execute(monkeypatch)
+    config = ReplayConfig(
+        scenario="mixed-slo", arrivals="bursty", rate=4000.0,
+        scheduler="slo", queue_limit=64,
+        scheduler_options={"tenant_weights": {"handshake": 2.0}},
+        pool_size=2, subarrays=1, max_wait_ms=2.0, duration=0.05, seed=2023)
+    trace = config.build_trace()
+    pool = config.build_pool()
+    report = config.build_simulator(pool).replay(trace)
+    assert report.count > 100
+    assert len({r.request.batch_key for r in report.responses}) > 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("ring", [SCALAR_RING, BATCHED_RING])
+def test_pending_results_keep_no_pool_alive(rings, monkeypatch, ring):
+    trace = _trace(ring, 30, 5, OPS, 2)
+    pool = _pool(ring)
+    simulator = ServingSimulator(pool, BatchPolicy(max_wait_s=1e-4))
+    report = simulator.replay(trace)
+    template = pool.template(ring)
+    refs = [weakref.ref(pool), weakref.ref(template),
+            weakref.ref(pool.backend_lanes("model", ring)[0]),
+            weakref.ref(template.compiled_program("ntt"))]
+    del simulator, pool, template
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+    # A read runs ``ModelBackend.execute`` as the class has it then.
+    calls = _count_model_execute(monkeypatch)
+    for response in report.responses:
+        assert list(response.result) == gold_result(response.request)
+    assert sum(calls) == len(trace)
+
+
+class PlainBackend:
+    """A pure backend with the four protocol methods and no ``detach``.
+
+    It wraps a :class:`ModelBackend` instead of deriving from it, as a
+    third-party backend might, and counts the rows it executes.
+    """
+
+    def __init__(self, params, **options):
+        self._model = ModelBackend(params, **options)
+        self.executed = 0
+
+    def capabilities(self):
+        return self._model.capabilities()
+
+    def compile(self, op, operand=None):
+        return self._model.compile(op, operand)
+
+    def execute(self, kernel, payloads):
+        self.executed += len(payloads)
+        return self._model.execute(kernel, payloads)
+
+    def profile(self, kernel):
+        return self._model.profile(kernel)
+
+
+@pytest.mark.parametrize("ring", [SCALAR_RING, BATCHED_RING])
+def test_a_backend_without_detach_is_held_whole_until_read(rings, ring):
+    register_backend("plain-test", PlainBackend)
+    try:
+        trace = _trace(ring, 30, 5, OPS, 2)
+        pool = _pool(ring, size=1)
+        report = ServingSimulator(pool, BatchPolicy(max_wait_s=1e-4),
+                                  backend="plain-test").replay(trace)
+        lane = pool.backend_lanes("plain-test", ring)[0]
+        assert not hasattr(lane, "detach")
+        assert lane.executed == 0
+        ref = weakref.ref(lane)
+        del pool, lane
+        gc.collect()
+        # The pending results run the rows on the pool's own lane.
+        backend = ref()
+        assert backend is not None
+        for response in report.responses:
+            assert list(response.result) == gold_result(response.request)
+        assert backend.executed == len(trace)
+        # Once read, the results let go of it.
+        del backend
+        gc.collect()
+        assert ref() is None
+    finally:
+        unregister_backend("plain-test")
 
 
 class TestExecuteBatches:
@@ -211,5 +359,7 @@ class TestExecuteBatches:
             self, rings, monkeypatch):
         monkeypatch.setattr(ModelBackend, "execute",
                             lambda self, kernel, payloads: [])
+        results = _pool(SCALAR_RING, 1).execute_batches(
+            [(self.batch(SCALAR_RING), 0)])
         with pytest.raises(BackendError, match="returned 0 results for 2"):
-            _pool(SCALAR_RING, 1).execute_batches([(self.batch(SCALAR_RING), 0)])
+            results[0][0]

@@ -17,6 +17,7 @@ from repro.serve.request import (
     BatchKey,
     Request,
     Response,
+    ResultSlot,
     dilithium_ntt_request,
     gold_result,
     he_multiply_plain_requests,
@@ -356,3 +357,11 @@ class TestResponse:
         assert resp.queue_s == pytest.approx(0.25)
         assert resp.service_s == pytest.approx(0.25)
         assert resp.latency_s == pytest.approx(0.5)
+        assert type(resp.result) is tuple and resp.result == r.payload
+
+    def test_a_result_slot_reads_through(self, tiny_request):
+        r = tiny_request(0)
+        resp = Response(request=r, result=ResultSlot([(1,), r.payload], 1),
+                        start_s=0.0, finish_s=1.0, energy_nj=1.0,
+                        engine_index=0, batch_size=1, batch_padding=0)
+        assert resp.result is r.payload

@@ -13,6 +13,7 @@ The ``@example`` cases pin two guards of the fast path: a tie, and a
 run whose ulp total lands exactly on the top of the last binade.
 """
 
+import itertools
 import math
 import random
 from functools import reduce
@@ -137,6 +138,20 @@ def test_long_programs_take_the_integer_sums():
                       wraps=executor._shape_ulps) as binade:
         assert repr(profile_program(program, tech).energy_pj) == repr(expected)
     assert binade.called
+
+
+def test_more_than_256_shapes_take_the_plain_fold():
+    """Shape codes no longer fit a byte: uses are counted from a list."""
+    table = {kind: DEFAULT_ENERGY_PJ[kind] for kind in KINDS}
+    shapes = list(itertools.product(KINDS, repeat=3))[:300]
+    rng = random.Random(11)
+    references = [rng.randrange(len(shapes)) for _ in range(3000)]
+    program, tech = build(table, shapes, references)
+    expected = reduce(add, (tech.energy_pj[instruction.kind]
+                            for instruction in program), 0.0)
+    stats = profile_program(program, tech)
+    assert repr(stats.energy_pj) == repr(expected)
+    assert sum(stats.op_counts.values()) == stats.instructions == len(program)
 
 
 def test_a_binade_with_a_tie_or_an_inexact_quotient_has_no_ulp_counts():
