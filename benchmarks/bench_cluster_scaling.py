@@ -69,7 +69,8 @@ def build_trace(chips: int, count: int) -> List[Request]:
 
     Payload tuples are shared across requests (the simulator never
     mutates them), so a million-request trace allocates a few dozen
-    tuples, not a few million.
+    tuples, not a few million; one ``checked_operands`` dict checks each
+    shared tuple once for the whole trace, not once per request.
     """
     rate = BASE_RATE * chips
     keys = KEYS_PER_CHIP * chips
@@ -77,19 +78,21 @@ def build_trace(chips: int, count: int) -> List[Request]:
                 for k in range(8)]
     operands = [tuple((k * 5 + 3 * j + 1) % RING_Q for j in range(RING_N))
                 for k in range(keys)]
+    checked: Dict[tuple, tuple] = {}
     trace = []
     for i in range(count):
         if i % 5 >= 3:  # 40%: operand-less signing traffic, spreads evenly
             trace.append(Request(
                 request_id=i, op="ntt", params_name=RING_NAME,
                 payload=payloads[i % 8], operand=None, arrival_s=i / rate,
-                tenant="signing", kind="ntt"))
+                tenant="signing", kind="ntt", checked_operands=checked))
         else:  # 60%: pinnable key-material traffic, 1/6 of it hot
             trace.append(Request(
                 request_id=i, op="polymul", params_name=RING_NAME,
                 payload=payloads[i % 8], operand=operands[(i * 7) % keys],
                 arrival_s=i / rate,
-                tenant="hot" if i % 10 == 0 else "handshake", kind="mul"))
+                tenant="hot" if i % 10 == 0 else "handshake", kind="mul",
+                checked_operands=checked))
     return trace
 
 

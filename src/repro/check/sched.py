@@ -221,8 +221,8 @@ class CheckingTracer:
     Wraps an optional inner tracer (events are forwarded when the inner
     tracer is enabled) and buffers every event; the conformance rules
     run once, at :meth:`finish`, so the per-event cost is one list
-    append — measured under 10% over a bare
-    :class:`~repro.obs.RecordingTracer` on the tiny golden scenario.
+    append.  A replay calls :meth:`finish` itself, so its time includes
+    that one pass over the stream.
 
     Typical use::
 

@@ -32,7 +32,7 @@ refreshes a chip's entries right after each of those calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SchedulerError
@@ -83,18 +83,14 @@ class _ChipTracer:
         self.enabled = base.enabled
 
     def emit(self, event: TraceEvent) -> None:
-        attrs = {**event.attrs, "chip": self.chip}
-        if event.phase in ("enqueue", "batch_open"):
-            batch_id = event.batch_id
+        phase, t_s, request_id, batch_id, lane, kind, tenant, attrs = event
+        if phase in ("enqueue", "batch_open"):
             if batch_id is not None:
                 batch_id = batch_id * self.chips + self.chip
-            event = replace(event, batch_id=batch_id, attrs=attrs)
-        elif event.phase in ("lane_start", "lane_finish"):
-            event = replace(
-                event, lane=event.lane * self.chips + self.chip, attrs=attrs)
-        else:
-            event = replace(event, attrs=attrs)
-        self.base.emit(event)
+        elif phase in ("lane_start", "lane_finish"):
+            lane = lane * self.chips + self.chip
+        self.base.emit(TraceEvent(phase, t_s, request_id, batch_id, lane,
+                                  kind, tenant, {**attrs, "chip": self.chip}))
 
 
 class ClusterScheduler:

@@ -46,12 +46,7 @@ _LINE_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
 def _event_line(event: TraceEvent) -> str:
     """One event as compact JSON, built from its fields (no deep copy)."""
-    return _LINE_ENCODER.encode({
-        "phase": event.phase, "t_s": event.t_s,
-        "request_id": event.request_id, "batch_id": event.batch_id,
-        "lane": event.lane, "kind": event.kind, "tenant": event.tenant,
-        "attrs": event.attrs,
-    })
+    return _LINE_ENCODER.encode(event._asdict())
 
 
 def to_jsonl(events: Sequence[TraceEvent]) -> str:

@@ -391,10 +391,8 @@ class SLOTracer:
         if not self.inner.enabled:
             return
         self.inner.emit(TraceEvent(
-            phase="alert",
-            t_s=t_s,
-            tenant=alert.tenant,
-            attrs={
+            "alert", t_s, None, None, None, "", alert.tenant,
+            {
                 "state": state,
                 "rule": alert.rule.name,
                 "severity": alert.rule.severity,

@@ -4,7 +4,9 @@ Every serving layer emits :class:`TraceEvent` records through a
 :class:`Tracer` — the simulator (arrive/admit/drop/dispatch/respond),
 the schedulers (enqueue), the batcher (batch_open), the lane pools
 (lane_start/lane_finish) and the engine pool's pricing path (profile).
-The contract is deliberately tiny:
+An event is a named tuple whose phase is checked when it is built, so
+one replay can build thousands cheaply and every tracer reads the same
+layout.  The contract is deliberately tiny:
 
 - ``tracer.enabled`` is a plain attribute every call site checks
   *before* constructing an event, so the default :class:`NullTracer`
@@ -24,7 +26,7 @@ activity nested under the lane slice that ran the batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Dict, Iterable, List, Optional, Protocol, runtime_checkable
 
 from repro.errors import ParameterError
@@ -52,10 +54,18 @@ LIFECYCLE_PHASES = (
 #: burn-rate rule fired or resolved — see :mod:`repro.obs.slo`).
 AUX_PHASES = ("profile", "program", "alert")
 
+_PHASES = frozenset(LIFECYCLE_PHASES + AUX_PHASES)
 
-@dataclass(frozen=True)
-class TraceEvent:
+
+class TraceEvent(namedtuple("TraceEvent", "phase t_s request_id batch_id "
+                                           "lane kind tenant attrs")):
     """One timestamped span event on the replay's simulated clock.
+
+    A named tuple, validated on construction: an unknown ``phase``
+    raises :class:`~repro.errors.ParameterError` whether the event is
+    built by keyword or positionally, through :meth:`_make` or
+    :meth:`_replace`, or unpickled.  Emit sites build it positionally,
+    in field order, since the replay builds thousands per trace.
 
     Attributes:
         phase: one of :data:`LIFECYCLE_PHASES` or :data:`AUX_PHASES`.
@@ -66,25 +76,30 @@ class TraceEvent:
         kind / tenant: traffic labels copied from the request so
             exporters can group without a join.
         attrs: phase-specific payload (drop reason, batch size, profile
-            cycles, ...).  Values must be JSON-serializable scalars or
-            short strings — the JSONL exporter writes them verbatim.
+            cycles, ...), a fresh ``{}`` when omitted.  Values must be
+            JSON-serializable scalars or short strings — the JSONL
+            exporter writes them verbatim.
     """
 
-    phase: str
-    t_s: float
-    request_id: Optional[int] = None
-    batch_id: Optional[int] = None
-    lane: Optional[int] = None
-    kind: str = ""
-    tenant: str = ""
-    attrs: Dict[str, object] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.phase not in LIFECYCLE_PHASES and self.phase not in AUX_PHASES:
+    def __new__(cls, phase: str, t_s: float, request_id: Optional[int] = None,
+                batch_id: Optional[int] = None, lane: Optional[int] = None,
+                kind: str = "", tenant: str = "",
+                attrs: Optional[Dict[str, object]] = None) -> TraceEvent:
+        if phase not in _PHASES:
             raise ParameterError(
-                f"unknown trace phase {self.phase!r}; expected one of "
+                f"unknown trace phase {phase!r}; expected one of "
                 f"{LIFECYCLE_PHASES + AUX_PHASES}"
             )
+        return tuple.__new__(cls, (phase, t_s, request_id, batch_id, lane,
+                                   kind, tenant, {} if attrs is None else attrs))
+
+    @classmethod
+    def _make(cls, iterable) -> TraceEvent:
+        # The namedtuple ``_make`` (which ``_replace`` calls) would skip
+        # the phase check.
+        return cls(*iterable)
 
 
 @runtime_checkable

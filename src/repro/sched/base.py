@@ -245,10 +245,10 @@ def emit_lane_span(tracer, lane: int, start_s: float, latency_s: float,
     if not tracer.enabled:
         return
     attrs = {"params": params_name}
-    tracer.emit(TraceEvent(phase="lane_start", t_s=start_s, lane=lane,
-                           batch_id=batch_id, attrs=attrs))
-    tracer.emit(TraceEvent(phase="lane_finish", t_s=start_s + latency_s,
-                           lane=lane, batch_id=batch_id, attrs=attrs))
+    tracer.emit(TraceEvent("lane_start", start_s, None, batch_id, lane,
+                           "", "", attrs))
+    tracer.emit(TraceEvent("lane_finish", start_s + latency_s, None,
+                           batch_id, lane, "", "", attrs))
 
 
 class BatchingScheduler:
@@ -305,10 +305,9 @@ class BatchingScheduler:
                 waiting += sum(1 for member in full.requests
                                if member.tenant == request.tenant)
             self.tracer.emit(TraceEvent(
-                phase="enqueue", t_s=now_s, request_id=request.request_id,
-                batch_id=batch.batch_id, kind=request.kind,
-                tenant=request.tenant,
-                attrs={**self._enqueue_attrs(), "tenant_waiting": waiting},
+                "enqueue", now_s, request.request_id, batch.batch_id, None,
+                request.kind, request.tenant,
+                {**self._enqueue_attrs(), "tenant_waiting": waiting},
             ))
         return [] if full is None else [full]
 

@@ -199,13 +199,10 @@ class CoalescingBatcher:
             self._open[group] = batch
             if self.tracer.enabled:
                 self.tracer.emit(TraceEvent(
-                    phase="batch_open",
-                    t_s=request.arrival_s,
-                    batch_id=batch.batch_id,
-                    kind=request.kind,
-                    tenant=request.tenant,
-                    attrs={"params": request.params_name, "op": request.op,
-                           "capacity": capacity},
+                    "batch_open", request.arrival_s, None, batch.batch_id,
+                    None, request.kind, request.tenant,
+                    {"params": request.params_name, "op": request.op,
+                     "capacity": capacity},
                 ))
         batch.add(request)
         self._waiting += 1

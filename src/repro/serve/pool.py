@@ -276,12 +276,12 @@ class EnginePool:
                 # Pricing has no place on the trace clock; profile
                 # events sit at t=0 and carry the cost facts.
                 self.tracer.emit(TraceEvent(
-                    phase="profile", t_s=0.0,
-                    attrs={"backend": backend, "params": params_name,
-                           "op": op, "cycles": profile.cycles,
-                           "energy_nj": profile.energy_nj,
-                           "latency_s": profile.latency_s,
-                           "capacity": profile.capacity},
+                    "profile", 0.0, None, None, None, "", "",
+                    {"backend": backend, "params": params_name, "op": op,
+                     "cycles": profile.cycles,
+                     "energy_nj": profile.energy_nj,
+                     "latency_s": profile.latency_s,
+                     "capacity": profile.capacity},
                 ))
         return self._profiles[cache_key]
 

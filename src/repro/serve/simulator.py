@@ -133,23 +133,22 @@ class ServingSimulator:
                                placement.lane, physical_padding))
             if tracer.enabled:
                 tracer.emit(TraceEvent(
-                    phase="dispatch", t_s=now_s, batch_id=batch.batch_id,
-                    lane=placement.lane,
-                    attrs={"params": batch.key[0], "op": batch.key[1],
-                           "size": batch.size, "capacity": profile.capacity,
-                           "start_s": start, "energy_nj": profile.energy_nj},
+                    "dispatch", now_s, None, batch.batch_id, placement.lane,
+                    "", "",
+                    {"params": batch.key[0], "op": batch.key[1],
+                     "size": batch.size, "capacity": profile.capacity,
+                     "start_s": start, "energy_nj": profile.energy_nj},
                 ))
             for request in batch.requests:
                 recorder.served(request, start, finish, energy_per_request)
                 if tracer.enabled:
                     tracer.emit(TraceEvent(
-                        phase="respond", t_s=finish,
-                        request_id=request.request_id,
-                        batch_id=batch.batch_id, lane=placement.lane,
-                        kind=request.kind, tenant=request.tenant,
-                        attrs={"dispatched_s": now_s, "start_s": start,
-                               "energy_nj": energy_per_request,
-                               "batch_size": batch.size},
+                        "respond", finish, request.request_id,
+                        batch.batch_id, placement.lane, request.kind,
+                        request.tenant,
+                        {"dispatched_s": now_s, "start_s": start,
+                         "energy_nj": energy_per_request,
+                         "batch_size": batch.size},
                     ))
             recorder.batch(
                 BatchRecord(
@@ -174,12 +173,10 @@ class ServingSimulator:
                 index += 1
                 if tracer.enabled:
                     tracer.emit(TraceEvent(
-                        phase="arrive", t_s=request.arrival_s,
-                        request_id=request.request_id,
-                        kind=request.kind, tenant=request.tenant,
-                        attrs={"params": request.params_name,
-                               "op": request.op,
-                               "deadline_s": request.deadline_s},
+                        "arrive", request.arrival_s, request.request_id,
+                        None, None, request.kind, request.tenant,
+                        {"params": request.params_name, "op": request.op,
+                         "deadline_s": request.deadline_s},
                     ))
                 reason = None
                 if self.admission_gate is not None:
@@ -189,10 +186,9 @@ class ServingSimulator:
                 if reason is not None:
                     if tracer.enabled:
                         tracer.emit(TraceEvent(
-                            phase="drop", t_s=request.arrival_s,
-                            request_id=request.request_id,
-                            kind=request.kind, tenant=request.tenant,
-                            attrs={"reason": reason},
+                            "drop", request.arrival_s, request.request_id,
+                            None, None, request.kind, request.tenant,
+                            {"reason": reason},
                         ))
                     recorder.drop(
                         DropRecord(
@@ -207,9 +203,8 @@ class ServingSimulator:
                 else:
                     if tracer.enabled:
                         tracer.emit(TraceEvent(
-                            phase="admit", t_s=request.arrival_s,
-                            request_id=request.request_id,
-                            kind=request.kind, tenant=request.tenant,
+                            "admit", request.arrival_s, request.request_id,
+                            None, None, request.kind, request.tenant,
                         ))
                     for batch in scheduler.enqueue(request, request.arrival_s):
                         dispatch(batch, request.arrival_s)

@@ -16,7 +16,7 @@ gives, from the same state.
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterScheduler
@@ -188,6 +188,16 @@ def operand(key):
     return tuple((key * 5 + j * 3 + 1) % RING_Q for j in range(RING_N))
 
 
+def request_fields(i, key, t_s, tenant, budget):
+    return dict(
+        request_id=i, op="ntt" if key is None else "polymul",
+        params_name=RING,
+        payload=tuple((i * 7 + j) % RING_Q for j in range(RING_N)),
+        operand=None if key is None else operand(key),
+        arrival_s=t_s, tenant=tenant,
+        deadline_s=None if budget is None else t_s + budget)
+
+
 @pytest.fixture(scope="module")
 def pool():
     STANDARD_PARAMS[RING] = NTTParams(n=RING_N, q=RING_Q,
@@ -201,21 +211,18 @@ def index_cases(draw):
     inner = draw(st.sampled_from(("fifo", "adaptive", "slo")))
     chips = draw(st.integers(min_value=1, max_value=4))
     count = draw(st.integers(min_value=1, max_value=50))
+    # Request fields, not requests: the ring is registered only while
+    # the ``pool`` fixture is alive, after ``@example`` values are built.
     trace = []
     t_s = 0.0
     for i in range(count):
         t_s += draw(st.sampled_from(GAPS_S))
         key = draw(st.sampled_from(OPERANDS))
         budget = draw(st.sampled_from(DEADLINES_S))
-        trace.append(Request(
-            request_id=i, op="ntt" if key is None else "polymul",
-            params_name=RING,
-            payload=tuple((i * 7 + j) % RING_Q for j in range(RING_N)),
-            operand=None if key is None else operand(key),
-            arrival_s=t_s, tenant=draw(st.sampled_from(TENANTS)),
-            deadline_s=None if budget is None else t_s + budget))
+        trace.append(request_fields(i, key, t_s,
+                                    draw(st.sampled_from(TENANTS)), budget))
     chip_events = tuple(
-        (trace[index % count].arrival_s + offset, chip, action)
+        (trace[index % count]["arrival_s"] + offset, chip, action)
         for index, offset, chip, action in draw(st.lists(
             st.tuples(st.integers(min_value=0, max_value=49),
                       st.sampled_from((0.0, 1e-6, 1e-4)),
@@ -237,8 +244,14 @@ def index_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(case=index_cases())
+# slo drops the one request at admission (its 2 us deadline is shorter
+# than its service time), so the event loop takes no turn.
+@example(case=("slo", {"chips": 1, "chip_events": (), "router": "affinity",
+                       "queue_limit": 2}, 0.0,
+               [request_fields(0, 0, 0.0, "t0", 2e-6)]))
 def test_indexed_wakeups_equal_the_scans(pool, case):
-    inner, options, max_wait_s, trace = case
+    inner, options, max_wait_s, fields = case
+    trace = [Request(**f) for f in fields]
     turns = []
     sim = ServingSimulator(pool, BatchPolicy(max_wait_s=max_wait_s),
                            scheduler=checked_cluster(inner, turns),
@@ -249,7 +262,7 @@ def test_indexed_wakeups_equal_the_scans(pool, case):
         # A failed chip took queued work down with the last live chip.
         assert "no live chips remain" in str(exc)
         return
-    assert turns
+    assert turns or (report.count == 0 and len(report.drops) == len(trace))
     assert report.count + len(report.drops) == len(trace)
 
 

@@ -1,7 +1,6 @@
 """Exporter tests: JSONL roundtrip, Chrome-trace structure, Prometheus."""
 
 import json
-from dataclasses import asdict
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -79,7 +78,7 @@ class TestEventLine:
     def test_matches_asdict_dumps_and_round_trips(self, events, tmp_path):
         lines = [_event_line(e) for e in events]
         assert lines == [
-            json.dumps(asdict(e), separators=(",", ":"), sort_keys=True)
+            json.dumps(e._asdict(), separators=(",", ":"), sort_keys=True)
             for e in events
         ]
         path = tmp_path / "events.jsonl"

@@ -1,5 +1,7 @@
 """Tracer seam unit tests: events, null path, recording, program bridge."""
 
+import pickle
+
 import pytest
 
 from repro.errors import ParameterError
@@ -12,6 +14,9 @@ from repro.obs import (
     TraceEvent,
     Tracer,
     program_events,
+    read_jsonl,
+    to_jsonl,
+    write_jsonl,
 )
 from repro.sram.energy import TECH_45NM
 from repro.sram.executor import profile_program
@@ -38,6 +43,38 @@ class TestTraceEvent:
         e = TraceEvent(phase="arrive", t_s=0.0)
         with pytest.raises(AttributeError):
             e.t_s = 1.0
+
+    def test_positional_is_keyword_and_attrs_are_fresh(self):
+        e = TraceEvent("respond", 2.0, 7, 3, 1, "ntt", "t0", {"size": 4})
+        assert e == TraceEvent(phase="respond", t_s=2.0, request_id=7,
+                               batch_id=3, lane=1, kind="ntt", tenant="t0",
+                               attrs={"size": 4})
+        assert repr(e).startswith("TraceEvent(phase='respond', t_s=2.0, ")
+        assert TraceEvent("admit", 0.0).attrs is not TraceEvent("admit", 0.0).attrs
+
+    def test_every_way_in_checks_the_phase(self, tmp_path):
+        e = TraceEvent("enqueue", 1.0, 4, 2, None, "ntt", "t0", {"k": 1})
+        assert TraceEvent._make(e) == e
+        assert e._replace(lane=3) == (*e[:4], 3, *e[5:])
+        assert type(e._replace(lane=3)) is TraceEvent
+        assert pickle.loads(pickle.dumps(e)) == e
+        path = tmp_path / "events.jsonl"
+        write_jsonl([e], path)
+        assert read_jsonl(path) == [e]
+
+        with pytest.raises(ParameterError, match="unknown trace phase"):
+            TraceEvent("teleport", 0.0)
+        with pytest.raises(ParameterError, match="unknown trace phase"):
+            TraceEvent._make(("teleport", *e[1:]))
+        with pytest.raises(ParameterError, match="unknown trace phase"):
+            e._replace(phase="teleport")
+        # A tuple built around the check is caught when it is unpickled.
+        forged = tuple.__new__(TraceEvent, ("teleport", *e[1:]))
+        with pytest.raises(ParameterError, match="unknown trace phase"):
+            pickle.loads(pickle.dumps(forged))
+        path.write_text(to_jsonl([e]).replace('"enqueue"', '"teleport"'))
+        with pytest.raises(ParameterError, match="unknown trace phase"):
+            read_jsonl(path)
 
 
 class TestNullTracer:
