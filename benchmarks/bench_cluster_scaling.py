@@ -69,8 +69,10 @@ def build_trace(chips: int, count: int) -> List[Request]:
 
     Payload tuples are shared across requests (the simulator never
     mutates them), so a million-request trace allocates a few dozen
-    tuples, not a few million; one ``checked_operands`` dict checks each
-    shared tuple once for the whole trace, not once per request.
+    tuples, not a few million.  One ``checked_operands`` dict is the
+    trace's intern table: it checks each shared tuple once for the
+    whole trace, not once per request, packs each shared payload once,
+    and builds one ``BatchKey`` per kernel.
     """
     rate = BASE_RATE * chips
     keys = KEYS_PER_CHIP * chips

@@ -12,6 +12,10 @@ is four methods, and one optional one:
   story: handles are cached and shared across batches).
 - :meth:`Backend.execute` — run one handle over a list of payload
   polynomials, returning one canonical coefficient list per payload.
+  Each payload is a read-only sequence of canonical ints: the serving
+  pool passes ``memoryview`` rows over the requests' packed words, and
+  other callers pass lists or tuples.  A backend must not write to a
+  row or keep it after the call.
   A replay never calls it per dispatch.  A stateful backend gets one
   batch per call after the event loop.  A pure backend
   (``stateful=False``) gets the rows of many batches of one kernel in
@@ -153,7 +157,8 @@ class Backend(Protocol):
 
     def execute(self, kernel: CompiledKernel,
                 payloads: Sequence[Sequence[int]]) -> List[List[int]]:
-        """Run the kernel over ``payloads``; one result list each."""
+        """Run the kernel over ``payloads``, read-only int sequences;
+        one result list each."""
         ...  # pragma: no cover - protocol
 
     def profile(self, kernel: CompiledKernel) -> CostReport:

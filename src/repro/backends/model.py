@@ -106,6 +106,8 @@ class ModelBackend:
                     for payload in payloads]
         if not payloads:
             return []
+        # The pool's rows are memoryviews over packed words, which numpy
+        # reads into the int64 batch through the buffer protocol.
         return self._transform_batch(kernel, payloads).tolist()
 
     def profile(self, kernel: CompiledKernel) -> CostReport:

@@ -23,6 +23,7 @@ numbers exact:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import ParameterError
@@ -150,10 +151,15 @@ class Histogram:
         return percentile(self.values, q)
 
     def bucket_counts(self) -> List[Tuple[float, int]]:
-        """Cumulative (upper-bound, count) pairs, ending with +inf."""
-        out = []
-        for bound in self.buckets:
-            out.append((bound, sum(1 for v in self.values if v <= bound)))
+        """Cumulative (upper-bound, count) pairs, ending with +inf.
+
+        A bound counts the values ``<=`` it: one sort, then one bisection
+        per bound.  NaN compares false with every bound, so it counts
+        only in the closing ``+inf`` pair, which counts every value.
+        """
+        ordered = sorted(v for v in self.values if v == v)
+        out = [(bound, bisect_right(ordered, bound) if bound == bound else 0)
+               for bound in self.buckets]
         out.append((float("inf"), len(self.values)))
         return out
 

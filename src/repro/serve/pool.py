@@ -24,10 +24,10 @@ batch when it dispatches; :meth:`EnginePool.execute_batches` gives the
 results of any number of validated batches later.  A replay calls it
 once, after its event loop: a stateful backend runs each batch on its
 lane then, in dispatch order, and a pure backend's batches are grouped
-per kernel into a :class:`PendingGroup` whose rows run, in chunks of at
-most :data:`EXECUTE_CHUNK_COEFFS` coefficients, only when one of its
-results is first read.  :meth:`EnginePool.serve` is both steps on one
-batch, and reads its results before it returns.
+per kernel into a :class:`PendingGroup` whose rows run in chunks of at
+most :data:`EXECUTE_CHUNK_COEFFS` coefficients, each chunk only when one
+of its results is first read.  :meth:`EnginePool.serve` is both steps on
+one batch, and reads its results before it returns.
 """
 
 from __future__ import annotations
@@ -40,9 +40,10 @@ from repro.backends import get_backend
 from repro.backends.base import Backend, CompiledKernel
 from repro.core.engine import BPNTTEngine
 from repro.errors import BackendError, ParameterError, require_count
-from repro.ntt.params import get_params
+from repro.ntt.params import NTTParams, get_params
 from repro.obs.tracer import NULL_TRACER, TraceEvent
 from repro.serve.batcher import PolyBatch
+from repro.serve.request import word_rows
 from repro.sram.cost import CostReport
 from repro.sram.energy import TECH_45NM, TechnologyModel
 
@@ -65,47 +66,56 @@ def _checked(name: str, out: Sequence[Sequence[int]],
 
 
 class PendingGroup:
-    """A pure backend's results for one kernel group, run on first read.
+    """A pure backend's results for one kernel group, run a chunk at a time.
 
     ``backend`` and ``kernel`` run the rows: the pool's backend and
     kernel, or the copies its ``detach`` gives (which keep no compiled
-    program alive).  ``rows`` are the payloads of the group's batches
-    in dispatch order.  The first :meth:`results` call runs them
-    through ``backend.execute`` in chunks of at most
-    :data:`EXECUTE_CHUNK_COEFFS` coefficients, the bound in force when
-    the group was made, keeps the result tuples and lets go of the
-    rest.
+    program alive).  ``rows`` are the packed payloads of the group's
+    batches in dispatch order, on the ring ``params``.  They split into
+    chunks of at most :data:`EXECUTE_CHUNK_COEFFS` coefficients, the
+    bound in force when the group was made.  The first read of a row
+    runs its chunk, once, through ``backend.execute`` on read-only views
+    of the chunk's words (:func:`~repro.serve.request.word_rows`).  Once
+    every chunk has run, the group keeps only the result tuples.
     """
 
-    __slots__ = ("name", "_backend", "_kernel", "_rows", "_step", "_results")
+    __slots__ = ("name", "_backend", "_kernel", "_rows", "_params", "_step",
+                 "_chunks")
 
     def __init__(self, name: str, backend: Backend, kernel: CompiledKernel,
-                 rows: List[Tuple[int, ...]]):
+                 rows: List[bytes], params: NTTParams):
         self.name = name
         self._backend = backend
         self._kernel = kernel
         self._rows = rows
-        self._step = max(1, EXECUTE_CHUNK_COEFFS // len(rows[0]))
-        self._results: Optional[List[Tuple[int, ...]]] = None
+        self._params = params
+        self._step = max(1, EXECUTE_CHUNK_COEFFS // params.n)
+        # Each chunk's result tuples, or None until it runs; the list is
+        # made on the first read, so a group nobody reads holds none.
+        self._chunks: Optional[List[Optional[List[Tuple[int, ...]]]]] = None
 
-    def results(self) -> List[Tuple[int, ...]]:
-        """Every row's result tuple, computed on the first call."""
-        if self._results is None:
-            rows, step = self._rows, self._step
-            out: List[Tuple[int, ...]] = []
-            for start in range(0, len(rows), step):
-                chunk = rows[start:start + step]
-                out += _checked(self.name, self._backend.execute(
-                    self._kernel, chunk), len(chunk))
-            self._results = out
-            self._backend = self._kernel = self._rows = None
-        return self._results
+    def result(self, index: int) -> Tuple[int, ...]:
+        """Row ``index``'s result tuple, running its chunk on first read."""
+        chunk, offset = divmod(index, self._step)
+        if self._chunks is None:
+            self._chunks = [None] * len(range(0, len(self._rows), self._step))
+        results = self._chunks[chunk]
+        if results is None:
+            start = chunk * self._step
+            packed = self._rows[start:start + self._step]
+            results = self._chunks[chunk] = _checked(
+                self.name, self._backend.execute(self._kernel, word_rows(
+                    packed, self._params.n, self._params.q)),
+                len(packed))
+            if None not in self._chunks:
+                self._backend = self._kernel = self._rows = None
+        return results[offset]
 
 
 class BatchResults(Sequence):
     """One batch's results: a span of a :class:`PendingGroup`.
 
-    Reading any item runs the whole group once.
+    Reading an item runs the group's chunk that holds it.
     """
 
     __slots__ = ("_group", "_span")
@@ -119,10 +129,9 @@ class BatchResults(Sequence):
 
     def __getitem__(self, index):
         where = self._span[index]
-        results = self._group.results()
         if isinstance(where, range):
-            return [results[i] for i in where]
-        return results[where]
+            return [self._group.result(i) for i in where]
+        return self._group.result(where)
 
 
 @dataclass(frozen=True)
@@ -336,11 +345,14 @@ class EnginePool:
         every row the same way whatever batch or call it rides in, so
         its batches are grouped per instance and batch key into a
         :class:`PendingGroup` that runs nothing until one of its results
-        is read.  The first read runs the group's payload rows through
-        ``execute`` in chunks of at most :data:`EXECUTE_CHUNK_COEFFS`
-        coefficients: one call amortizes its fixed host cost over many
-        batches, and the chunk bound keeps the arrays of a batched
-        kernel small.  A caller that reads no result runs no math.
+        is read.  The group's payload rows split into chunks of at most
+        :data:`EXECUTE_CHUNK_COEFFS` coefficients, and the first read of
+        a row runs its chunk through one ``execute`` call: one call
+        amortizes its fixed host cost over many batches, and the chunk
+        bound keeps the arrays of a batched kernel small.  A caller that
+        reads no result runs no math, and one that reads a sample runs
+        only the chunks that hold it.  Either way ``execute`` gets
+        read-only views of the requests' packed words.
         """
         name = backend if backend is not None else "model"
         results: List[Sequence[Tuple[int, ...]]] = [[] for _ in pending]
@@ -348,10 +360,12 @@ class EnginePool:
         for index, (batch, lane) in enumerate(pending):
             impl = self.backend_lanes(name, batch.key[0])[lane]
             if impl.capabilities().stateful:
+                params = get_params(batch.key[0])
                 _, op, operand = batch.key
                 results[index] = _checked(
-                    name, impl.execute(impl.compile(op, operand),
-                                       [r.payload for r in batch.requests]),
+                    name, impl.execute(impl.compile(op, operand), word_rows(
+                        [r._packed for r in batch.requests],
+                        params.n, params.q)),
                     batch.size)
             else:
                 groups.setdefault((id(impl), batch.key), []).append(index)
@@ -359,11 +373,14 @@ class EnginePool:
             impl = self.backend_lanes(name, key[0])[pending[indices[0]][1]]
             kernel = impl.compile(key[1], key[2])
             detach = getattr(impl, "detach", None)
+            # The group holds each request's packed words (``Request``'s
+            # private slot): nothing is decoded until a row is read.
             group = PendingGroup(
                 name, *(detach(kernel) if detach is not None
                         else (impl, kernel)),
-                [request.payload for index in indices
-                 for request in pending[index][0].requests])
+                [request._packed for index in indices
+                 for request in pending[index][0].requests],
+                get_params(key[0]))
             start = 0
             for index in indices:
                 end = start + pending[index][0].size

@@ -27,8 +27,10 @@ pointwise program bakes the second operand into its constants.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import InitVar, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.backends.base import KERNEL_OPS
 from repro.crypto.he import HECiphertext, HEContext, RelinKey
@@ -40,26 +42,121 @@ __all__ = ["KERNEL_OPS", "BatchKey", "Request", "Response", "ResultSlot",
            "he_multiply_plain_requests", "he_multiply_requests"]
 
 
-def _canonical(coeffs: Sequence[int], params: NTTParams, label: str,
-               checked: Optional[Dict[tuple, tuple]] = None) -> Tuple[int, ...]:
+# -- packed payloads -----------------------------------------------------------
+#
+# A payload is one ``bytes`` object of native unsigned words, the
+# smallest of 1, 2, 4 or 8 bytes that holds ``q - 1``: one SRAM word per
+# coefficient, where a tuple spends 36 bytes on each.  Moduli past 64
+# bits pack each coefficient as little-endian bytes of one fixed width.
+
+#: Native unsigned word codes, shared by ``struct``, ``array`` and
+#: ``memoryview.cast``, by size in bytes.
+_WORD_CODES = {struct.calcsize(code): code for code in "QLIHB"}
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int, q: int) -> Tuple[Optional[str], Optional[struct.Struct], int]:
+    """``(code, words, width)`` of an ``n``-coefficient payload mod ``q``.
+
+    ``words`` packs and unpacks all ``n`` native words of ``width``
+    bytes and ``code`` is their format character; both are None when
+    ``q - 1`` needs more than 8 bytes and ``width`` is the byte width
+    of the little-endian encoding.
+    """
+    width = max(1, ((q - 1).bit_length() + 7) // 8)
+    for size in (1, 2, 4, 8):
+        if width <= size and size in _WORD_CODES:
+            code = _WORD_CODES[size]
+            return code, struct.Struct(f"{n}{code}"), size
+    return None, None, width
+
+
+def pack_words(coeffs: Iterable[int], n: int, q: int) -> bytes:
+    """``n`` coefficients, each in ``[0, q)``, as packed words.
+
+    ``coeffs`` may be any iterable, an iterator included; it is read once.
+    """
+    _, words, width = _layout(n, q)
+    if words is not None:
+        return words.pack(*coeffs)
+    return b"".join(int(c).to_bytes(width, "little") for c in coeffs)
+
+
+def unpack_words(packed: bytes, n: int, q: int) -> Tuple[int, ...]:
+    """The coefficients :func:`pack_words` packed, as a tuple of ints."""
+    _, words, width = _layout(n, q)
+    if words is not None:
+        return words.unpack(packed)
+    return tuple(int.from_bytes(packed[i:i + width], "little")
+                 for i in range(0, len(packed), width))
+
+
+def word_rows(packed: Sequence[bytes], n: int, q: int) -> List[Sequence[int]]:
+    """Read-only int rows over packed payloads, for ``Backend.execute``.
+
+    A row is a ``memoryview`` cast to the payloads' word, which reads
+    the bytes in place; moduli past 64 bits decode to tuples.
+    """
+    code, words, _ = _layout(n, q)
+    if words is None:
+        return [unpack_words(p, n, q) for p in packed]
+    return [memoryview(p).cast(code) for p in packed]
+
+
+# -- canonical coefficients ----------------------------------------------------
+#
+# ``table`` is a trace's intern table (``Request``'s ``checked_operands``),
+# a caller-owned dict with two kinds of entry, each holding the object
+# whose id it is keyed on, so the id is not reused while the table lives:
+#
+# - ``(id(coeffs), n, q) -> (coeffs, packed)``: a tuple the caller passed,
+#   found canonical for the ring, and its packed words; or a payload the
+#   caller drew packed and canonical, ``(packed, packed)``;
+# - ``(params_name, op, id(operand)) -> BatchKey``: one key per kernel.
+
+
+def record_drawn(table: dict, packed: bytes, n: int, q: int) -> bytes:
+    """Record ``packed``, words the caller drew canonical for the ring,
+    in a trace's intern table; returns them.
+
+    A :class:`Request` built with the table then takes them as its
+    payload as they are, with no scan.
+    """
+    table[id(packed), n, q] = (packed, packed)
+    return packed
+
+
+def _canonical(coeffs: Sequence[int], params: NTTParams,
+               label: str) -> Tuple[int, ...]:
     if len(coeffs) != params.n:
         raise ParameterError(
             f"{label} needs {params.n} coefficients, got {len(coeffs)}"
         )
-    # ``checked`` maps (id, q) of tuples already found canonical to the
-    # tuple itself; holding it keeps the id from being reused.
-    key = (id(coeffs), params.q)
-    if checked is not None and checked.get(key) is coeffs:
-        return coeffs
     # A tuple of plain ints already in [0, q) is kept as given, so
     # requests sharing an operand share one tuple (and compare by
     # identity); anything else is reduced into a new tuple.
     if (type(coeffs) is tuple and set(map(type, coeffs)) == {int}
             and min(coeffs) >= 0 and max(coeffs) < params.q):
-        if checked is not None:
-            checked[key] = coeffs
         return coeffs
     return tuple(c % params.q for c in coeffs)
+
+
+def _interned(coeffs: Sequence[int], params: NTTParams, label: str,
+              table: Optional[dict]) -> Tuple[Tuple[int, ...], bytes]:
+    """``coeffs``' canonical tuple and its packed words.
+
+    A tuple already canonical is checked and packed once per ``table``.
+    """
+    if table is not None:
+        slot = (id(coeffs), params.n, params.q)
+        entry = table.get(slot)
+        if entry is not None and entry[0] is coeffs:
+            return entry
+    canonical = _canonical(coeffs, params, label)
+    entry = (canonical, pack_words(canonical, params.n, params.q))
+    if table is not None and canonical is coeffs:
+        table[slot] = entry
+    return entry
 
 
 class BatchKey(tuple):
@@ -86,7 +183,7 @@ class BatchKey(tuple):
         return (BatchKey, tuple(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Request:
     """One client operation on one polynomial.
 
@@ -95,9 +192,13 @@ class Request:
         op: ``"ntt"``, ``"intt"`` or ``"polymul"``.
         params_name: standard parameter-set name (see
             :func:`repro.ntt.params.get_params`).
-        payload: the request's polynomial, canonical coefficients.
+        payload: the request's polynomial, canonical coefficients.  It
+            is stored packed, one machine word per coefficient (see
+            :func:`pack_words`), and each read decodes a new tuple of
+            ints, equal to the canonical form of what was given.
         operand: the fixed second polynomial for ``polymul`` (coefficient
-            domain); ``None`` for the bare kernels.
+            domain); ``None`` for the bare kernels.  A canonical int
+            tuple is kept as given.
         arrival_s: arrival time in seconds from trace start.
         kind: traffic label for reporting (e.g. ``"kyber"``); defaults
             to the op name.
@@ -110,52 +211,96 @@ class Request:
             against it; the fifo scheduler ignores it.
         batch_key: ``(params_name, op, operand)`` as a :class:`BatchKey`,
             built once; requests with equal keys may share one engine
-            invocation.
-        checked_operands: init-only, not a field: a caller-owned dict
-            that remembers coefficient tuples (operands and payloads)
-            already found canonical, so a trace whose requests share a
-            few operands checks each one once, and payloads the caller
-            drew canonical and recorded are not scanned
-            (:mod:`repro.serve.workload` passes one per trace).
+            invocation.  Not an init argument, and left out of equality
+            and ``repr``.
+        checked_operands: init-only, not a field: a trace's intern table,
+            a caller-owned dict (pass ``{}``) shared by the requests of
+            one trace.  A coefficient tuple the requests share (an
+            operand, or a payload) is checked canonical once, a shared
+            payload is packed once and its packed words are shared, and
+            requests with one ``(params_name, op, operand)`` share one
+            :class:`BatchKey` object.  :mod:`repro.serve.workload` passes
+            one per trace and records each payload it draws packed as
+            canonical, so a drawn payload is never scanned.  Without a
+            table, each request checks and packs its own copy and builds
+            its own key.
+
+    ``dataclasses.replace`` on a request must pass ``payload``, which is
+    an init-only argument.
     """
 
     request_id: int
     op: str
     params_name: str
-    payload: Tuple[int, ...]
+    payload: InitVar[Sequence[int]]
     operand: Optional[Tuple[int, ...]] = None
     arrival_s: float = 0.0
     kind: str = ""
     tenant: str = ""
     deadline_s: Optional[float] = None
-    checked_operands: InitVar[Optional[Dict[tuple, tuple]]] = None
+    checked_operands: InitVar[Optional[dict]] = None
+    _packed: bytes = field(init=False, repr=False)
+    batch_key: BatchKey = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self, checked_operands) -> None:
+    def __post_init__(self, payload, checked_operands) -> None:
         if self.op not in KERNEL_OPS:
             raise ParameterError(
                 f"unknown op {self.op!r}; expected one of {KERNEL_OPS}"
             )
         params = get_params(self.params_name)
-        object.__setattr__(self, "payload", _canonical(
-            self.payload, params, "payload", checked_operands))
+        table = checked_operands
+        object.__setattr__(self, "_packed",
+                           _interned(payload, params, "payload", table)[1])
+        operand = self.operand
         if self.op == "polymul":
-            if self.operand is None:
+            if operand is None:
                 raise ParameterError("polymul requests need a second operand")
-            object.__setattr__(self, "operand", _canonical(
-                self.operand, params, "operand", checked_operands))
-        elif self.operand is not None:
+            operand = _interned(operand, params, "operand", table)[0]
+            object.__setattr__(self, "operand", operand)
+        elif operand is not None:
             raise ParameterError(f"{self.op} requests take no second operand")
         if not self.kind:
             object.__setattr__(self, "kind", self.op)
         if not self.tenant:
             object.__setattr__(self, "tenant", self.kind)
-        object.__setattr__(
-            self, "batch_key", BatchKey(self.params_name, self.op, self.operand)
-        )
+        if table is None:
+            key = BatchKey(self.params_name, self.op, operand)
+        else:
+            slot = (self.params_name, self.op, id(operand))
+            key = table.get(slot)
+            if key is None:
+                key = table[slot] = BatchKey(self.params_name, self.op, operand)
+        object.__setattr__(self, "batch_key", key)
 
     @property
     def params(self) -> NTTParams:
         return get_params(self.params_name)
+
+    def __repr__(self) -> str:
+        return (f"Request(request_id={self.request_id!r}, op={self.op!r}, "
+                f"params_name={self.params_name!r}, "
+                f"payload={self.payload!r}, operand={self.operand!r}, "
+                f"arrival_s={self.arrival_s!r}, kind={self.kind!r}, "
+                f"tenant={self.tenant!r}, deadline_s={self.deadline_s!r})")
+
+    def __reduce__(self):
+        # The payload travels as ints and the key is built again on
+        # load: a cached str hash must not cross processes.
+        return (Request, (self.request_id, self.op, self.params_name,
+                          self.payload, self.operand, self.arrival_s,
+                          self.kind, self.tenant, self.deadline_s))
+
+
+def _read_payload(request: Request) -> Tuple[int, ...]:
+    params = get_params(request.params_name)
+    return unpack_words(request._packed, params.n, params.q)
+
+
+# Set after the dataclass is built, as ``Response.result`` is: a
+# ``payload`` property in the class body would become the default of
+# the ``payload`` init argument.
+Request.payload = property(
+    _read_payload, doc="The payload coefficients, decoded on each read.")
 
 
 class ResultSlot:

@@ -64,7 +64,7 @@ from repro.crypto.he import default_relin_base, relin_digit_count
 from repro.errors import ParameterError
 from repro.ntt.params import get_params
 from repro.registry import FactoryRegistry
-from repro.serve.request import Request
+from repro.serve.request import Request, pack_words, record_drawn, unpack_words
 
 
 @dataclass(frozen=True)
@@ -246,16 +246,18 @@ for _name, _scenario in _BUILTIN_SCENARIOS.items():
 _REGISTRY.register("cluster-mixed", "repro.cluster.workload:cluster_mixed")
 
 
-def _random_poly(n: int, q: int, rng: random.Random) -> Tuple[int, ...]:
-    """``tuple(rng.randrange(q) for _ in range(n))``, drawn faster.
+def _random_poly(n: int, q: int, rng: random.Random) -> bytes:
+    """``tuple(rng.randrange(q) for _ in range(n))``, drawn faster and
+    packed (:func:`~repro.serve.request.pack_words`).
 
     ``randrange(q)`` draws ``getrandbits(q.bit_length())`` until a value
     falls below ``q``.  Running that same rejection loop as one
     iterator chain draws the same values and leaves ``rng`` in the same
-    state, without a Python-level call per coefficient.
+    state, without a Python-level call per coefficient, and the chain
+    feeds the packer directly: the payload is never an int tuple.
     """
     draws = iter(partial(rng.getrandbits, q.bit_length()), -1)
-    return tuple(islice(filter(q.__gt__, draws), n))
+    return pack_words(islice(filter(q.__gt__, draws), n), n, q)
 
 
 def _operand_pools(scenario: Scenario, rng: random.Random) -> Dict[str, List[Tuple[int, ...]]]:
@@ -263,8 +265,9 @@ def _operand_pools(scenario: Scenario, rng: random.Random) -> Dict[str, List[Tup
     for c in scenario.components:
         if c.op == "polymul":
             params = get_params(c.params_name)
+            n, q = params.n, params.q
             pools[c.kind] = [
-                _random_poly(params.n, params.q, rng)
+                unpack_words(_random_poly(n, q, rng), n, q)
                 for _ in range(max(1, c.operand_pool))
             ]
     return pools
@@ -277,9 +280,10 @@ def _materialize(scenario: Scenario, arrivals: List[float],
     components = list(scenario.components)
     weights = [c.weight for c in components]
     requests: List[Request] = []
-    # Pool operands are shared by many requests: check each one once.
-    # Payloads are drawn canonical, so they are recorded as checked.
-    checked: Dict[tuple, tuple] = {}
+    # The trace's intern table: each pool operand is checked once, each
+    # batch key built once, and drawn payloads, packed and canonical by
+    # construction, are recorded as such.
+    table: dict = {}
     next_id = 0
     for arrival in arrivals:
         c = rng.choices(components, weights=weights)[0]
@@ -300,8 +304,8 @@ def _materialize(scenario: Scenario, arrivals: List[float],
             if c.op == "polymul":
                 operand = (shared if c.operand_schedule is None
                            else operand_pool[c.operand_schedule[index]])
-            payload = _random_poly(params.n, params.q, rng)
-            checked[id(payload), params.q] = payload
+            payload = record_drawn(table, _random_poly(params.n, params.q, rng),
+                                   params.n, params.q)
             requests.append(
                 Request(
                     request_id=next_id,
@@ -316,7 +320,7 @@ def _materialize(scenario: Scenario, arrivals: List[float],
                         None if c.slo_ms is None
                         else arrival + c.slo_ms * 1e-3
                     ),
-                    checked_operands=checked,
+                    checked_operands=table,
                 )
             )
             next_id += 1

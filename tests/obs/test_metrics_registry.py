@@ -1,6 +1,8 @@
 """Metrics-registry semantics the serve report now depends on."""
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.obs.registry import (
@@ -76,6 +78,22 @@ class TestHistogram:
         for v in (0.5, 0.9, 5.0, 50.0):
             h.observe(v)
         assert h.bucket_counts() == [(1.0, 2), (10.0, 3), (float("inf"), 4)]
+
+    @given(values=st.lists(st.one_of(st.floats(), st.integers(-5, 5)),
+                           max_size=40),
+           buckets=st.lists(st.floats(), min_size=1, max_size=6))
+    def test_bucket_counts_equal_a_scan_per_bound(self, values, buckets):
+        """One sort and a bisection per bound count what a scan of every
+        value per bound counts, NaN and infinities included."""
+        try:
+            h = Histogram("h", (), sorted(buckets))
+        except ParameterError:
+            assume(False)
+        for v in values:
+            h.observe(v)
+        scan = [(bound, sum(1 for v in h.values if v <= bound))
+                for bound in h.buckets] + [(float("inf"), len(h.values))]
+        assert h.bucket_counts() == scan
 
     def test_buckets_must_strictly_increase(self):
         reg = MetricsRegistry()

@@ -3,9 +3,9 @@
 A replay validates, prices and places every batch as it dispatches, and
 computes results only when they are read:
 :meth:`~repro.serve.pool.EnginePool.execute_batches` groups the batches
-of a pure backend per instance and batch key, and the first read of any
-result in a group runs the group's rows in chunks of at most
-:data:`~repro.serve.pool.EXECUTE_CHUNK_COEFFS` coefficients; a stateful
+of a pure backend per instance and batch key into chunks of at most
+:data:`~repro.serve.pool.EXECUTE_CHUNK_COEFFS` coefficients, and the
+first read of a result runs the chunk that holds it; a stateful
 backend runs its batches one by one on their lanes after the event
 loop.  These tests hold every per-request result to the gold model and
 to the one-batch-at-a-time path of :meth:`EnginePool.serve`, count the
@@ -219,12 +219,18 @@ class TestExecuteCalls:
                          for r in report.responses)
         assert list(response.result) == gold_result(request)
         key = (request.op, request.operand)
-        assert dict(rows) == {key: group_rows}
-        assert dict(calls) == {key: math.ceil(group_rows / budget)}
-        # Its group's other results are already there.
+        # One ``execute`` call: the chunk that holds the row, no more.
+        assert dict(calls) == {key: 1}
+        assert 0 < rows[key] <= budget and group_rows > budget
+        # The group's other rows run their own chunks, each once.
         for other in report.responses:
             if other.request.batch_key == request.batch_key:
                 assert list(other.result) == gold_result(other.request)
+        assert dict(calls) == {key: math.ceil(group_rows / budget)}
+        assert dict(rows) == {key: group_rows}
+        for other in report.responses:
+            if other.request.batch_key == request.batch_key:
+                assert other.result is not None
         assert dict(calls) == {key: math.ceil(group_rows / budget)}
 
 
@@ -323,6 +329,33 @@ def test_a_backend_without_detach_is_held_whole_until_read(rings, ring):
         assert backend.executed == len(trace)
         # Once read, the results let go of it.
         del backend
+        gc.collect()
+        assert ref() is None
+    finally:
+        unregister_backend("plain-test")
+
+
+def test_a_group_lets_go_of_its_backend_after_its_last_chunk(
+        rings, monkeypatch):
+    """One row per chunk: each read runs one chunk, and the group holds
+    its backend until the last one has run."""
+    monkeypatch.setattr(pool_module, "EXECUTE_CHUNK_COEFFS",
+                        RINGS[SCALAR_RING].n)
+    register_backend("plain-test", PlainBackend)
+    try:
+        trace = _trace(SCALAR_RING, 12, 5, ("ntt",), 1)
+        pool = _pool(SCALAR_RING, size=1)
+        report = ServingSimulator(pool, BatchPolicy(max_wait_s=1e-4),
+                                  backend="plain-test").replay(trace)
+        ref = weakref.ref(pool.backend_lanes("plain-test", SCALAR_RING)[0])
+        del pool
+        *first, last = report.responses
+        for read, response in enumerate(first, start=1):
+            assert list(response.result) == gold_result(response.request)
+            assert list(response.result) == gold_result(response.request)
+            gc.collect()
+            assert ref().executed == read
+        assert list(last.result) == gold_result(last.request)
         gc.collect()
         assert ref() is None
     finally:

@@ -148,7 +148,8 @@ class TestCanonical:
     def test_canonical_int_tuple_kept_by_identity(self, tiny_name):
         coeffs = tuple(range(TINY_N - 1)) + (TINY_Q - 1,)
         r = self.make(tiny_name, coeffs)
-        assert r.payload is coeffs and r.operand is coeffs
+        # The payload is stored packed: each read is an equal new tuple.
+        assert r.operand is coeffs and r.payload == coeffs
 
     @pytest.mark.parametrize("coeffs", [
         list(range(TINY_N)),                     # not a tuple
@@ -361,7 +362,8 @@ class TestResponse:
 
     def test_a_result_slot_reads_through(self, tiny_request):
         r = tiny_request(0)
-        resp = Response(request=r, result=ResultSlot([(1,), r.payload], 1),
+        payload = r.payload
+        resp = Response(request=r, result=ResultSlot([(1,), payload], 1),
                         start_s=0.0, finish_s=1.0, energy_nj=1.0,
                         engine_index=0, batch_size=1, batch_padding=0)
-        assert resp.result is r.payload
+        assert resp.result is payload

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.crypto.he import default_relin_base, relin_digit_count
 from repro.errors import ParameterError
 from repro.ntt.params import get_params
+from repro.serve.request import unpack_words
 from repro.serve.workload import (
     MixComponent,
     Scenario,
@@ -249,7 +250,7 @@ class TestSLOScenario:
 
 
 class TestRandomPoly:
-    """The coefficient draw is ``randrange``'s, value for value."""
+    """The coefficient draw is ``randrange``'s, value for value, packed."""
 
     @given(n=st.integers(0, 300),
            q=st.one_of(st.integers(1, 2**40),
@@ -259,6 +260,6 @@ class TestRandomPoly:
            seed=st.integers(0, 2**32))
     def test_same_tuple_and_rng_state_as_randrange(self, n, q, seed):
         fast, reference = random.Random(seed), random.Random(seed)
-        assert _random_poly(n, q, fast) == tuple(
+        assert unpack_words(_random_poly(n, q, fast), n, q) == tuple(
             reference.randrange(q) for _ in range(n))
         assert fast.getstate() == reference.getstate()
