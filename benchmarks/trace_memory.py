@@ -1,4 +1,4 @@
-"""Trace memory: bytes a generated request trace retains, per request.
+"""Trace memory: bytes a request trace and its report retain, per request.
 
 Measures, under ``tracemalloc``, what two traces keep alive once built:
 
@@ -7,13 +7,21 @@ Measures, under ``tracemalloc``, what two traces keep alive once built:
   HE payloads, each drawn fresh), over 1 s (~4,800 requests);
 - ``cluster-sweep``: ``bench_cluster_scaling.build_trace(16, 160000)``,
   the largest trace of the 10^6-request sweep, whose payloads are a few
-  shared tuples, so what it holds is the per-request overhead.
+  shared tuples, so what it holds is the per-request overhead;
 
-Each line reads ``<trace> <bytes> B/request (bound <bound>)``; the run
-exits 1 when a trace retains more than its bound.  The bounds
-are the ones the tier-1 suite asserts on smaller traces of the same
-shapes (``tests/serve/test_packed_requests.py``).  Run from the
-repository root::
+and what one report keeps alive:
+
+- ``report``: the report of a replay of the ``mixed-slo`` trace above
+  under its ``slo`` stack, with no result read.  The stack is priced by
+  an earlier replay first, so what the measured replay leaves allocated
+  is its report: the request log, the batch records, the registry and
+  the pending results.
+
+Each line reads ``<name> <bytes> B/request (bound <bound>)``; the run
+exits 1 when one retains more than its bound.  The bounds are the ones
+the tier-1 suite asserts on smaller traces of the same shapes
+(``tests/serve/test_packed_requests.py``).  Run from the repository
+root::
 
     PYTHONPATH=src python benchmarks/trace_memory.py
 """
@@ -21,7 +29,7 @@ repository root::
 import gc
 import sys
 import tracemalloc
-from typing import Callable, Sized
+from typing import Any, Callable, Sized, Tuple
 
 #: The ``mixed-slo`` bursty shape of perfbench's ``pqc-slo-cold``.
 PQC_SHAPE = dict(
@@ -31,19 +39,36 @@ PQC_SHAPE = dict(
 #: Most bytes per request each trace may retain.
 PQC_BYTES_PER_REQUEST = 2048
 SWEEP_BYTES_PER_REQUEST = 250
+REPORT_BYTES_PER_REQUEST = 150
 
 
-def retained_bytes_per_request(make: Callable[[], Sized]) -> float:
-    """Bytes ``make()``'s trace keeps allocated, over its length."""
+def retained_bytes(make: Callable[[], Any]) -> Tuple[int, Any]:
+    """Bytes ``make()``'s result keeps allocated, and the result."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        trace = make()
+        made = make()
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    return retained, made
+
+
+def retained_bytes_per_request(make: Callable[[], Sized]) -> float:
+    """Bytes ``make()``'s trace keeps allocated, over its length."""
+    retained, trace = retained_bytes(make)
+    return retained / len(trace)
+
+
+def report_bytes_per_request(config) -> float:
+    """Bytes the report of a replay of ``config``'s trace keeps allocated,
+    over the trace's length, with no result read."""
+    trace = config.build_trace()
+    simulator = config.build_simulator()
+    simulator.replay(trace)  # prices the stack
+    retained, _ = retained_bytes(lambda: simulator.replay(trace))
     return retained / len(trace)
 
 
@@ -62,9 +87,12 @@ def main() -> int:
         ("cluster-sweep", lambda: build_trace(16, 160_000),
          SWEEP_BYTES_PER_REQUEST),
     ]
+    readings = [(name, retained_bytes_per_request(make), bound)
+                for name, make, bound in cases]
+    readings.append(("report", report_bytes_per_request(ReplayConfig(
+        **PQC_SHAPE, duration=1.0, seed=2023)), REPORT_BYTES_PER_REQUEST))
     over = 0
-    for name, make, bound in cases:
-        per_request = retained_bytes_per_request(make)
+    for name, per_request, bound in readings:
         print(f"{name} {per_request:.0f} B/request (bound {bound})")
         over += per_request > bound
     return 1 if over else 0

@@ -3,19 +3,22 @@
 Instruments are keyed by a ``subsystem.name`` metric name plus a frozen
 label set (``tenant=...``, ``kind=...``, ``lane=...``); asking for the
 same (name, labels) pair twice returns the same instrument, so every
-serving layer can increment shared series without coordination.  The
-simulator records into it at dispatch
-(:class:`repro.serve.metrics.MetricsRecorder`); the serve report is a
-view over it and the Prometheus exporter dumps it.
+serving layer can increment shared series without coordination.  A
+replay's records are filled into it once the replay is done
+(:func:`repro.serve.metrics.aggregate`); the serve report is a view
+over it and the Prometheus exporter dumps it.
 
 Three deliberate departures from a production metrics client keep the
 numbers exact:
 
-- Histograms retain their raw observations (these are replay-sized
-  series, not unbounded production streams), so percentile queries use
-  exact nearest-rank arithmetic.  Bucketing happens only at export time.
+- Histograms answer from their raw observations (these are
+  replay-sized series, not unbounded production streams), so percentile
+  queries use exact nearest-rank arithmetic.  Bucketing happens only at
+  export time.  A series keeps a list of them, or a read-only view
+  (:meth:`Histogram.use_view`) over values kept elsewhere, such as the
+  serving simulator's request log.
 - Counter/histogram sums accumulate left-to-right in observation
-  order, matching ``sum(list)`` exactly — float-for-float.
+  order, float-for-float what a running ``+=`` gives.
 - Gauges can carry a *timeline* (``sample(t, v)``): the queue-depth
   trajectory is a first-class series, with last-write-wins on equal
   timestamps exactly as the simulator recorded it.
@@ -24,7 +27,10 @@ numbers exact:
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from collections.abc import Sequence as SequenceABC
+from functools import reduce
+from operator import add, eq
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import ParameterError
 
@@ -36,11 +42,53 @@ def percentile(values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile (q in [0, 100]) of a non-empty sequence."""
     if not values:
         raise ParameterError("percentile of an empty sequence")
+    return _nearest_rank(sorted(values), q)
+
+
+def _nearest_rank(ordered: List[float], q: float) -> float:
+    """Nearest-rank percentile of sorted values; NaN when there are none."""
     if not 0 <= q <= 100:
         raise ParameterError(f"percentile q must be in [0, 100], got {q}")
-    ordered = sorted(values)
+    if not ordered:
+        return float("nan")
     rank = max(1, -(-len(ordered) * q // 100))  # ceil without floats
     return ordered[int(rank) - 1]
+
+
+class SequenceView(SequenceABC):
+    """A read-only sequence that compares and prints as the list of its items."""
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (SequenceView, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class Timeline(SequenceView):
+    """A gauge's ``(t, value)`` samples, kept as two columns."""
+
+    __slots__ = ("times", "values")
+
+    def __init__(self) -> None:
+        self.times: List[float] = []
+        self.values: List[Union[int, float]] = []
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __iter__(self) -> Iterator[Tuple[float, Union[int, float]]]:
+        return zip(self.times, self.values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(zip(self.times[index], self.values[index]))
+        return self.times[index], self.values[index]
 
 
 def _label_key(labels: Optional[Mapping[str, str]]) -> LabelKey:
@@ -82,7 +130,7 @@ class Gauge:
         self.name = name
         self.labels = labels
         self.value = 0.0
-        self.samples: List[Tuple[float, float]] = []
+        self.samples = Timeline()
 
     def set(self, value: Union[int, float]) -> None:
         self.value = value
@@ -91,23 +139,30 @@ class Gauge:
         """Record (t, value); same-timestamp samples overwrite (the
         last decision at an instant is the instant's state)."""
         self.value = value
-        if self.samples and self.samples[-1][0] == t_s:
-            self.samples[-1] = (t_s, value)
+        times = self.samples.times
+        if times and times[-1] == t_s:
+            self.samples.values[-1] = value
         else:
-            self.samples.append((t_s, value))
+            times.append(t_s)
+            self.samples.values.append(value)
 
     @property
     def max_sample(self) -> float:
-        return max((v for _, v in self.samples), default=0.0)
+        return max(self.samples.values, default=0.0)
 
 
 #: Default export buckets (milliseconds-friendly decades); histograms
-#: keep raw values, so buckets only shape the Prometheus dump.
+#: answer from raw values, so buckets only shape the Prometheus dump.
 DEFAULT_BUCKETS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0)
 
 
 class Histogram:
-    """Raw-observation histogram with exact percentile queries."""
+    """Raw-observation histogram with exact percentile queries.
+
+    ``values`` is a list of the observations, or the read-only sequence
+    given to :meth:`use_view`, which turns into a list on the next
+    :meth:`observe`.
+    """
 
     kind = "histogram"
 
@@ -120,12 +175,24 @@ class Histogram:
         self.name = name
         self.labels = labels
         self.buckets = tuple(buckets)
-        self.values: List[float] = []
+        self.values: Sequence[float] = []
         self.sum = 0.0
 
     def observe(self, value: Union[int, float]) -> None:
+        if type(self.values) is not list:
+            self.values = list(self.values)
         self.values.append(value)
         self.sum += value
+
+    def extend(self, values: Sequence[float]) -> None:
+        """Observe each of ``values``, in order, at once."""
+        self.sum = reduce(add, values, self.sum)
+        self.values = [*self.values, *values]
+
+    def use_view(self, view: Sequence[float]) -> None:
+        """Hold ``view``, a read-only sequence equal to the values and
+        kept elsewhere, in their place: the series then holds no copy."""
+        self.values = view
 
     @property
     def count(self) -> int:
@@ -142,13 +209,12 @@ class Histogram:
         tenant whose every request was shed, a stage no request
         reached) must render as "no data", not crash the report.
         """
-        if not self.values:
-            if not 0 <= q <= 100:
-                raise ParameterError(
-                    f"percentile q must be in [0, 100], got {q}"
-                )
-            return float("nan")
-        return percentile(self.values, q)
+        return self.percentiles(q)[0]
+
+    def percentiles(self, *qs: float) -> List[float]:
+        """:meth:`percentile` of each of ``qs``, from one sort."""
+        ordered = sorted(self.values)
+        return [_nearest_rank(ordered, q) for q in qs]
 
     def bucket_counts(self) -> List[Tuple[float, int]]:
         """Cumulative (upper-bound, count) pairs, ending with +inf.
@@ -157,10 +223,11 @@ class Histogram:
         per bound.  NaN compares false with every bound, so it counts
         only in the closing ``+inf`` pair, which counts every value.
         """
-        ordered = sorted(v for v in self.values if v == v)
+        values = list(self.values)
+        ordered = sorted(v for v in values if v == v)
         out = [(bound, bisect_right(ordered, bound) if bound == bound else 0)
                for bound in self.buckets]
-        out.append((float("inf"), len(self.values)))
+        out.append((float("inf"), len(values)))
         return out
 
 
@@ -173,7 +240,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, LabelKey], Instrument] = {}
         # Names already checked: a replay looks the same few names up
-        # once per response, and the check scans every character.
+        # once per record, and the check scans every character.
         self._names: Set[str] = set()
 
     def __len__(self) -> int:

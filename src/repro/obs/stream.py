@@ -37,6 +37,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ParameterError
 from repro.obs.registry import percentile
+from repro.obs.summary import STAGES
 from repro.obs.tracer import NULL_TRACER, TraceEvent, Tracer
 
 #: Phases whose ``t_s`` is the simulator's current clock — the
@@ -45,9 +46,9 @@ NOW_PHASES = frozenset(
     {"arrive", "admit", "drop", "enqueue", "batch_open", "dispatch"}
 )
 
-#: Per-request latency stages tracked per window, in lifecycle order
-#: (mirrors :data:`repro.obs.summary.STAGES` plus end-to-end).
-STREAM_STAGES = ("e2e", "admission", "batching", "lane-wait", "service")
+#: Per-request latency stages tracked per window, in lifecycle order:
+#: end-to-end, then :data:`repro.obs.summary.STAGES`.
+STREAM_STAGES = ("e2e", *(name for name, _, _ in STAGES))
 
 
 # -- bounded-memory quantiles ------------------------------------------------
@@ -597,27 +598,15 @@ class WindowedAggregator:
                 bucket.deadline_met += 1
                 cell.deadline_met += 1
 
-        def span_ms(a: Optional[float], b: Optional[float]) -> Optional[float]:
-            if a is None or b is None:
-                return None
-            return max(b - a, 0.0) * 1e3
-
-        for name, value in (
-            ("e2e", span_ms(arrive, finish)),
-            ("admission", span_ms(arrive, enqueue)),
-            ("batching", span_ms(enqueue, dispatched)),
-            ("lane-wait", span_ms(dispatched, start)),
-            ("service", span_ms(start, finish)),
-        ):
-            if value is not None:
-                bucket.stages[name].observe(value)
+        instants = {"arrive_s": arrive, "enqueue_s": enqueue,
+                    "dispatched_s": dispatched, "start_s": start,
+                    "finish_s": finish}
+        for name, first, last in (("e2e", "arrive_s", "finish_s"), *STAGES):
+            a, b = instants[first], instants[last]
+            if a is not None and b is not None:
+                bucket.stages[name].observe(max(b - a, 0.0) * 1e3)
 
     # -- window finalization -----------------------------------------------
-
-    def _first_end(self, spec: WindowSpec) -> int:
-        """Bucket index of the first window end at or after time zero."""
-        stride_buckets = int(round(spec.stride_s / self._grain))
-        return stride_buckets
 
     def _advance(self) -> None:
         """Finalize every window whose end the watermark has passed."""

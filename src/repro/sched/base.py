@@ -278,6 +278,9 @@ class BatchingScheduler:
         self._lanes = GlobalLanePool(pool.lane_count) if shared_lanes \
             else None
         self.tracer = NULL_TRACER
+        # Batch key -> invocation latency: fixed for the pool's life,
+        # so asked of the pool once per key and replay.
+        self._latency: Dict[tuple, float] = {}
 
     def bind_tracer(self, tracer) -> None:
         """Route this replay's lifecycle events through ``tracer``."""
@@ -288,7 +291,11 @@ class BatchingScheduler:
 
     def _service_s(self, key: tuple) -> float:
         """Latency of one invocation for ``key`` on this backend."""
-        return self.pool.profile(key, backend=self.backend).latency_s
+        latency = self._latency.get(key)
+        if latency is None:
+            latency = self._latency[key] = self.pool.profile(
+                key, backend=self.backend).latency_s
+        return latency
 
     def _add(self, request: Request, now_s: float) -> List[PolyBatch]:
         """Queue ``request``; returns the batch it filled, if any."""

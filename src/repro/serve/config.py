@@ -215,12 +215,9 @@ class ReplayConfig:
         trace = make_trace(self.scenario, self.rate, self.duration,
                            seed=self.seed)
         if self.slo_ms is not None:
-            # One intern table keeps one batch key per kernel.
-            table: dict = {}
             trace = [
-                r if r.deadline_s is not None else dataclasses.replace(
-                    r, payload=r.payload, checked_operands=table,
-                    deadline_s=r.arrival_s + self.slo_ms * 1e-3)
+                r if r.deadline_s is not None else r.with_deadline(
+                    r.arrival_s + self.slo_ms * 1e-3)
                 for r in trace
             ]
         return trace

@@ -10,30 +10,38 @@ follows the fixed-width style of
 :func:`repro.analysis.tables.format_table1` so serve output sits next
 to the paper artifacts.
 
-Every number flows through a :class:`~repro.obs.registry.MetricsRegistry`:
-a :class:`MetricsRecorder` records each response, drop and batch into
-labeled instruments at dispatch, and :func:`aggregate` computes the
-report *from the instruments* — the :class:`ServeReport` is a view over
-the registry it carries, which the Prometheus exporter dumps.  The
-instruments keep left-to-right sums and raw-value nearest-rank
-percentiles, so the numbers equal the plain list arithmetic exactly.
+Every number flows through a :class:`~repro.obs.registry.MetricsRegistry`.
+The simulator keeps each record once: each served request as a row of
+a :class:`RequestLog`, appended at dispatch, and each drop and batch as
+a record.  :func:`aggregate` fills every labeled series at once from
+them, then computes the report *from the instruments* — the
+:class:`ServeReport` is a view over the registry it carries, which the
+Prometheus exporter dumps.  The instruments keep left-to-right sums and
+raw-value nearest-rank percentiles, so the numbers equal the plain list
+arithmetic exactly.
 """
 
 from __future__ import annotations
 
 import functools
 import zlib
+from array import array
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain, compress, repeat
+from operator import add, attrgetter, eq, mul, sub
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ParameterError
-from repro.obs.registry import Histogram, Instrument, MetricsRegistry
+from repro.obs.registry import Histogram, MetricsRegistry, SequenceView
 from repro.obs.slo import Alert, format_alerts
-from repro.serve.request import Request, Response
+from repro.serve.pool import BatchResults
+from repro.serve.request import Request, Response, ResultSlot
 from repro.utils import jsonout
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatchRecord:
     """One dispatched batch, as the simulator saw it."""
 
@@ -103,11 +111,182 @@ class TenantStats:
         return self.dropped / self.offered if self.offered else 0.0
 
 
+class RequestLog(SequenceView):
+    """Every served request of a replay, recorded once, as columns.
+
+    One row per served request, in record order (the simulator records
+    each batch at dispatch).  What a batch gives all of its requests
+    (start, finish, energy per request, lane, batch size, padding and
+    result sequence) is stored once per *run* of rows.  As a sequence
+    the log reads as the replay's :class:`Response` list, built on each
+    read; a result still computes only when it is read.
+    """
+
+    __slots__ = ("requests", "_ends", "_start", "_finish", "_energy",
+                 "_lane", "_size", "_padding", "_results", "_base")
+
+    def __init__(self) -> None:
+        self.requests: List[Request] = []
+        # Per run: the row one past its last, then its shared fields.
+        self._ends = array("q")
+        self._start: List[float] = []
+        self._finish: List[float] = []
+        self._energy: List[float] = []
+        self._lane: List[int] = []
+        self._size: List[int] = []
+        self._padding: List[int] = []
+        # Per run: the result sequence its rows index, from ``_base`` on.
+        self._results: List[Optional[Sequence[Tuple[int, ...]]]] = []
+        self._base = array("q")
+
+    @classmethod
+    def of(cls, responses: Sequence[Response]) -> "RequestLog":
+        """The log of a standalone response list, one run per response."""
+        log = cls()
+        for r in responses:
+            result = r._result
+            if type(result) is ResultSlot:
+                results, base = result.results, result.index
+            else:
+                results, base = (result,), 0
+            log.record((r.request,), r.start_s, r.finish_s, r.energy_nj,
+                       r.engine_index, r.batch_size, r.batch_padding,
+                       results, base)
+        return log
+
+    def record(self, requests: Sequence[Request], start_s: float,
+               finish_s: float, energy_nj: float, lane: int,
+               batch_size: int, padding: int,
+               results: Optional[Sequence[Tuple[int, ...]]] = None,
+               base: int = 0) -> None:
+        """Append ``requests`` as one run; ``energy_nj`` is per request.
+
+        Row ``i`` of the run reads ``results[base + i]``; a run recorded
+        before its results exist gets them from :meth:`set_results`.
+        """
+        self.requests.extend(requests)
+        self._ends.append(len(self.requests))
+        self._start.append(start_s)
+        self._finish.append(finish_s)
+        self._energy.append(energy_nj)
+        self._lane.append(lane)
+        self._size.append(batch_size)
+        self._padding.append(padding)
+        self._results.append(results)
+        self._base.append(base)
+
+    def set_results(self, results: Sequence[Sequence[Tuple[int, ...]]]
+                    ) -> None:
+        """Each run's result sequence, in run order.
+
+        A span of a pending group is kept as the group and the span's
+        first row, so the log holds no per-batch view object.
+        """
+        if len(results) != len(self._ends):
+            raise ParameterError(
+                f"{len(results)} result sequences for {len(self._ends)} runs")
+        for run, rows in enumerate(results):
+            if type(rows) is BatchResults:
+                self._results[run] = rows.group
+                self._base[run] = rows.span.start
+            else:
+                self._results[run] = rows
+
+    def __len__(self) -> int:
+        return len(self.requests)
+
+    def _response(self, run: int, row: int, first: int) -> Response:
+        return Response(
+            self.requests[row],
+            ResultSlot(self._results[run], self._base[run] + row - first),
+            self._start[run], self._finish[run], self._energy[run],
+            self._lane[run], self._size[run], self._padding[run])
+
+    def __getitem__(self, index):
+        row = range(len(self.requests))[index]
+        if isinstance(row, range):
+            return [self[i] for i in row]
+        run = bisect_right(self._ends, row)
+        return self._response(run, row, self._ends[run - 1] if run else 0)
+
+    def __iter__(self) -> Iterator[Response]:
+        first = 0
+        for run, end in enumerate(self._ends):
+            for row in range(first, end):
+                yield self._response(run, row, first)
+            first = end
+
+    def _rows(self, per_run) -> Iterator:
+        """A per-run column repeated once per row of each run."""
+        counts = map(sub, self._ends, chain((0,), self._ends))
+        return chain.from_iterable(map(repeat, per_run, counts))
+
+    def series(self, metric: str, label: Optional[str] = None,
+               value: Optional[str] = None) -> List[float]:
+        """One per-request metric in record order, as :class:`Response`'s
+        properties compute it: ``latency_ms``, ``queue_s``,
+        ``service_s`` or ``energy_nj``.  With ``label`` (``"kind"`` or
+        ``"tenant"``), only the rows whose request's label reads ``value``
+        as the registry spells labels (``str``).
+        """
+        if metric in ("latency_ms", "queue_s"):
+            arrivals = map(attrgetter("arrival_s"), self.requests)
+            edge = self._finish if metric == "latency_ms" else self._start
+            values = map(sub, self._rows(edge), arrivals)
+            if metric == "latency_ms":
+                values = map(mul, values, repeat(1e3))
+        elif metric == "service_s":
+            values = self._rows(map(sub, self._finish, self._start))
+        elif metric == "energy_nj":
+            values = self._rows(self._energy)
+        else:
+            raise ParameterError(f"unknown request-log metric {metric!r}")
+        if label is None:
+            return list(values)
+        labels = map(str, map(attrgetter(label), self.requests))
+        return list(compress(values, map(eq, labels, repeat(value))))
+
+    def deadline_counts(self) -> Tuple[Counter, Counter]:
+        """Per tenant, served requests that carried a deadline and those
+        that met it."""
+        offered: Counter = Counter()
+        met: Counter = Counter()
+        for request, finish in zip(self.requests, self._rows(self._finish)):
+            if request.deadline_s is not None:
+                offered[request.tenant] += 1
+                met[request.tenant] += finish <= request.deadline_s
+        return offered, met
+
+
+class _Series(SequenceView):
+    """A histogram's values kept elsewhere: ``compute()`` lists them
+    anew on each read, and ``count`` is how many there are."""
+
+    __slots__ = ("compute", "count")
+
+    def __init__(self, compute, count: int):
+        self.compute = compute
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self.compute())
+
+    def __getitem__(self, index):
+        return self.compute()[index]
+
+
 @dataclass(frozen=True)
 class ServeReport:
-    """Everything :class:`~repro.serve.simulator.ServingSimulator` measured."""
+    """Everything :class:`~repro.serve.simulator.ServingSimulator` measured.
 
-    responses: List[Response]
+    ``responses`` is the replay's :class:`RequestLog`, which reads as a
+    list of :class:`Response`.
+    """
+
+    responses: RequestLog
     batches: List[BatchRecord]
     span_s: float
     throughput_rps: float
@@ -118,7 +297,7 @@ class ServeReport:
     by_kind: List[KindStats]
     drops: List[DropRecord] = field(default_factory=list)
     by_tenant: List[TenantStats] = field(default_factory=list)
-    queue_depth: List[Tuple[float, int]] = field(default_factory=list)
+    queue_depth: Sequence[Tuple[float, int]] = field(default_factory=list)
     scheduler: str = "fifo"
     #: SLO burn-rate alerts fired during the replay (populated only
     #: when an :class:`~repro.obs.slo.SLOTracer` watched the run).
@@ -150,11 +329,11 @@ class ServeReport:
         Dropped deadline requests count as misses (shed load is not
         met load).  ``1.0`` when no request carried a deadline.
         """
-        served = [r for r in self.responses if r.request.deadline_s is not None]
-        offered = len(served) + sum(1 for d in self.drops if d.had_deadline)
+        served, met = (sum(counts.values())
+                       for counts in self.responses.deadline_counts())
+        offered = served + sum(1 for d in self.drops if d.had_deadline)
         if not offered:
             return 1.0
-        met = sum(1 for r in served if r.finish_s <= r.request.deadline_s)
         return met / offered
 
     @property
@@ -165,121 +344,6 @@ class ServeReport:
     def overall(self) -> KindStats:
         """The all-traffic row (always last in ``by_kind``)."""
         return self.by_kind[-1]
-
-
-class MetricsRecorder:
-    """Keeps a replay's records and records each into the registry.
-
-    The simulator hands every drop and batch over as it happens, and
-    every served request at dispatch (:meth:`served`), keeping its
-    :class:`Response` once the event loop is done; :func:`aggregate` feeds
-    standalone record lists through :meth:`response` and the rest.
-    Each ``(name, labels)`` handle is resolved once, on first use, so a
-    series exists only once something was recorded into it, and
-    :meth:`served` resolves its handles once per ``(kind, tenant)``.
-    Observation order is record order, so every histogram's running
-    sum reproduces ``sum(list)`` float-for-float.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        self.registry = MetricsRegistry() if registry is None else registry
-        self.responses: List[Response] = []
-        self.batches: List[BatchRecord] = []
-        self.drops: List[DropRecord] = []
-        self._handles: Dict[tuple, Instrument] = {}
-        # (kind, tenant) -> the bound inc/observe methods served() calls.
-        self._served: Dict[Tuple[str, str], tuple] = {}
-
-    def _handle(self, factory: str, name: str, label: str = "", value=None):
-        handle = self._handles.get((name, label, value))
-        if handle is None:
-            handle = self._handles[name, label, value] = getattr(
-                self.registry, factory)(name, {label: value} if label else None)
-        return handle
-
-    def response(self, r: Response) -> None:
-        self.responses.append(r)
-        self.served(r.request, r.start_s, r.finish_s, r.energy_nj)
-
-    def served(self, request: Request, start_s: float, finish_s: float,
-               energy_nj: float) -> None:
-        """Record a served request into the registry alone.
-
-        The simulator calls this at dispatch and keeps the
-        :class:`Response` once the event loop is done; :meth:`response` does
-        both at once.  The timings are :class:`Response`'s properties,
-        computed the same way.
-        """
-        tenant = request.tenant
-        handles = self._served.get((request.kind, tenant))
-        if handles is None:
-            handles = self._served_handles(request.kind, tenant)
-        counters, latency, queue, service, energy = handles
-        latency_ms = (finish_s - request.arrival_s) * 1e3
-        queue_s = start_s - request.arrival_s
-        service_s = finish_s - start_s
-        for inc in counters:
-            inc()
-        for observe in latency:
-            observe(latency_ms)
-        for observe in queue:
-            observe(queue_s)
-        for observe in service:
-            observe(service_s)
-        for observe in energy:
-            observe(energy_nj)
-        if request.deadline_s is not None:
-            self._handle("counter", "serve.deadline_offered", "tenant",
-                         tenant).inc()
-            if finish_s <= request.deadline_s:
-                self._handle("counter", "serve.deadline_met", "tenant",
-                             tenant).inc()
-
-    def _served_handles(self, kind: str, tenant: str) -> tuple:
-        """The bound ``inc``/``observe`` methods :meth:`served` calls for
-        one ``(kind, tenant)``, grouped by the value each takes.
-
-        Each new series registers here, when the pair's first request
-        is served, in the order named below: series order follows first
-        use, as everywhere else in the recorder.
-        """
-        handle = self._handle
-        # One row per label, transposed into one tuple per value.
-        counters, latency, queue, service, energy = zip(*(
-            (handle("counter", "serve.requests", *label).inc,
-             *(handle("histogram", f"serve.{name}", *label).observe
-               for name in ("latency_ms", "queue_s", "service_s",
-                            "energy_nj")))
-            for label in (("", None), ("kind", kind))))
-        served, tenant_latency, tenant_energy = (
-            handle(factory, f"serve.tenant_{name}", "tenant", tenant)
-            for factory, name in (("counter", "served"),
-                                  ("histogram", "latency_ms"),
-                                  ("histogram", "energy_nj")))
-        handles = self._served[kind, tenant] = (
-            (*counters, served.inc), (*latency, tenant_latency.observe),
-            queue, service, (*energy, tenant_energy.observe))
-        return handles
-
-    def drop(self, d: DropRecord) -> None:
-        self.drops.append(d)
-        self._handle("counter", "serve.dropped").inc()
-        self._handle("counter", "serve.dropped", "reason", d.reason).inc()
-        self._handle("counter", "serve.tenant_dropped", "tenant", d.tenant).inc()
-        if d.had_deadline:
-            # A shed deadline request is an offered-and-missed SLO.
-            self._handle("counter", "serve.deadline_offered", "tenant",
-                         d.tenant).inc()
-
-    def batch(self, b: BatchRecord) -> None:
-        self.batches.append(b)
-        handle = self._handle
-        handle("counter", "sched.batches").inc()
-        handle("counter", "sched.batches", "lane", b.lane).inc()
-        handle("histogram", "sched.batch_occupancy").observe(b.occupancy)
-        handle("counter", "sched.padded_slots").inc(b.capacity - b.size)
-        handle("counter", "sched.batch_slots").inc(b.capacity)
-        handle("counter", "serve.energy_total_nj").inc(b.energy_nj)
 
 
 def _kind_view(registry: MetricsRegistry, kind: str,
@@ -295,13 +359,14 @@ def _kind_view(registry: MetricsRegistry, kind: str,
             return float("nan")
         return histogram.sum / histogram.count * scale
 
+    p50, p95, p99 = lat.percentiles(50, 95, 99)
     return KindStats(
         kind=kind,
         count=lat.count,
         mean_ms=mean_of(lat),
-        p50_ms=lat.percentile(50),
-        p95_ms=lat.percentile(95),
-        p99_ms=lat.percentile(99),
+        p50_ms=p50,
+        p95_ms=p95,
+        p99_ms=p99,
         mean_queue_ms=mean_of(queue, 1e3),
         mean_service_ms=mean_of(service, 1e3),
         energy_per_request_nj=mean_of(energy),
@@ -339,53 +404,127 @@ def _tenant_view(registry: MetricsRegistry, tenant: str) -> TenantStats:
     )
 
 
-def aggregate(responses: List[Response], batches: List[BatchRecord], *,
+#: The per-request histograms, all filled from the log's columns.
+_SERIES = ("latency_ms", "queue_s", "service_s", "energy_nj")
+_TENANT_SERIES = ("latency_ms", "energy_nj")
+
+
+def _counts(registry: MetricsRegistry, name: str, label: str,
+            counts: Dict) -> None:
+    """Add each ``value: count`` of ``counts`` to ``name{label=value}``."""
+    for value, count in counts.items():
+        if count:
+            registry.counter(name, {label: value}).inc(count)
+
+
+def _fill(registry: MetricsRegistry, log: RequestLog,
+          drops: List[DropRecord], batches: List[BatchRecord]
+          ) -> List[Tuple[Histogram, _Series]]:
+    """Record a replay's records into the registry, each series at once.
+
+    Every histogram gets its values in record order and its sum folded
+    left to right from ``0.0`` (never ``sum()``, which compensates from
+    Python 3.12 on): what observing each record in turn gives.  Returns
+    each histogram filled from empty with a :class:`_Series` view that
+    recomputes its values, to hold in their place once they are read.
+    """
+    views: List[Tuple[Histogram, _Series]] = []
+
+    def histogram(name, labels, values, compute) -> None:
+        series = registry.histogram(name, labels)
+        if not series.values:  # else it holds earlier values
+            views.append((series, _Series(compute, len(values))))
+        series.extend(values)
+
+    requests = log.requests
+    columns = {metric: log.series(metric) for metric in _SERIES}
+    by_label = {label: list(map(str, map(attrgetter(label), requests)))
+                for label in ("kind", "tenant")}
+    for label, metrics, counter, prefix in (
+            (None, _SERIES, "serve.requests", "serve."),
+            ("kind", _SERIES, "serve.requests", "serve."),
+            ("tenant", _TENANT_SERIES, "serve.tenant_served",
+             "serve.tenant_")):
+        for value in (dict.fromkeys(by_label[label]) if label
+                      else [None] if requests else []):
+            labels = {label: value} if label else None
+            mask = list(map(eq, by_label[label], repeat(value))) \
+                if label else None
+            registry.counter(counter, labels).inc(
+                sum(mask) if label else len(requests))
+            for metric in metrics:
+                histogram(prefix + metric, labels,
+                          list(compress(columns[metric], mask)) if label
+                          else columns[metric],
+                          functools.partial(log.series, metric, label,
+                                            value))
+    offered, met = log.deadline_counts()
+    offered.update(d.tenant for d in drops if d.had_deadline)
+    _counts(registry, "serve.deadline_offered", "tenant", offered)
+    _counts(registry, "serve.deadline_met", "tenant", met)
+    if drops:
+        registry.counter("serve.dropped").inc(len(drops))
+        _counts(registry, "serve.dropped", "reason",
+                Counter(d.reason for d in drops))
+        _counts(registry, "serve.tenant_dropped", "tenant",
+                Counter(d.tenant for d in drops))
+    if batches:
+        registry.counter("sched.batches").inc(len(batches))
+        _counts(registry, "sched.batches", "lane",
+                Counter(b.lane for b in batches))
+        for name, amounts in (
+                ("sched.padded_slots", (b.capacity - b.size for b in batches)),
+                ("sched.batch_slots", (b.capacity for b in batches)),
+                ("serve.energy_total_nj", (b.energy_nj for b in batches))):
+            registry.counter(name).inc(functools.reduce(add, amounts, 0.0))
+        histogram("sched.batch_occupancy", None,
+                  [b.occupancy for b in batches],
+                  lambda: [b.occupancy for b in batches])
+    return views
+
+
+def aggregate(responses: Sequence[Response], batches: List[BatchRecord], *,
               total_lanes: int, busy_s: float,
               drops: Sequence[DropRecord] = (),
               queue_depth: Sequence[Tuple[float, int]] = (),
               scheduler: str = "fifo",
               alerts: Sequence[Alert] = (),
-              registry: Optional[MetricsRegistry] = None,
-              recorder: Optional[MetricsRecorder] = None) -> ServeReport:
+              registry: Optional[MetricsRegistry] = None) -> ServeReport:
     """Roll a replay's raw records up into a :class:`ServeReport`.
 
-    ``recorder`` has already recorded the records as they happened (the
-    simulator's, queue-depth gauge included); without one, a fresh
-    recorder over ``registry`` (a new one when not given) records them
-    here, in list order.  Every report number is then computed *from
+    ``responses`` is a :class:`RequestLog` or a list of responses.  The
+    records are recorded into ``registry`` (a new one when not given),
+    each series at once, and every report number is then computed *from
     the instruments*, so the returned report is a view over the
-    registry it carries.
+    registry it carries.  A queue-depth gauge the registry already has
+    (the simulator samples one as it goes) wins over ``queue_depth``.
     """
+    log = responses if isinstance(responses, RequestLog) \
+        else RequestLog.of(responses)
     drops = list(drops)
-    if not responses and not drops:
+    if not log and not drops:
         raise ParameterError("cannot aggregate an empty replay")
-    if responses:
-        first_arrival = min(r.request.arrival_s for r in responses)
-        last_finish = max(r.finish_s for r in responses)
+    if log:
+        first_arrival = min(map(attrgetter("arrival_s"), log.requests))
+        last_finish = max(log._finish)
     else:
         # Everything was dropped: the span is the drop window.
         first_arrival = min(d.arrival_s for d in drops)
         last_finish = max(d.arrival_s for d in drops)
     span = max(last_finish - first_arrival, 1e-12)
-    if recorder is None:
-        recorder = MetricsRecorder(registry)
-        for records, record in ((responses, recorder.response),
-                                (drops, recorder.drop), (batches, recorder.batch)):
-            for item in records:
-                record(item)
-    registry = recorder.registry
+    registry = MetricsRegistry() if registry is None else registry
+    views = _fill(registry, log, drops, batches)
     registry.gauge("sched.lanes").set(total_lanes)
     registry.gauge("sched.busy_s").set(busy_s)
     registry.gauge("serve.span_s").set(span)
     depth = registry.gauge("sched.queue_depth")
     if not depth.samples:
-        # A recorder's gauge is already populated and wins untouched.
         for t_s, value in queue_depth:
             depth.sample(t_s, value)
     kinds = sorted(registry.label_values("serve.latency_ms", "kind"))
     by_kind = [_kind_view(registry, kind, {"kind": kind}) for kind in kinds]
     by_kind.append(
-        _kind_view(registry, "all", None) if responses
+        _kind_view(registry, "all", None) if log
         else KindStats("all", 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     )
     tenants = sorted(
@@ -398,11 +537,14 @@ def aggregate(responses: List[Response], batches: List[BatchRecord], *,
     slots = registry.get("sched.batch_slots")
     energy_total = registry.get("serve.energy_total_nj")
     utilization = busy_s / (total_lanes * span)
-    throughput = len(responses) / span
+    throughput = len(log) / span
     registry.gauge("serve.utilization").set(utilization)
     registry.gauge("serve.throughput_rps").set(throughput)
+    # The report is read: the series now recompute their values on read.
+    for histogram, view in views:
+        histogram.use_view(view)
     return ServeReport(
-        responses=responses,
+        responses=log,
         batches=batches,
         span_s=span,
         throughput_rps=throughput,
@@ -420,7 +562,7 @@ def aggregate(responses: List[Response], batches: List[BatchRecord], *,
         by_kind=by_kind,
         drops=drops,
         by_tenant=by_tenant,
-        queue_depth=list(registry.gauge("sched.queue_depth").samples),
+        queue_depth=registry.gauge("sched.queue_depth").samples,
         scheduler=scheduler,
         alerts=list(alerts),
         registry=registry,
@@ -463,7 +605,8 @@ def format_serve_report(report: ServeReport) -> str:
         f"engine utilization {report.utilization:.1%}  total energy "
         f"{report.total_energy_nj / 1e3:.2f} uJ"
     )
-    has_deadlines = any(r.request.deadline_s is not None for r in report.responses)
+    has_deadlines = any(r.deadline_s is not None
+                        for r in report.responses.requests)
     if report.drops or has_deadlines:
         lines.append("")
         lines.append(
@@ -519,6 +662,25 @@ def _key_summary(key: tuple):
     return [params_name, op, {"len": len(operand), "crc32": digest}]
 
 
+def _dict_template(keys: Sequence[str]) -> str:
+    """The indent-2 text of a dict with these sorted plain keys as an
+    item of a top-level array, one ``%s`` per value."""
+    return "{\n      " + ",\n      ".join(f'"{key}": %s' for key in keys) \
+        + "\n    }"
+
+
+_BATCH_FIELDS = ("batch_id", "capacity", "dispatched_s", "energy_nj",
+                 "finish_s", "key", "lane", "size", "start_s")
+_BATCH_ROW = _dict_template(_BATCH_FIELDS)
+_RESPONSE_ROW = _dict_template(
+    ("batch_padding", "batch_size", "energy_nj", "engine_index", "finish_s",
+     "key", "kind", "request_id", "start_s", "tenant"))
+#: One ``[t, depth]`` sample of the queue-depth timeline.
+_DEPTH_ROW = "[\n      %s,\n      %s\n    ]"
+#: Where each rendered array goes in the text of the rest.
+_SPLICED = ("queue_depth", "batches", "responses")
+
+
 def serialize_report(report: ServeReport) -> str:
     """Canonical JSON for a report — the golden-file comparison form.
 
@@ -528,12 +690,59 @@ def serialize_report(report: ServeReport) -> str:
     string, and the tracing-parity goldens can pin a whole report in
     one checked-in file.  The registry is deliberately excluded: it is
     *how* the numbers were computed, not a measurement of its own.
-    Each distinct batch key is summarized once per call.  The text is
-    written by :func:`repro.utils.jsonout.dumps`, byte-identical to
-    ``json.dumps(payload, indent=2, sort_keys=True)`` but filling each
-    response and batch dict into a template built once per call.
+
+    The text is byte-identical to ``json.dumps(payload, indent=2,
+    sort_keys=True)`` of the payload dict (NaN written ``null`` outside
+    the responses), without building that dict's long arrays: each
+    response, batch and queue-depth row is one fill of a template,
+    written from the log's columns, the batch records and the timeline,
+    and each distinct batch-key summary, kind and tenant is encoded once
+    per call.  The rest goes through :func:`repro.utils.jsonout.encoder`.
     """
-    summarize = functools.cache(_key_summary)
+    encode = jsonout.encoder(2, sort_keys=True)
+
+    def scalar(value) -> str:
+        kind = type(value)
+        if kind is int:
+            return int.__repr__(value)
+        if kind is float and value - value == 0.0:  # finite
+            return float.__repr__(value)
+        return encode(value, 3)
+
+    def jsonable(value) -> str:
+        return "null" if isinstance(value, float) and value != value \
+            else scalar(value)
+
+    text = functools.cache(scalar)
+    key_text = functools.cache(lambda key: encode(_key_summary(key), 3))
+    batches = [
+        _BATCH_ROW % (jsonable(b.batch_id), jsonable(b.capacity),
+                      jsonable(b.dispatched_s), jsonable(b.energy_nj),
+                      jsonable(b.finish_s), key_text(b.key),
+                      jsonable(b.lane), jsonable(b.size),
+                      jsonable(b.start_s))
+        for b in report.batches
+    ]
+    log = report.responses
+    requests = log.requests
+    responses: List[str] = []
+    first, key, key_str = 0, None, ""
+    for run, end in enumerate(log._ends):
+        padding, size, energy, lane, finish, start = (
+            scalar(column[run]) for column in (
+                log._padding, log._size, log._energy, log._lane,
+                log._finish, log._start))
+        for request in requests[first:end]:
+            if request.batch_key is not key:
+                key = request.batch_key
+                key_str = key_text(key)
+            responses.append(_RESPONSE_ROW % (
+                padding, size, energy, lane, finish, key_str,
+                text(request.kind), scalar(request.request_id), start,
+                text(request.tenant)))
+        first = end
+    depth = [_DEPTH_ROW % (jsonable(t_s), jsonable(value))
+             for t_s, value in report.queue_depth]
     payload = {
         "scheduler": report.scheduler,
         "span_s": report.span_s,
@@ -547,32 +756,20 @@ def serialize_report(report: ServeReport) -> str:
         "drop_rate": report.drop_rate,
         "slo_attainment": report.slo_attainment,
         "max_queue_depth": report.max_queue_depth,
-        "queue_depth": _jsonable(report.queue_depth),
         "by_kind": [_jsonable(vars(k)) for k in report.by_kind],
         "by_tenant": [_jsonable(vars(t)) for t in report.by_tenant],
         "drops": [_jsonable(vars(d)) for d in report.drops],
-        "batches": [
-            _jsonable({**vars(b), "key": summarize(b.key)})
-            for b in report.batches
-        ],
         # "alerts" appears only when an SLO policy watched the run, so
         # policy-free reports (the pre-existing goldens) are unchanged.
         **({"alerts": [_jsonable(vars(a)) for a in report.alerts]}
            if report.alerts else {}),
-        "responses": [
-            {
-                "request_id": r.request.request_id,
-                "kind": r.request.kind,
-                "tenant": r.request.tenant,
-                "key": summarize(r.request.batch_key),
-                "start_s": r.start_s,
-                "finish_s": r.finish_s,
-                "energy_nj": r.energy_nj,
-                "engine_index": r.engine_index,
-                "batch_size": r.batch_size,
-                "batch_padding": r.batch_padding,
-            }
-            for r in report.responses
-        ],
+        # Placeholders, replaced below by the rendered rows.
+        **dict.fromkeys(_SPLICED, ()),
     }
-    return jsonout.dumps(payload, indent=2, sort_keys=True)
+    out = encode(payload, 0)
+    for name, rows in zip(_SPLICED, (depth, batches, responses)):
+        if rows:
+            head, tail = out.split(f'\n  "{name}": []', 1)
+            out = (f'{head}\n  "{name}": [\n    ' + ",\n    ".join(rows)
+                   + "\n  ]" + tail)
+    return out

@@ -77,6 +77,7 @@ class PendingGroup:
     runs its chunk, once, through ``backend.execute`` on read-only views
     of the chunk's words (:func:`~repro.serve.request.word_rows`).  Once
     every chunk has run, the group keeps only the result tuples.
+    Indexing the group reads a row's result.
     """
 
     __slots__ = ("name", "_backend", "_kernel", "_rows", "_params", "_step",
@@ -111,27 +112,29 @@ class PendingGroup:
                 self._backend = self._kernel = self._rows = None
         return results[offset]
 
+    __getitem__ = result
+
 
 class BatchResults(Sequence):
-    """One batch's results: a span of a :class:`PendingGroup`.
+    """One batch's results: the rows ``span`` of a :class:`PendingGroup`.
 
     Reading an item runs the group's chunk that holds it.
     """
 
-    __slots__ = ("_group", "_span")
+    __slots__ = ("group", "span")
 
     def __init__(self, group: PendingGroup, start: int, stop: int):
-        self._group = group
-        self._span = range(start, stop)
+        self.group = group
+        self.span = range(start, stop)
 
     def __len__(self) -> int:
-        return len(self._span)
+        return len(self.span)
 
     def __getitem__(self, index):
-        where = self._span[index]
+        where = self.span[index]
         if isinstance(where, range):
-            return [self._group.result(i) for i in where]
-        return self._group.result(where)
+            return [self.group.result(i) for i in where]
+        return self.group.result(where)
 
 
 @dataclass(frozen=True)

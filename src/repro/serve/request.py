@@ -226,7 +226,8 @@ class Request:
             its own key.
 
     ``dataclasses.replace`` on a request must pass ``payload``, which is
-    an init-only argument.
+    an init-only argument; :meth:`with_deadline` changes only the
+    deadline without that round trip.
     """
 
     request_id: int
@@ -275,6 +276,16 @@ class Request:
     @property
     def params(self) -> NTTParams:
         return get_params(self.params_name)
+
+    def with_deadline(self, deadline_s: Optional[float]) -> "Request":
+        """This request with ``deadline_s``, sharing its packed payload
+        words and its batch key: nothing is decoded, checked or packed
+        again (the deadline takes part in no check)."""
+        copy = object.__new__(Request)
+        for name in Request.__slots__:
+            object.__setattr__(copy, name, getattr(self, name))
+        object.__setattr__(copy, "deadline_s", deadline_s)
+        return copy
 
     def __repr__(self) -> str:
         return (f"Request(request_id={self.request_id!r}, op={self.op!r}, "

@@ -17,13 +17,18 @@ result: results feed no scheduling, timing or energy decision.  Once
 the event loop is done, :meth:`~repro.serve.pool.EnginePool.execute_batches`
 takes every dispatched batch: a stateful backend's batches run one by
 one on their lanes then, and a pure backend's (the default ``model``)
-are grouped per kernel and run on demand.  Each response holds a
-:class:`~repro.serve.request.ResultSlot`, and the first read of a
-result runs its kernel group's rows in cross-batch chunks (one call
-amortized over many batches, as one instruction stream is amortized
-over a subarray's tiles).  A caller that reads no result runs no result
-math; one that reads them all gets what executing at dispatch would
-give, and the report's bytes are the same either way.
+are grouped per kernel and run on demand.  The first read of a result
+runs its kernel group's rows in cross-batch chunks (one call amortized
+over many batches, as one instruction stream is amortized over a
+subarray's tiles).  A caller that reads no result runs no result math;
+one that reads them all gets what executing at dispatch would give, and
+the report's bytes are the same either way.
+
+Each dispatch appends its batch to the replay's
+:class:`~repro.serve.metrics.RequestLog`, one row per served request,
+and records nothing else per request: the report's per-request metrics
+are filled from the log once the loop is done, and ``report.responses``
+builds each :class:`~repro.serve.request.Response` when it is read.
 
 The replay is deterministic: same trace, same pool, same scheduler
 config, byte-identical report — including the drop set, per-tenant
@@ -36,11 +41,12 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ParameterError
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, TraceEvent, Tracer
 from repro.serve.batcher import BatchPolicy, PolyBatch
-from repro.serve.metrics import BatchRecord, DropRecord, MetricsRecorder, ServeReport, aggregate
+from repro.serve.metrics import BatchRecord, DropRecord, RequestLog, ServeReport, aggregate
 from repro.serve.pool import EnginePool
-from repro.serve.request import Request, Response, ResultSlot
+from repro.serve.request import Request
 
 
 class ServingSimulator:
@@ -104,17 +110,20 @@ class ServingSimulator:
         # The pool outlives replays; (re)bind its tracer every time so a
         # traced replay never leaks events into the next untraced one.
         self.pool.tracer = tracer
-        # Every record goes into the metrics the moment it is kept.
-        recorder = MetricsRecorder()
-        depth_gauge = recorder.registry.gauge("sched.queue_depth")
+        # The records, each kept once; aggregate() fills the metrics
+        # from them after the loop.  Queue depth is sampled as it goes.
+        log = RequestLog()
+        batches: List[BatchRecord] = []
+        drops: List[DropRecord] = []
+        registry = MetricsRegistry()
+        depth_gauge = registry.gauge("sched.queue_depth")
 
         def record_depth(now_s: float) -> None:
             depth_gauge.sample(now_s, scheduler.waiting())
 
         # Per dispatch: (batch, pool lane) for execute_batches after the
-        # loop, and the fields of the batch's responses, built then.
+        # loop, in the log's run order.
         pending: List[Tuple[PolyBatch, int]] = []
-        dispatched: List[Tuple[float, float, float, int, int]] = []
 
         def dispatch(batch: PolyBatch, now_s: float) -> None:
             placement = scheduler.place(batch, now_s)
@@ -129,8 +138,8 @@ class ServingSimulator:
             # below it, and energy is charged accordingly.
             physical_padding = profile.capacity - batch.size
             pending.append((batch, placement.pool_lane))
-            dispatched.append((start, finish, energy_per_request,
-                               placement.lane, physical_padding))
+            log.record(batch.requests, start, finish, energy_per_request,
+                       placement.lane, batch.size, physical_padding)
             if tracer.enabled:
                 tracer.emit(TraceEvent(
                     "dispatch", now_s, None, batch.batch_id, placement.lane,
@@ -139,9 +148,7 @@ class ServingSimulator:
                      "size": batch.size, "capacity": profile.capacity,
                      "start_s": start, "energy_nj": profile.energy_nj},
                 ))
-            for request in batch.requests:
-                recorder.served(request, start, finish, energy_per_request)
-                if tracer.enabled:
+                for request in batch.requests:
                     tracer.emit(TraceEvent(
                         "respond", finish, request.request_id,
                         batch.batch_id, placement.lane, request.kind,
@@ -150,19 +157,9 @@ class ServingSimulator:
                          "energy_nj": energy_per_request,
                          "batch_size": batch.size},
                     ))
-            recorder.batch(
-                BatchRecord(
-                    batch_id=batch.batch_id,
-                    key=batch.key,
-                    size=batch.size,
-                    capacity=profile.capacity,
-                    dispatched_s=now_s,
-                    start_s=start,
-                    finish_s=finish,
-                    lane=placement.lane,
-                    energy_nj=profile.energy_nj,
-                )
-            )
+            batches.append(BatchRecord(
+                batch.batch_id, batch.key, batch.size, profile.capacity,
+                now_s, start, finish, placement.lane, profile.energy_nj))
 
         index = 0
         while index < len(trace) or scheduler.waiting():
@@ -190,16 +187,10 @@ class ServingSimulator:
                             None, None, request.kind, request.tenant,
                             {"reason": reason},
                         ))
-                    recorder.drop(
-                        DropRecord(
-                            request_id=request.request_id,
-                            tenant=request.tenant,
-                            kind=request.kind,
-                            arrival_s=request.arrival_s,
-                            reason=reason,
-                            had_deadline=request.deadline_s is not None,
-                        )
-                    )
+                    drops.append(DropRecord(
+                        request.request_id, request.tenant, request.kind,
+                        request.arrival_s, reason,
+                        request.deadline_s is not None))
                 else:
                     if tracer.enabled:
                         tracer.emit(TraceEvent(
@@ -223,22 +214,8 @@ class ServingSimulator:
 
         # Results feed no decision of the loop: stateful backends run
         # every batch now, and a pure backend's results run when read.
-        results = self.pool.execute_batches(pending, backend=self.backend)
-        for (batch, _), fields, rows in zip(pending, dispatched, results):
-            start, finish, energy_per_request, lane, padding = fields
-            recorder.responses.extend(
-                Response(
-                    request=request,
-                    result=ResultSlot(rows, index),
-                    start_s=start,
-                    finish_s=finish,
-                    energy_nj=energy_per_request,
-                    engine_index=lane,
-                    batch_size=batch.size,
-                    batch_padding=padding,
-                )
-                for index, request in enumerate(batch.requests)
-            )
+        log.set_results(
+            self.pool.execute_batches(pending, backend=self.backend))
 
         lanes = scheduler.lane_report()
         # Streaming tracers (WindowedAggregator / SLOTracer / Sampling)
@@ -251,13 +228,12 @@ class ServingSimulator:
             tracer_finish()
         alerts = list(getattr(tracer, "alerts", ()))
         return aggregate(
-            recorder.responses,
-            recorder.batches,
+            log,
+            batches,
             total_lanes=lanes.total_lanes,
             busy_s=lanes.busy_s,
-            drops=recorder.drops,
-            queue_depth=depth_gauge.samples,
+            drops=drops,
             scheduler=getattr(scheduler, "name", str(self.scheduler)),
             alerts=alerts,
-            recorder=recorder,
+            registry=registry,
         )

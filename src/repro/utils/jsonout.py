@@ -37,7 +37,7 @@ from math import isfinite
 from operator import itemgetter
 from typing import Callable, Iterator, List, Tuple
 
-__all__ = ["dumps", "iterencode"]
+__all__ = ["dumps", "encoder", "iterencode"]
 
 _int = int.__repr__
 _float = float.__repr__
@@ -157,8 +157,16 @@ def _make_encoder(indent: int, sort_keys: bool
 
 def dumps(obj, *, indent: int, sort_keys: bool = False) -> str:
     """``json.dumps(obj, indent=indent, sort_keys=sort_keys)``, faster."""
-    encode, _ = _make_encoder(indent, sort_keys)
-    return encode(obj, 0)
+    return encoder(indent, sort_keys=sort_keys)(obj, 0)
+
+
+def encoder(indent: int, *, sort_keys: bool = False
+            ) -> Callable[[object, int], str]:
+    """``encode(obj, level)``: the text :func:`dumps` writes for ``obj``
+    when it sits ``level`` containers deep, for a caller that splices
+    values into its own templates.  One encoder shares its templates
+    across calls."""
+    return _make_encoder(indent, sort_keys)[0]
 
 
 def iterencode(obj, *, indent: int, sort_keys: bool = False

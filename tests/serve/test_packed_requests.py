@@ -219,3 +219,17 @@ class TestTraceMemory:
         assert trace_memory.retained_bytes_per_request(
             lambda: bench.build_trace(4, 20_000)
         ) <= trace_memory.SWEEP_BYTES_PER_REQUEST
+
+
+class TestReportMemory:
+    """What a replay's report keeps alive, per request, with no result
+    read: under the bound CI applies to the full 1 s trace, and flat in
+    the trace's length."""
+
+    def test_a_bursty_mixed_slo_report(self, trace_memory):
+        per_request = [
+            trace_memory.report_bytes_per_request(ReplayConfig(
+                **trace_memory.PQC_SHAPE, duration=duration, seed=2023))
+            for duration in (0.5, 1.0)]
+        assert per_request[0] <= trace_memory.REPORT_BYTES_PER_REQUEST
+        assert abs(per_request[1] / per_request[0] - 1.0) <= 0.10
