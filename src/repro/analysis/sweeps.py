@@ -2,8 +2,10 @@
 
 Fig 8(a) sweeps the coefficient bitwidth (2..64) at order 256; Fig 8(b)
 sweeps the polynomial order at 16-bit coefficients.  Both trends are
-*generated* by compiling real instruction schedules on the Fig 5a
-layout and pricing them with the technology model — not fitted curves.
+*generated* by pricing real instruction schedules on the Fig 5a layout
+with the technology model (the schedule pricer,
+:class:`~repro.core.pricing.SchedulePricer`, equal to pricing the
+compiled program) — not fitted curves.
 
 Some sweep points admit no NTT-friendly modulus (e.g. no prime fits a
 2-bit container), exactly as in the paper's own flexibility figure,
@@ -26,9 +28,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
-from repro.backends import price_programs
+from repro.backends import price_programs, price_stats
 from repro.core.layout import DataLayout
-from repro.core.scheduler import compile_ntt_from_twiddles
+from repro.core.pricing import SchedulePricer
 from repro.errors import CapacityError, ParameterError
 from repro.sram.cost import CostReport
 from repro.sram.energy import TECH_45NM, TechnologyModel
@@ -80,10 +82,9 @@ def sweep_point(width: int, order: int, *, rows: int = 256, cols: int = 256,
     except (CapacityError, ParameterError):
         return None
     rng = random.Random(seed * 1009 + width * 13 + order)
-    program = compile_ntt_from_twiddles(
-        layout, _synthetic_twiddles(order, width, rng), name=f"sweep-w{width}-n{order}"
-    )
-    cost = program_cost(program, tech)
+    stats = SchedulePricer(layout, tech).ntt_from_twiddles(
+        _synthetic_twiddles(order, width, rng))
+    cost = price_stats([stats], tech)
     return SweepPoint(
         width=width,
         order=order,

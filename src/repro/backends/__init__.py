@@ -36,6 +36,7 @@ from repro.backends.base import (
     BackendCapabilities,
     CompiledKernel,
     price_programs,
+    price_stats,
 )
 from repro.backends.registry import (
     available_backends,
@@ -64,6 +65,7 @@ __all__ = [
     "create_backend",
     "get_backend",
     "price_programs",
+    "price_stats",
     "register_backend",
     "unregister_backend",
 ]

@@ -22,9 +22,10 @@ is four methods, and one optional one:
   chunks, and only when someone reads one of their results, so its
   results must not depend on which other rows share the call.
 - :meth:`Backend.profile` — the handle's :class:`CostReport`: the
-  static price of the compiled programs' instruction mix, which is what
-  the executor's stats are, so every backend reports byte-identical
-  cycles and energy for the same kernel.
+  static price of the kernel's instruction mix, which is what the
+  executor's stats are, so every backend reports byte-identical cycles
+  and energy for the same kernel (``model`` prices the schedule,
+  ``sram`` its compiled programs).
 - ``detach(kernel)`` (optional, pure backends) — a ``(backend,
   kernel)`` pair that executes as this backend and ``kernel`` do and
   keeps no compiled program alive.  A replay's pending results hold
@@ -35,8 +36,8 @@ Backends are constructed by registry factories with the uniform
 signature ``factory(params, *, rows, cols, subarrays, tech, template,
 width)`` (see :mod:`repro.backends.registry`); ``template`` optionally
 shares a caller-owned :class:`~repro.core.engine.BPNTTEngine`'s program
-store, so every backend and every lane compiles and prices from one
-compilation.
+store, so every backend and every lane compiles and prices each program
+once.
 
 This module sits *below* ``repro.core``: it may import only the sram
 layer, which is what lets the engines themselves implement the
@@ -91,13 +92,20 @@ class CompiledKernel:
         operand_hat: the operand's forward NTT, transformed once at
             compile time and reused by every batch.
         programs: the compiled instruction streams the invocation runs,
-            in execution order — also the pricing ground truth.
+            in execution order, which ``sram`` executes and prices.  An
+            engine's handle compiles them on their first read; a
+            ``model`` handle holds none (``()``), since that backend
+            prices the schedule.
+        schedule: the same programs as their engine's program store
+            keys them (``"ntt"``, ``"intt"``, ``("pointwise", hat)``):
+            what a schedule pricer prices without compiling them.
     """
 
     op: str
     operand: Optional[Tuple[int, ...]]
     operand_hat: Optional[Tuple[int, ...]]
-    programs: Tuple[Program, ...]
+    programs: Sequence[Program]
+    schedule: Tuple = ()
 
 
 def price_programs(programs: Sequence[Program], tech: TechnologyModel,
@@ -120,8 +128,16 @@ def price_programs(programs: Sequence[Program], tech: TechnologyModel,
     """
     if memo is None:
         memo = {}
-    stats = ExecutionStats.merge(*(memo_profile(p, tech, memo) for p in programs))
-    return CostReport.from_stats(stats, tech).replicate(replicas)
+    return price_stats([memo_profile(p, tech, memo) for p in programs], tech,
+                       replicas=replicas)
+
+
+def price_stats(stats: Sequence[ExecutionStats], tech: TechnologyModel,
+                *, replicas: int = 1) -> CostReport:
+    """The :class:`CostReport` of programs with these stats, run in order
+    on ``replicas`` ganged subarrays (:func:`price_programs`' back half)."""
+    merged = ExecutionStats.merge(*stats)
+    return CostReport.from_stats(merged, tech).replicate(replicas)
 
 
 def memo_profile(program: Program, tech: TechnologyModel,

@@ -1,13 +1,16 @@
-"""The ``model`` backend: gold-model results, compiled-program pricing.
+"""The ``model`` backend: gold-model results, schedule pricing.
 
 Results come from the reference transforms in
-:mod:`repro.ntt.transform`; the invocation is priced by statically
-profiling the *actual compiled programs* of a template
-:class:`~repro.core.engine.BPNTTEngine`.  Cost is fixed per instruction
-class, so the executor's stats *are* this static price of the
-instruction mix: interpreting the subarray reports the same cycles and
-energy, at many times the host time.  This
-is the serving runtime's default substrate.
+:mod:`repro.ntt.transform`.  The invocation is priced from the
+compiler's schedule through a template
+:class:`~repro.core.engine.BPNTTEngine`'s schedule pricer
+(:meth:`~repro.core.engine.BPNTTEngine.schedule_profile`), which equals
+statically profiling the compiled programs byte for byte without
+building them.  Cost is fixed per instruction class, so the executor's
+stats *are* this static price of the instruction mix: interpreting the
+subarray reports the same cycles and energy, at many times the host
+time.  A ``model`` kernel holds no program, and this backend compiles
+none.  This is the serving runtime's default substrate.
 
 The result math takes one of two bit-identical paths, picked once at
 construction: the batched numpy schedules (one vectorized transform per
@@ -56,8 +59,8 @@ class ModelBackend:
 
     name = "model"
     description = ("gold transforms for results (batched for n >= 64 and "
-                   "q <= 31 bits), statically priced from the compiled "
-                   "programs (cycle-identical to sram)")
+                   "q <= 31 bits), statically priced from the compiler's "
+                   "schedule (cycle-identical to sram)")
 
     def __init__(
         self,
@@ -96,8 +99,12 @@ class ModelBackend:
 
     def compile(self, op: str,
                 operand: Optional[Sequence[int]] = None) -> CompiledKernel:
-        """Delegate to the template engine's cached kernel handles."""
-        return self.template.compile(op, operand)
+        """The template engine's cached handle without its programs: op,
+        canonical operand, ``operand_hat`` and ``schedule``, with
+        ``programs=()``, so nothing ever compiles them."""
+        kernel = self.template.compile(op, operand)
+        return CompiledKernel(kernel.op, kernel.operand, kernel.operand_hat,
+                              programs=(), schedule=kernel.schedule)
 
     def execute(self, kernel: CompiledKernel,
                 payloads: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -111,24 +118,23 @@ class ModelBackend:
         return self._transform_batch(kernel, payloads).tolist()
 
     def profile(self, kernel: CompiledKernel) -> CostReport:
-        return self.template.profile(kernel).replicate(self.subarrays)
+        return self.template.schedule_profile(kernel).replicate(self.subarrays)
 
     def detach(self, kernel: CompiledKernel
                ) -> Tuple["ModelBackend", CompiledKernel]:
-        """A backend and kernel that ``execute`` as this one and ``kernel``
-        do, keeping no compiled program alive.
+        """A backend that ``executes`` ``kernel`` as this one does, keeping
+        no program store alive, and ``kernel`` itself (it holds no
+        program).
 
-        They are a copy of this backend without its template engine (an
-        instance of this class, so an override of ``execute`` still
-        runs) and a copy of ``kernel`` without its programs: what
-        ``execute`` reads is the ring, its twiddle table and the
-        kernel's op and operand.  The pool's pending results hold them,
-        so a report can outlive the pool's program store.
+        The backend is a copy of this one without its template engine
+        (an instance of this class, so an override of ``execute`` still
+        runs): what ``execute`` reads is the ring, its twiddle table and
+        the kernel's op and operand.  The pool's pending results hold
+        them, so a report can outlive the pool's program store.
         """
         view = object.__new__(type(self))
         view.__dict__.update(vars(self), template=None)
-        return view, CompiledKernel(kernel.op, kernel.operand,
-                                    kernel.operand_hat, programs=())
+        return view, kernel
 
     # -- gold math --------------------------------------------------------
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.backends.base import (
     KERNEL_OPS,
@@ -49,8 +49,10 @@ from repro.backends.base import (
     CompiledKernel,
     memo_profile,
     price_programs,
+    price_stats,
 )
 from repro.core.layout import DataLayout
+from repro.core.pricing import SchedulePricer
 from repro.core.scheduler import compile_intt, compile_ntt, compile_pointwise_mul
 from repro.core.tiles import container_width
 from repro.errors import CapacityError, ParameterError, VerificationError, require_count
@@ -122,8 +124,8 @@ class BPNTTEngine:
     ``gang`` holds one :class:`~repro.sram.executor.Executor` per data
     subarray (``gang[i].subarray`` is the storage); ``subarrays`` is
     its width.  ``template`` shares another engine's layout, twiddles,
-    compiled programs, kernel handles and prices, and must have the
-    same ring, geometry and technology.
+    compiled programs, kernel handles, prices and schedule pricer, and
+    must have the same ring, geometry and technology.
     """
 
     def __init__(
@@ -157,6 +159,10 @@ class BPNTTEngine:
             # the store is priced once (see profile and _execute).
             self._prices = {}
             self._kernels = {}
+            # Prices programs from the compiler's schedule, without
+            # compiling them (schedule_profile).
+            self._pricer = SchedulePricer(self.layout, tech, params,
+                                          self._table)
         else:
             ours = (params, rows, cols, self.width, tech)
             theirs = (template.params, template.layout.rows,
@@ -171,6 +177,7 @@ class BPNTTEngine:
             self._programs = template._programs
             self._prices = template._prices
             self._kernels = template._kernels
+            self._pricer = template._pricer
         # Each subarray is built over the *used* columns; leftover columns
         # exist physically (and are charged in the area model) but hold
         # no tiles.
@@ -372,7 +379,11 @@ class BPNTTEngine:
 
         For ``polymul`` the operand is forward-transformed once here and
         its NTT baked into the handle, so every later batch skips the
-        host transform and reuses the compiled pointwise program.
+        host transform and reuses the compiled pointwise program.  The
+        handle names its programs (``schedule``) and compiles them into
+        the program store on the first read of ``programs``, so a caller
+        that prices the schedule instead (:meth:`schedule_profile`, the
+        ``model`` backend) compiles none.
         """
         # The operand as given is looked up first, so a warm batch skips
         # reducing it; a miss canonicalizes and keys the kernel both ways.
@@ -395,25 +406,26 @@ class BPNTTEngine:
         if op in ("ntt", "intt"):
             if canonical is not None:
                 raise ParameterError(f"{op} kernels take no second operand")
-            return CompiledKernel(
-                op=op, operand=None, operand_hat=None,
-                programs=(self.compiled_program(op),),
-            )
-        if op == "polymul":
+            hat = None
+            schedule = (op,)
+        elif op == "polymul":
             if canonical is None:
                 raise ParameterError("polymul kernels need a second operand")
             from repro.ntt.transform import ntt_negacyclic
 
             hat = tuple(ntt_negacyclic(list(canonical), self.params, self._table))
-            return CompiledKernel(
-                op=op, operand=canonical, operand_hat=hat,
-                programs=(
-                    self.compiled_program("ntt"),
-                    self.pointwise_program(list(hat)),
-                    self.compiled_program("intt"),
-                ),
-            )
-        raise ParameterError(f"unknown op {op!r}; expected one of {KERNEL_OPS}")
+            schedule = ("ntt", ("pointwise", hat), "intt")
+        else:
+            raise ParameterError(f"unknown op {op!r}; expected one of {KERNEL_OPS}")
+        return CompiledKernel(op=op, operand=canonical, operand_hat=hat,
+                              programs=_StoredPrograms(self._program, schedule),
+                              schedule=schedule)
+
+    def _program(self, key) -> Program:
+        """The store's program for a ``schedule`` key, compiled on a miss."""
+        if key in ("ntt", "intt"):
+            return self.compiled_program(key)
+        return self.pointwise_program(key[1])
 
     def execute(self, kernel: CompiledKernel,
                 payloads: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -437,6 +449,17 @@ class BPNTTEngine:
         """
         return price_programs(kernel.programs, self.tech,
                               replicas=self.subarrays, memo=self._prices)
+
+    def schedule_profile(self, kernel: CompiledKernel) -> CostReport:
+        """:meth:`profile` of ``kernel``'s programs, byte for byte, priced
+        from the compiler's schedule without compiling them.
+
+        Reads only ``kernel.schedule``, so it prices a handle whose
+        ``programs`` were never read, or dropped.  Each program is priced
+        once per program store (:class:`~repro.core.pricing.SchedulePricer`).
+        """
+        return price_stats(list(map(self._pricer.price, kernel.schedule)),
+                           self.tech, replicas=self.subarrays)
 
     # -- verification -------------------------------------------------------
 
@@ -464,6 +487,41 @@ class BPNTTEngine:
             f"batch={self.batch}, subarrays={self.subarrays}, "
             f"spill={self.layout.uses_spill})"
         )
+
+
+class _StoredPrograms(Sequence):
+    """A kernel's programs, compiled through ``program`` (an engine's
+    program store) on the first read of one of them."""
+
+    __slots__ = ("_program", "_keys", "_programs")
+
+    def __init__(self, program: Callable[[object], Program], keys: tuple):
+        self._program = program
+        self._keys = keys
+        self._programs: Optional[Tuple[Program, ...]] = None
+
+    def _compiled(self) -> Tuple[Program, ...]:
+        if self._programs is None:
+            self._programs = tuple(map(self._program, self._keys))
+            self._program = None
+        return self._programs
+
+    def __getitem__(self, index):
+        return self._compiled()[index]
+
+    def __iter__(self):
+        return iter(self._compiled())
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._compiled() == tuple(other)
+
+    def __repr__(self) -> str:
+        return repr(self._compiled())
 
 
 def subarrays_needed(total_transforms: int, per_subarray_batch: int) -> int:

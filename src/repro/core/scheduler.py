@@ -14,6 +14,8 @@ CTRL/CMD subarray serves every batch — the paper's flexibility story.
 
 from __future__ import annotations
 
+from typing import Iterator, List, Tuple
+
 from repro.core.butterfly import (
     emit_coefficient_scale,
     emit_ct_butterfly,
@@ -27,7 +29,8 @@ from repro.ntt.twiddles import TwiddleTable
 from repro.sram.program import Program
 
 
-def _check_compatible(layout: DataLayout, params: NTTParams) -> None:
+def check_compatible(layout: DataLayout, params: NTTParams) -> None:
+    """Refuse a ring the layout cannot hold or multiply safely."""
     if layout.order != params.n:
         raise ParameterError(
             f"layout is sized for order {layout.order}, parameters use {params.n}"
@@ -39,36 +42,78 @@ def _check_compatible(layout: DataLayout, params: NTTParams) -> None:
         )
 
 
-def compile_ntt_from_twiddles(layout: DataLayout, twiddles,
-                              name: str = "ntt") -> Program:
-    """Forward NTT schedule from an explicit (scaled) twiddle table.
+def ct_butterflies(n: int, twiddles) -> Iterator[Tuple[int, int, int]]:
+    """The forward schedule: ``(twiddle, j, k)`` per butterfly, in order.
 
-    ``twiddles`` is indexed like Algorithm 1's zeta array (entry 0
-    unused).  This entry point also serves the Fig 8 sweeps, which
-    explore container widths that admit no real NTT-friendly modulus:
-    the *schedule* (and hence the cycle/energy cost) only depends on the
-    twiddle bit patterns, not on their number theory.
+    Algorithm 1's loop nest, with ``twiddles`` indexed like its zeta
+    array (entry 0 unused).  The compiler emits a Cooley–Tukey
+    butterfly per item, and :mod:`repro.core.pricing` prices the same
+    walk without building a program.
     """
-    program = Program(name=name)
-    n = layout.order
     k = 0
     length = n // 2
     while length > 0:
-        start = 0
-        while start < n:
+        for start in range(0, n, 2 * length):
             k += 1
             zeta = twiddles[k]
             for j in range(start, start + length):
-                emit_ct_butterfly(program, layout, j, j + length, zeta)
-            start += 2 * length
+                yield zeta, j, j + length
         length //= 2
+
+
+def gs_butterflies(n: int, twiddles) -> Iterator[Tuple[int, int, int]]:
+    """The inverse schedule: ``(twiddle, j, k)`` per Gentleman–Sande
+    butterfly, in order (the mirror of :func:`ct_butterflies`)."""
+    k = n
+    length = 1
+    while length < n:
+        for start in range(0, n, 2 * length):
+            k -= 1
+            zeta = twiddles[k]
+            for j in range(start, start + length):
+                yield zeta, j, j + length
+        length *= 2
+
+
+def inverse_scales(layout: DataLayout, params: NTTParams) -> List[int]:
+    """The inverse's ``n^-1`` pass: coefficient ``i``'s Montgomery-scaled
+    multiplier at index ``i``."""
+    q = params.q
+    return [(params.n_inv * pow(2, layout.width, q)) % q] * params.n
+
+
+def pointwise_scales(layout: DataLayout, params: NTTParams,
+                     other_hat) -> List[int]:
+    """Coefficient ``i``'s Montgomery-scaled multiplier in the pointwise
+    product against ``other_hat``."""
+    check_compatible(layout, params)
+    if len(other_hat) != params.n:
+        raise ParameterError(
+            f"expected {params.n} NTT-domain coefficients, got {len(other_hat)}"
+        )
+    q = params.q
+    r = pow(2, layout.width, q)
+    return [(value % q) * r % q for value in other_hat]
+
+
+def compile_ntt_from_twiddles(layout: DataLayout, twiddles,
+                              name: str = "ntt") -> Program:
+    """Forward NTT program from an explicit (scaled) twiddle table.
+
+    ``twiddles`` is indexed like Algorithm 1's zeta array (entry 0
+    unused).  The schedule (and hence the cycle/energy cost) only
+    depends on the twiddle bit patterns, not on their number theory.
+    """
+    program = Program(name=name)
+    for zeta, j, k in ct_butterflies(layout.order, twiddles):
+        emit_ct_butterfly(program, layout, j, k, zeta)
     return program
 
 
 def compile_ntt(layout: DataLayout, params: NTTParams,
                 table: TwiddleTable = None) -> Program:
     """Forward negacyclic NTT program: standard order in, bit-reversed out."""
-    _check_compatible(layout, params)
+    check_compatible(layout, params)
     table = table or TwiddleTable(params)
     twiddles = table.forward_scaled(layout.width)
     return compile_ntt_from_twiddles(
@@ -83,26 +128,14 @@ def compile_intt(layout: DataLayout, params: NTTParams,
     Ends with the ``n^-1`` scaling pass (one constant multiplication per
     coefficient), as the gold model does.
     """
-    _check_compatible(layout, params)
+    check_compatible(layout, params)
     table = table or TwiddleTable(params)
-    twiddles = table.inverse_scaled(layout.width)
     program = Program(name=f"intt-n{params.n}-q{params.q}-w{layout.width}")
-    n = params.n
-    q = params.q
-    k = n
-    length = 1
-    while length < n:
-        start = 0
-        while start < n:
-            k -= 1
-            zeta = twiddles[k]
-            for j in range(start, start + length):
-                emit_gs_butterfly(program, layout, j, j + length, zeta)
-            start += 2 * length
-        length *= 2
-    n_inv_scaled = (params.n_inv * pow(2, layout.width, q)) % q
-    for index in range(n):
-        emit_coefficient_scale(program, layout, index, n_inv_scaled)
+    for zeta, j, k in gs_butterflies(params.n,
+                                     table.inverse_scaled(layout.width)):
+        emit_gs_butterfly(program, layout, j, k, zeta)
+    for index, scale in enumerate(inverse_scales(layout, params)):
+        emit_coefficient_scale(program, layout, index, scale)
     return program
 
 
@@ -116,16 +149,10 @@ def compile_pointwise_mul(layout: DataLayout, params: NTTParams,
     supplies the other operand.  Coefficient ``i`` of every slot is
     multiplied by ``other_hat[i]``.
     """
-    _check_compatible(layout, params)
-    if len(other_hat) != params.n:
-        raise ParameterError(
-            f"expected {params.n} NTT-domain coefficients, got {len(other_hat)}"
-        )
-    r = pow(2, layout.width, params.q)
+    scales = pointwise_scales(layout, params, other_hat)
     program = Program(name=f"pointwise-n{params.n}-q{params.q}")
-    for index, value in enumerate(other_hat):
-        scaled = (value % params.q) * r % params.q
-        emit_coefficient_scale(program, layout, index, scaled)
+    for index, scale in enumerate(scales):
+        emit_coefficient_scale(program, layout, index, scale)
     return program
 
 

@@ -61,7 +61,7 @@ class BatchRecord:
         return self.size / self.capacity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DropRecord:
     """One request the scheduler refused, and why.
 
@@ -672,13 +672,15 @@ def _dict_template(keys: Sequence[str]) -> str:
 _BATCH_FIELDS = ("batch_id", "capacity", "dispatched_s", "energy_nj",
                  "finish_s", "key", "lane", "size", "start_s")
 _BATCH_ROW = _dict_template(_BATCH_FIELDS)
+_DROP_ROW = _dict_template(
+    ("arrival_s", "had_deadline", "kind", "reason", "request_id", "tenant"))
 _RESPONSE_ROW = _dict_template(
     ("batch_padding", "batch_size", "energy_nj", "engine_index", "finish_s",
      "key", "kind", "request_id", "start_s", "tenant"))
 #: One ``[t, depth]`` sample of the queue-depth timeline.
 _DEPTH_ROW = "[\n      %s,\n      %s\n    ]"
 #: Where each rendered array goes in the text of the rest.
-_SPLICED = ("queue_depth", "batches", "responses")
+_SPLICED = ("queue_depth", "batches", "responses", "drops")
 
 
 def serialize_report(report: ServeReport) -> str:
@@ -694,10 +696,11 @@ def serialize_report(report: ServeReport) -> str:
     The text is byte-identical to ``json.dumps(payload, indent=2,
     sort_keys=True)`` of the payload dict (NaN written ``null`` outside
     the responses), without building that dict's long arrays: each
-    response, batch and queue-depth row is one fill of a template,
-    written from the log's columns, the batch records and the timeline,
-    and each distinct batch-key summary, kind and tenant is encoded once
-    per call.  The rest goes through :func:`repro.utils.jsonout.encoder`.
+    response, batch, drop and queue-depth row is one fill of a template,
+    written from the log's columns, the batch and drop records and the
+    timeline, and each distinct batch-key summary, kind and tenant is
+    encoded once per call.  The rest goes through
+    :func:`repro.utils.jsonout.encoder`.
     """
     encode = jsonout.encoder(2, sort_keys=True)
 
@@ -743,6 +746,10 @@ def serialize_report(report: ServeReport) -> str:
         first = end
     depth = [_DEPTH_ROW % (jsonable(t_s), jsonable(value))
              for t_s, value in report.queue_depth]
+    drops = [_DROP_ROW % (jsonable(d.arrival_s), scalar(d.had_deadline),
+                          text(d.kind), text(d.reason),
+                          scalar(d.request_id), text(d.tenant))
+             for d in report.drops]
     payload = {
         "scheduler": report.scheduler,
         "span_s": report.span_s,
@@ -758,7 +765,6 @@ def serialize_report(report: ServeReport) -> str:
         "max_queue_depth": report.max_queue_depth,
         "by_kind": [_jsonable(vars(k)) for k in report.by_kind],
         "by_tenant": [_jsonable(vars(t)) for t in report.by_tenant],
-        "drops": [_jsonable(vars(d)) for d in report.drops],
         # "alerts" appears only when an SLO policy watched the run, so
         # policy-free reports (the pre-existing goldens) are unchanged.
         **({"alerts": [_jsonable(vars(a)) for a in report.alerts]}
@@ -767,7 +773,7 @@ def serialize_report(report: ServeReport) -> str:
         **dict.fromkeys(_SPLICED, ()),
     }
     out = encode(payload, 0)
-    for name, rows in zip(_SPLICED, (depth, batches, responses)):
+    for name, rows in zip(_SPLICED, (depth, batches, responses, drops)):
         if rows:
             head, tail = out.split(f'\n  "{name}": []', 1)
             out = (f'{head}\n  "{name}": [\n    ' + ",\n    ".join(rows)

@@ -10,7 +10,7 @@ The scheduler picks the lane of every batch (:mod:`repro.sched`).
 Any registered backend can serve a batch (``repro.cli backends`` lists
 them; :mod:`repro.backends` describes the built-ins ``model`` and
 ``sram``).  Each invocation is priced once per (backend, key) by a
-cached :class:`ServiceProfile`: the cycle/energy totals of the compiled
+cached :class:`ServiceProfile`: the cycle/energy totals of the kernel's
 programs, statically costed through ``Backend.profile``.
 
 Every lane is built over the pool's template engine for its parameter

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
 from operator import add
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.sram.energy import TECH_45NM, TechnologyModel
@@ -124,44 +124,80 @@ def profile_program(program: Program, tech: TechnologyModel = TECH_45NM) -> Exec
     The program is priced per block.  Blocks are told apart by
     identity, each distinct block is read once, and blocks with the
     same class sequence (the same emitter on other rows) share one
-    count: the class counts are a block's counts times how often it
-    occurs.  The energy total has the bits of the left-to-right float
-    sum over the program, one addition per instruction in program
-    order; :func:`_fold_energy` gets them from per-binade integer sums
-    over the blocks and adds single instructions only where the sum
-    crosses into the next binade.
+    shape code; :func:`price_shapes` prices the codes.
     """
-    stats = ExecutionStats()
     blocks = program.blocks
     # Each distinct block's class sequence (its shape), in first-use
-    # order, with its index (the shape's code) and one block that has
-    # it; per distinct block, its shape's code.
+    # order, with its index (the shape's code); per distinct block, its
+    # shape's code.
     code_of: Dict[int, int] = {}
-    shapes: Dict[tuple, Tuple[int, tuple]] = {}
+    shapes: Dict[tuple, int] = {}
     for key, block in dict(zip(map(id, blocks), blocks)).items():
-        shape = tuple(map(type, block))
-        entry = shapes.get(shape)
-        if entry is None:
-            entry = shapes[shape] = (len(shapes), block)
-        code_of[key] = entry[0]
-    # The program as shape codes, one per block reference, and each
-    # shape's uses counted from them.
-    codes: Sequence[int]
+        code_of[key] = shapes.setdefault(tuple(map(type, block)), len(shapes))
+    # The program as shape codes, one per block reference.
+    codes = (bytes if len(shapes) <= 256 else list)(
+        map(code_of.__getitem__, map(id, blocks)))
+    length = len(program)
+    sections = program.sections
+    spans: Dict[str, int] = {}
+    for label, start, end in sections:
+        if end > length:
+            raise ExecutionError(f"section {label!r} exceeds program length")
+        if not 0 <= start <= end:
+            raise ExecutionError(f"section {label!r} spans [{start}, {end})")
+        spans[label] = spans.get(label, 0) + (end - start)
+
+    def section_cycles(cycles_of: Dict[type, int]) -> Dict[str, int]:
+        # The running cycle count before instruction i, at section bounds.
+        before = _cycles_at(blocks, cycles_of, {length}.union(
+            *((start, end) for _, start, end in sections)))
+        cycles: Dict[str, int] = {}
+        for label, start, end in sections:
+            cycles[label] = cycles.get(label, 0) + (before[end] - before[start])
+        return cycles
+
+    return price_shapes(list(shapes), codes, length, spans, section_cycles,
+                        tech)
+
+
+def price_shapes(shapes: Sequence[Tuple[type, ...]], codes: Sequence[int],
+                 length: int, spans: Dict[str, int],
+                 section_cycles: Callable[[Dict[type, int]], Dict[str, int]],
+                 tech: TechnologyModel) -> ExecutionStats:
+    """The stats of a program given as block shape codes.
+
+    The back half of both pricing front ends: :func:`profile_program`
+    over a compiled program's blocks, and
+    :class:`~repro.core.pricing.SchedulePricer` over the compiler's
+    schedule.  ``shapes`` lists each distinct block shape (its
+    instruction classes) in first-use order; ``codes`` is the program as
+    one shape index per block reference (bytes when there are at most
+    256 shapes, else a list); ``length`` counts its instructions and
+    ``spans`` each section label's instructions, labels in first-use
+    order.  ``section_cycles(cycles_of)`` gives each label's cycles; it
+    is called only when the program's classes cost unequal cycles.
+
+    The class counts are each shape's counts times its uses.  The
+    energy total has the bits of the left-to-right float sum over the
+    program, one addition per instruction in program order;
+    :func:`_fold_energy` gets them from per-binade integer sums over the
+    blocks and adds single instructions only where the sum crosses into
+    the next binade.
+    """
+    stats = ExecutionStats()
     if len(shapes) <= 256:
-        codes = bytes(map(code_of.__getitem__, map(id, blocks)))
         uses = list(map(codes.count, range(len(shapes))))
     else:
-        codes = list(map(code_of.__getitem__, map(id, blocks)))
         counted = Counter(codes)
         uses = list(map(counted.__getitem__, range(len(shapes))))
     cycles_of: Dict[type, int] = {}
     energy_of: Dict[type, float] = {}
     counts: Dict[type, int] = {}
     # Classes in first-seen order, so op_counts keys follow the program.
-    for (shape, (_, block)), used in zip(shapes.items(), uses):
+    for shape, used in zip(shapes, uses):
         for cls, count in Counter(shape).items():
             if cls not in counts:
-                kind = _instruction_kind(block[shape.index(cls)])
+                kind = _class_kind(cls)
                 cycles_of[cls] = tech.instruction_cycles(kind)
                 energy_of[cls] = tech.instruction_energy_pj(kind)
                 counts[cls] = 0
@@ -173,15 +209,7 @@ def profile_program(program: Program, tech: TechnologyModel = TECH_45NM) -> Exec
     stats.energy_pj = _fold_energy(
         codes, uses,
         [tuple(map(energy_of.__getitem__, shape)) for shape in shapes])
-    stats.instructions = length = len(program)
-    sections = program.sections
-    spans: Dict[str, int] = {}
-    for label, start, end in sections:
-        if end > length:
-            raise ExecutionError(f"section {label!r} exceeds program length")
-        if not 0 <= start <= end:
-            raise ExecutionError(f"section {label!r} spans [{start}, {end})")
-        spans[label] = spans.get(label, 0) + (end - start)
+    stats.instructions = length
     if len(set(cycles_of.values())) <= 1:
         # Every class costs the same: cycles are instructions times it.
         cost = next(iter(cycles_of.values()), 0)
@@ -189,15 +217,9 @@ def profile_program(program: Program, tech: TechnologyModel = TECH_45NM) -> Exec
         stats.section_cycles = {label: cost * span
                                 for label, span in spans.items()}
         return stats
-    # The running cycle count before instruction i, at section bounds.
-    before = _cycles_at(blocks, cycles_of, {length}.union(
-        *((start, end) for _, start, end in sections)))
-    stats.cycles = before[length]
-    section_cycles = stats.section_cycles
-    for label, start, end in sections:
-        section_cycles[label] = section_cycles.get(label, 0) + (
-            before[end] - before[start]
-        )
+    stats.cycles = sum(used * sum(map(cycles_of.__getitem__, shape))
+                       for shape, used in zip(shapes, uses))
+    stats.section_cycles = section_cycles(cycles_of)
     return stats
 
 
@@ -343,7 +365,12 @@ def _cycles_at(blocks, cycles_of: Dict[type, int], bounds) -> Dict[int, int]:
 
 def _instruction_kind(instruction) -> str:
     """An instruction's technology-model class name (its class's ``kind``)."""
+    return _class_kind(type(instruction))
+
+
+def _class_kind(cls: type) -> str:
+    """An instruction class's technology-model class name (its ``kind``)."""
     try:
-        return type(instruction).kind
+        return cls.kind
     except AttributeError:
-        raise ExecutionError(f"unknown instruction {instruction!r}") from None
+        raise ExecutionError(f"unknown instruction class {cls.__name__}") from None

@@ -18,6 +18,11 @@ every draw:
   cycle, and under one whose classes cost different cycle counts;
 - the engine's memoized ``profile`` equals a fresh ``price_programs``
   and the merged reference prices, cold and warm;
+- the schedule pricer (:class:`~repro.core.pricing.SchedulePricer`,
+  which builds no program) prices each of the kernel's programs as
+  ``profile_program`` does, field for field, dict key order and energy
+  bits included, under both technologies; and the engine's
+  ``schedule_profile`` equals its ``profile``;
 - equal instructions across the kernel's programs are one object, and a
   second engine built with the same arguments compiles equal programs
   that share no instruction object with the first (interning is per
@@ -27,7 +32,9 @@ every draw:
   ``check_program`` verifies is the one the interpreter performs).
 
 Hand-built programs that share blocks, split them anywhere and put
-section bounds inside a block also price exactly as the reference.
+section bounds inside a block also price exactly as the reference, and
+a layout with more than 256 distinct block shapes prices exactly from
+its schedule.
 """
 
 import random
@@ -40,6 +47,9 @@ from hypothesis import strategies as st
 from repro.backends import price_programs
 from repro.check import check_program
 from repro.core.engine import BPNTTEngine
+from repro.core.layout import DataLayout
+from repro.core.pricing import SchedulePricer
+from repro.core.scheduler import compile_ntt_from_twiddles
 from repro.core.tiles import SCRATCH_ROW_COUNT, container_width
 from repro.errors import ParameterError
 from repro.ntt.params import NTTParams
@@ -113,6 +123,11 @@ def assert_same_stats(static: ExecutionStats, reference: ExecutionStats) -> None
     assert list(static.section_cycles) == list(reference.section_cycles)
 
 
+def assert_same_bits(priced: ExecutionStats, profiled: ExecutionStats) -> None:
+    assert_same_stats(priced, profiled)
+    assert priced.energy_pj.hex() == profiled.energy_pj.hex()
+
+
 def assert_same_cost(left: CostReport, right: CostReport) -> None:
     assert left == right
     assert repr(left) == repr(right)
@@ -164,6 +179,30 @@ def test_generated_kernels_check_clean_execute_gold_and_price_exactly(draw, op):
     priced = CostReport.from_stats(ExecutionStats.merge(*references), engine.tech)
     assert_same_cost(engine.profile(kernel), fresh)  # cold
     assert_same_cost(engine.profile(kernel), priced)  # from the engine's memo
+
+
+@settings(max_examples=50, deadline=None)
+@given(engines(), st.sampled_from(["ntt", "intt", "polymul"]))
+def test_the_schedule_prices_as_the_compiled_programs(draw, op):
+    engine, seed = draw
+    params = engine.params
+    rng = random.Random(seed)
+    operand = ([rng.randrange(params.q) for _ in range(params.n)]
+               if op == "polymul" else None)
+    # A twin prices from the schedule alone: its kernel's programs are
+    # never read, so it compiles none.
+    twin = BPNTTEngine(params, width=engine.width, rows=engine.layout.rows,
+                       cols=engine.physical_cols)
+    cost = twin.schedule_profile(twin.compile(op, operand))
+    assert not twin._programs
+    kernel = engine.compile(op, operand)
+    assert_same_cost(cost, engine.profile(kernel))
+    for tech in (TECH_45NM, SKEWED_TECH):
+        pricer = SchedulePricer(engine.layout, tech, params,
+                                engine.twiddle_table)
+        for priced, program in zip(map(pricer.price, kernel.schedule),
+                                   kernel.programs, strict=True):
+            assert_same_bits(priced, profile_program(program, tech))
 
 
 def touched_rows(sub, instruction):
@@ -252,3 +291,17 @@ def test_any_split_into_blocks_prices_as_the_flat_program(data):
     for tech in (TECH_45NM, SKEWED_TECH):
         assert_same_stats(profile_program(program, tech),
                           reference_price(program, tech))
+
+
+def test_a_layout_with_more_than_256_shapes_prices_exactly():
+    """One coefficient row per tile: every tile offset of a spill fetch
+    and a store is its own block shape, so the codes are a list."""
+    layout = DataLayout(rows=SCRATCH_ROW_COUNT + 1, cols=4 * 128, width=4,
+                        order=128)
+    rng = random.Random(5)
+    twiddles = [rng.getrandbits(4) for _ in range(128)]
+    program = compile_ntt_from_twiddles(layout, twiddles)
+    assert len({tuple(map(type, block)) for block in program.blocks}) > 256
+    for tech in (TECH_45NM, SKEWED_TECH):
+        assert_same_bits(SchedulePricer(layout, tech).ntt_from_twiddles(twiddles),
+                         profile_program(program, tech))

@@ -13,6 +13,9 @@ are held to the closed forms of the compiler: one ``modmul`` section
 per butterfly (plus one per coefficient for the inverse's ``n^-1``
 scaling), each ``modmul_instruction_count`` long.
 
+The schedule pricer (:class:`~repro.core.pricing.SchedulePricer`),
+which builds no program, reproduces the same pinned stats.
+
 Small programs pin the flat views: the full ``disassemble`` listing
 and the ``check_program`` findings of a tiny resident and a tiny spill
 ring.
@@ -30,6 +33,7 @@ import pytest
 from repro.check import check_program
 from repro.core.engine import BPNTTEngine
 from repro.core.modmul import modmul_instruction_count
+from repro.core.pricing import SchedulePricer
 from repro.core.scheduler import butterfly_count
 from repro.ntt.params import STANDARD_PARAMS, NTTParams
 from repro.sram.executor import profile_program
@@ -51,9 +55,12 @@ def _engine(params, rows=256, cols=256):
 
 
 def program_stats(program):
-    stats = profile_program(program)
+    return stats_fields(profile_program(program))
+
+
+def stats_fields(stats):
     return {
-        "instructions": len(program),
+        "instructions": stats.instructions,
         "cycles": stats.cycles,
         "energy_pj": repr(stats.energy_pj),
         "op_counts": [list(item) for item in stats.op_counts.items()],
@@ -122,6 +129,17 @@ def test_registered_programs_price_exactly_as_pinned(golden, name):
             expected += n * modmul_instruction_count(engine.width, n_inv_scaled)
         assert sum(label == "modmul" for label, _, _ in program.sections) == modmuls
         assert program.section_histogram()["modmul"] == expected
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD_PARAMS))
+def test_the_schedule_prices_exactly_as_pinned(golden, name):
+    params = STANDARD_PARAMS[name]
+    engine = _engine(params)
+    pricer = SchedulePricer(engine.layout, params=params,
+                            table=engine.twiddle_table)
+    for op in ("ntt", "intt"):
+        assert stats_fields(pricer.price(op)) == golden["programs"][f"{name}/{op}"]
+    assert not engine._programs
 
 
 @pytest.mark.parametrize("label, params, rows, cols", TINY,

@@ -5,7 +5,14 @@ import random
 import pytest
 
 import repro.core.engine as engine_module
+import repro.core.pricing as pricing
 from repro.backends import base as backends_base
+from repro.core.butterfly import (
+    emit_coefficient_scale,
+    emit_ct_butterfly,
+    emit_gs_butterfly,
+)
+from repro.core.scheduler import inverse_scales, pointwise_scales
 from repro.errors import ParameterError
 from repro.ntt.params import get_params
 from repro.serve import EnginePool, PoolConfig, ServingSimulator
@@ -92,45 +99,60 @@ class TestProfiles:
 
 
 class TestPricingWork:
-    """Each compiled program is priced once per pool, and only per pool."""
+    """``sram`` prices each compiled program once per pool; ``model``
+    compiles nothing and records each distinct schedule piece once per
+    pool."""
 
     #: The perfbench ``cluster-64`` set-up shape: 64 chips x 4 operand
     #: keys on the 16-point ring, plus the operand-less ntt key.
     CHIPS, KEYS_PER_CHIP = 64, 4
 
-    def set_up(self, tiny_request):
-        """A fresh pool with every batch key priced; the profile_program calls."""
+    def keys(self, tiny_request):
         rng = random.Random(2023)
-        keys = [tiny_request(0).batch_key] + [
+        return [tiny_request(0).batch_key] + [
             tiny_request(i, op="polymul", operand=[
                 rng.randrange(TINY_Q) for _ in range(TINY_N)]).batch_key
             for i in range(self.CHIPS * self.KEYS_PER_CHIP)]
+
+    def set_up(self, tiny_request, backend="sram"):
+        """A fresh pool with every batch key priced; the profile_program
+        calls, and the programs compiled."""
         pool = EnginePool(PoolConfig(size=2, rows=32, cols=32))
-        priced = []
+        priced, built = [], []
 
         def counting(program, tech):
             priced.append(program)
             return profile_program(program, tech)
 
+        def compiling(compile_program):
+            def compiled(*args):
+                built.append(compile_program(*args))
+                return built[-1]
+            return compiled
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(backends_base, "profile_program", counting)
-            for key in keys:
-                pool.profile(key)
-        return pool, priced
+            for name in ("compile_ntt", "compile_intt", "compile_pointwise_mul"):
+                patch.setattr(engine_module, name,
+                              compiling(getattr(engine_module, name)))
+            for key in self.keys(tiny_request):
+                pool.profile(key, backend=backend)
+        return pool, priced, built
 
     def test_set_up_prices_each_distinct_program_once(self, tiny_request):
-        pool, priced = self.set_up(tiny_request)
+        pool, priced, built = self.set_up(tiny_request)
         # ntt and intt are shared by every polymul kernel; each operand
         # key adds one pointwise program (1 + 3 * 256 = 769 calls if each
         # kernel priced its programs afresh).
         assert len({id(program) for program in priced}) == len(priced) == 2 + 256
         engine = pool.template(tiny_request(0).params_name)
         assert {id(program) for program in priced} == {
-            id(program) for program in engine._programs.values()}
+            id(program) for program in engine._programs.values()} == {
+            id(program) for program in built}
 
     def test_a_fresh_pool_prices_cold_again(self, tiny_request):
-        _, priced = self.set_up(tiny_request)
-        _, again = self.set_up(tiny_request)
+        _, priced, _ = self.set_up(tiny_request)
+        _, again, _ = self.set_up(tiny_request)
         assert len(again) == len(priced) == 258
         assert not {id(p) for p in again} & {id(p) for p in priced}
 
@@ -141,19 +163,77 @@ class TestPricingWork:
         return [i for program in engine._programs.values() for i in program.instructions]
 
     def test_set_up_builds_each_distinct_instruction_once(self, tiny_request):
-        pool, _ = self.set_up(tiny_request)
+        pool, _, _ = self.set_up(tiny_request)
         built = self.instructions(pool, tiny_request)
         # The 258 programs share one object per distinct instruction
         # value (109,242 objects if every emitter call built its own).
         assert len({id(i) for i in built}) == len(set(built)) == 230
 
     def test_a_fresh_pool_interns_cold_again(self, tiny_request):
-        first, _ = self.set_up(tiny_request)
-        second, _ = self.set_up(tiny_request)
+        first, _, _ = self.set_up(tiny_request)
+        second, _, _ = self.set_up(tiny_request)
         built = self.instructions(first, tiny_request)
         again = self.instructions(second, tiny_request)
-        assert again == built
+        assert len(built) == 482780 and again == built
         assert not {id(i) for i in again} & {id(i) for i in built}
+
+    def recorded(self, tiny_request, monkeypatch):
+        """A fresh ``model`` set-up; the pieces its pricer recorded, by kind."""
+        pieces = {"modmul": [], "split": []}
+        modmul, split = pricing.emit_modmul, pricing.SchedulePricer._split
+        monkeypatch.setattr(pricing, "emit_modmul", lambda sink, layout, twiddle, row: (
+            pieces["modmul"].append(twiddle), modmul(sink, layout, twiddle, row)))
+        monkeypatch.setattr(pricing.SchedulePricer, "_split", lambda self, key, *a: (
+            pieces["split"].append(key), split(self, key, *a))[1])
+        pool, priced, built = self.set_up(tiny_request, backend="model")
+        assert priced == built == []
+        return pool, pieces
+
+    def test_model_set_up_records_each_distinct_piece_once(self, tiny_request,
+                                                           monkeypatch):
+        pool, pieces = self.recorded(tiny_request, monkeypatch)
+        engine = pool.template(tiny_request(0).params_name)
+        params, table = engine.params, engine.twiddle_table
+        # Every multiplier the programs would hold: the forward and
+        # inverse twiddles, n^-1, and each operand's pointwise scales.
+        multipliers = {*table.forward_scaled(engine.width)[1:],
+                       *table.inverse_scaled(engine.width)[1:],
+                       *inverse_scales(engine.layout, params)}
+        for key in self.keys(tiny_request)[1:]:
+            hat = pool.backend_lanes("model", key[0])[0].compile(*key[1:]).operand_hat
+            multipliers.update(pointwise_scales(engine.layout, params, hat))
+        assert len(set(pieces["modmul"])) == len(pieces["modmul"])
+        assert set(pieces["modmul"]) == multipliers
+        # A resident ring: one CT, one scale and one GS piece, at tile
+        # offset 0, in the order ntt, pointwise and intt first need them.
+        assert pieces["split"] == [(emit_ct_butterfly, 0, 0),
+                                   (emit_coefficient_scale, 0),
+                                   (emit_gs_butterfly, 0, 0)]
+
+    def test_a_fresh_model_pool_records_cold_again(self, tiny_request,
+                                                   monkeypatch):
+        _, pieces = self.recorded(tiny_request, monkeypatch)
+        first = {kind: list(recorded) for kind, recorded in pieces.items()}
+        for recorded in pieces.values():
+            recorded.clear()
+        self.set_up(tiny_request, backend="model")
+        assert pieces == first and first["modmul"]
+
+    def test_a_model_replay_compiles_no_program(self, tiny_request,
+                                                monkeypatch):
+        built = []
+        for name in ("compile_ntt", "compile_intt", "compile_pointwise_mul"):
+            monkeypatch.setattr(engine_module, name,
+                                lambda *args, name=name: built.append(name))
+        operand = [3] + [0] * (TINY_N - 1)
+        trace = [tiny_request(i, op=op, arrival_s=i * 1e-4,
+                              operand=operand if op == "polymul" else None)
+                 for i, op in enumerate(["ntt", "intt", "polymul"] * 3)]
+        pool = EnginePool(PoolConfig(size=2, rows=32, cols=32))
+        report = ServingSimulator(pool, backend="model").replay(trace)
+        assert [list(r.result) for r in report.responses] == [
+            gold_result(r.request) for r in report.responses]
+        assert report.count == len(trace) and built == []
 
 
 class TestBlockPrograms:
@@ -169,7 +249,7 @@ class TestBlockPrograms:
         return read
 
     def test_set_up_prices_from_blocks(self, tiny_request, flat_views):
-        pool, priced = TestPricingWork().set_up(tiny_request)
+        pool, priced, _ = TestPricingWork().set_up(tiny_request)
         assert len(priced) == 258 and flat_views == []
         programs = pool.template(tiny_request(0).params_name)._programs.values()
         blocks = [block for program in programs for block in program.blocks]

@@ -12,6 +12,7 @@ the ``respond`` events of a traced replay.
 
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -172,7 +173,7 @@ def today_payload(report) -> dict:
         "queue_depth": jsonable(list(report.queue_depth)),
         "by_kind": [jsonable(vars(k)) for k in report.by_kind],
         "by_tenant": [jsonable(vars(t)) for t in report.by_tenant],
-        "drops": [jsonable(vars(d)) for d in report.drops],
+        "drops": [jsonable(asdict(d)) for d in report.drops],
         "batches": [
             jsonable({**{name: getattr(b, name) for name in fields},
                       "key": _key_summary(b.key)})
