@@ -24,30 +24,31 @@ Quick start::
     engine.load([[1] * params.n] * engine.batch)
     report = engine.ntt()
     print(report.throughput_kntt_per_s, "KNTT/s")
+
+Importing ``repro`` loads only the gold transforms (for ``ntt``, see
+below).  Every other name here, and in the re-exporting subpackages
+(``repro.obs``, ``repro.crypto``, ...), resolves on first use through
+:func:`repro.registry.lazy_exports`.  A replay therefore loads only the
+modules it runs: ``import repro.serve`` pulls in no crypto scheme and
+no offline tooling.
 """
 
-from repro.core.engine import BPNTTEngine, NTTRunReport
-from repro.errors import ReproError
-from repro.mont.bitparallel import bp_modmul, bp_modmul_traced, montgomery_expected
-from repro.ntt.params import NTTParams, get_params, list_param_names
-from repro.ntt.polynomial import Polynomial
-from repro.ntt.transform import intt, ntt, polymul_negacyclic
+from repro.registry import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BPNTTEngine",
-    "NTTRunReport",
-    "ReproError",
-    "bp_modmul",
-    "bp_modmul_traced",
-    "montgomery_expected",
-    "NTTParams",
-    "get_params",
-    "list_param_names",
-    "Polynomial",
-    "intt",
-    "ntt",
-    "polymul_negacyclic",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".core.engine": ("BPNTTEngine", "NTTRunReport"),
+    ".errors": ("ReproError",),
+    ".mont.bitparallel": ("bp_modmul", "bp_modmul_traced", "montgomery_expected"),
+    ".ntt.params": ("NTTParams", "get_params", "list_param_names"),
+    ".ntt.polynomial": ("Polynomial",),
+    ".ntt.transform": ("intt", "polymul_negacyclic"),
+})
+
+# ``repro.ntt`` names both a subpackage and the forward transform.  The
+# function is bound here, after the subpackage has been imported, so it
+# is what ``repro.ntt`` reads, as it always was.
+from repro.ntt.transform import ntt  # noqa: E402, F401
+
+__all__ += ["ntt", "__version__"]

@@ -7,36 +7,15 @@
 - :mod:`repro.analysis.tables`    — Table I generator.
 """
 
-from repro.analysis.area import project_area, project_energy, project_frequency
-from repro.analysis.breakdown import phase_breakdown, sense_amp_ablation
-from repro.analysis.footprint import FootprintEntry, fig7_comparison
-from repro.analysis.roofline import (
-    DEFAULT_MACHINE,
-    KernelProfile,
-    MachineModel,
-    lattice_kernel_profiles,
-)
-from repro.analysis.scaling import NodePoint, scale_design_point
-from repro.analysis.sweeps import SweepPoint, sweep_bitwidths, sweep_orders
-from repro.analysis.tables import build_table1, format_table1
+from repro.registry import lazy_exports
 
-__all__ = [
-    "project_area",
-    "project_energy",
-    "project_frequency",
-    "FootprintEntry",
-    "fig7_comparison",
-    "DEFAULT_MACHINE",
-    "KernelProfile",
-    "MachineModel",
-    "lattice_kernel_profiles",
-    "SweepPoint",
-    "sweep_bitwidths",
-    "sweep_orders",
-    "build_table1",
-    "format_table1",
-    "phase_breakdown",
-    "sense_amp_ablation",
-    "NodePoint",
-    "scale_design_point",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".area": ("project_area", "project_energy", "project_frequency"),
+    ".breakdown": ("phase_breakdown", "sense_amp_ablation"),
+    ".footprint": ("FootprintEntry", "fig7_comparison"),
+    ".roofline": ("DEFAULT_MACHINE", "KernelProfile", "MachineModel",
+                  "lattice_kernel_profiles"),
+    ".scaling": ("NodePoint", "scale_design_point"),
+    ".sweeps": ("SweepPoint", "sweep_bitwidths", "sweep_orders"),
+    ".tables": ("build_table1", "format_table1"),
+})

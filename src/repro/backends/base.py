@@ -47,12 +47,23 @@ protocol without an import cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    runtime_checkable,
+)
 
 from repro.sram.cost import CostReport
 from repro.sram.energy import TechnologyModel
 from repro.sram.executor import ExecutionStats, profile_program
-from repro.sram.program import Program
+
+if TYPE_CHECKING:
+    from repro.sram.program import Program
 
 #: Kernel operations every backend must support (the serving runtime's
 #: request vocabulary; ``repro.serve.request`` re-exports this).

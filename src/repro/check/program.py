@@ -20,7 +20,7 @@ and flags uses that read state nothing wrote:
   :class:`~repro.sram.isa.CarryStep` produced since the last clear.
 - **Carry-chain width** (PROG008-009): a ``width-1``-round addition
   assumes its operand sum fits the word — true exactly when the
-  modulus respects :func:`~repro.mont.bitparallel.safe_modulus_bound`
+  modulus respects :func:`~repro.mont.safe_modulus_bound`
   (Observation 1), so an unsafe modulus turns every such chain into a
   silent overflow; chains shorter than ``width-1`` settle nothing.
 - **Cost-table consistency** (PROG010): every instruction must be
@@ -45,7 +45,7 @@ from typing import List, Optional, Sequence, Set
 
 from repro.check.diagnostics import Diagnostic, error, warning
 from repro.errors import ReproError
-from repro.mont.bitparallel import safe_modulus_bound
+from repro.mont import safe_modulus_bound
 from repro.sram.energy import TECH_45NM, TechnologyModel
 from repro.sram.executor import _instruction_kind
 from repro.sram.isa import (

@@ -70,7 +70,8 @@ class AffinityRouter:
             replicate = {"": replicate}
         self._replicas: Dict[str, int] = {}
         for tenant, count in dict(replicate).items():
-            if not isinstance(count, int) or count < 1:
+            # True is an int, but not a replica count.
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
                 raise SchedulerError(
                     f"replicate counts must be ints >= 1, got "
                     f"{tenant!r}: {count!r}"

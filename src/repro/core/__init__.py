@@ -9,16 +9,10 @@ Fig 5(a).
 Public entry point: :class:`repro.core.engine.BPNTTEngine`.
 """
 
-from repro.core.engine import BPNTTEngine, NTTRunReport
-from repro.core.layout import DataLayout, ScratchRows
-from repro.core.tiles import CapacityReport, capacity_report, container_width
+from repro.registry import lazy_exports
 
-__all__ = [
-    "BPNTTEngine",
-    "NTTRunReport",
-    "DataLayout",
-    "ScratchRows",
-    "CapacityReport",
-    "capacity_report",
-    "container_width",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".engine": ("BPNTTEngine", "NTTRunReport"),
+    ".layout": ("DataLayout", "ScratchRows"),
+    ".tiles": ("CapacityReport", "capacity_report", "container_width"),
+})

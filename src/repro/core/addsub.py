@@ -15,6 +15,8 @@ the same tile — only the *carry* movement inside an addition shifts.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.layout import DataLayout
 from repro.errors import LayoutError
 from repro.sram.isa import (
@@ -28,7 +30,9 @@ from repro.sram.isa import (
     Unary,
     UnaryOp,
 )
-from repro.sram.program import Program
+
+if TYPE_CHECKING:
+    from repro.sram.program import Program
 
 
 def emit_resolve(program: Program, layout: DataLayout) -> None:

@@ -22,6 +22,8 @@ Gentleman–Sande (inverse)::
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.addsub import (
     emit_cond_subtract,
     emit_fetch,
@@ -32,7 +34,9 @@ from repro.core.addsub import (
 )
 from repro.core.layout import DataLayout
 from repro.core.modmul import emit_modmul
-from repro.sram.program import Program
+
+if TYPE_CHECKING:
+    from repro.sram.program import Program
 
 
 def emit_ct_butterfly(program: Program, layout: DataLayout, j: int, k: int,

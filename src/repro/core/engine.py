@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from repro.backends.base import (
     KERNEL_OPS,
@@ -61,8 +61,10 @@ from repro.ntt.twiddles import TwiddleTable
 from repro.sram.cost import CostReport
 from repro.sram.energy import TECH_45NM, TechnologyModel
 from repro.sram.executor import ExecutionStats, Executor
-from repro.sram.program import Program
 from repro.sram.subarray import SRAMSubarray
+
+if TYPE_CHECKING:
+    from repro.sram.program import Program
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,8 @@ After ``width`` iterations the product sits in carry-save form
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.layout import DataLayout
 from repro.errors import ParameterError
 from repro.sram.isa import (
@@ -49,7 +51,9 @@ from repro.sram.isa import (
     Unary,
     UnaryOp,
 )
-from repro.sram.program import Program
+
+if TYPE_CHECKING:
+    from repro.sram.program import Program
 
 
 def emit_modmul(program: Program, layout: DataLayout, twiddle: int, b_row: int) -> None:

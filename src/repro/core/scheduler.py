@@ -14,7 +14,7 @@ CTRL/CMD subarray serves every batch — the paper's flexibility story.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Tuple
 
 from repro.core.butterfly import (
     emit_coefficient_scale,
@@ -23,10 +23,12 @@ from repro.core.butterfly import (
 )
 from repro.core.layout import DataLayout
 from repro.errors import ParameterError
-from repro.mont.bitparallel import safe_modulus_bound
+from repro.mont import safe_modulus_bound
 from repro.ntt.params import NTTParams
 from repro.ntt.twiddles import TwiddleTable
-from repro.sram.program import Program
+
+if TYPE_CHECKING:
+    from repro.sram.program import Program
 
 
 def check_compatible(layout: DataLayout, params: NTTParams) -> None:
@@ -96,6 +98,14 @@ def pointwise_scales(layout: DataLayout, params: NTTParams,
     return [(value % q) * r % q for value in other_hat]
 
 
+def _new_program(name: str) -> Program:
+    # Imported on first compile: the model backend prices the walks
+    # above and never builds a program, so a replay need not load it.
+    from repro.sram.program import Program
+
+    return Program(name=name)
+
+
 def compile_ntt_from_twiddles(layout: DataLayout, twiddles,
                               name: str = "ntt") -> Program:
     """Forward NTT program from an explicit (scaled) twiddle table.
@@ -104,7 +114,7 @@ def compile_ntt_from_twiddles(layout: DataLayout, twiddles,
     unused).  The schedule (and hence the cycle/energy cost) only
     depends on the twiddle bit patterns, not on their number theory.
     """
-    program = Program(name=name)
+    program = _new_program(name)
     for zeta, j, k in ct_butterflies(layout.order, twiddles):
         emit_ct_butterfly(program, layout, j, k, zeta)
     return program
@@ -130,7 +140,7 @@ def compile_intt(layout: DataLayout, params: NTTParams,
     """
     check_compatible(layout, params)
     table = table or TwiddleTable(params)
-    program = Program(name=f"intt-n{params.n}-q{params.q}-w{layout.width}")
+    program = _new_program(f"intt-n{params.n}-q{params.q}-w{layout.width}")
     for zeta, j, k in gs_butterflies(params.n,
                                      table.inverse_scaled(layout.width)):
         emit_gs_butterfly(program, layout, j, k, zeta)
@@ -150,7 +160,7 @@ def compile_pointwise_mul(layout: DataLayout, params: NTTParams,
     multiplied by ``other_hat[i]``.
     """
     scales = pointwise_scales(layout, params, other_hat)
-    program = Program(name=f"pointwise-n{params.n}-q{params.q}")
+    program = _new_program(f"pointwise-n{params.n}-q{params.q}")
     for index, scale in enumerate(scales):
         emit_coefficient_scale(program, layout, index, scale)
     return program

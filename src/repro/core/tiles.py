@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import CapacityError, ParameterError
-from repro.mont.bitparallel import safe_modulus_bound
+from repro.mont import safe_modulus_bound
 
 #: Intermediate rows reserved per subarray (Fig 5a): Sum, Carry, two
 #: compressor temporaries, the spill landing row, and the modulus row.
@@ -23,7 +23,7 @@ def container_width(modulus: int, *, minimum: int = 0) -> int:
     """Smallest column count per coefficient that runs ``modulus`` safely.
 
     Observation 1 of Algorithm 2 requires ``M < 2^(w-1)`` (see
-    :func:`repro.mont.bitparallel.safe_modulus_bound`), so a b-bit
+    :func:`repro.mont.safe_modulus_bound`), so a b-bit
     modulus needs ``b + 1`` columns.  ``minimum`` lets callers round up
     to a standard container (e.g. 16).
     """

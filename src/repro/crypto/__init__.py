@@ -17,54 +17,14 @@ executable versions of those workloads:
   and relinearized ciphertext-ciphertext multiplication.
 """
 
-from repro.crypto.dilithium import (
-    DILITHIUM_Q,
-    dilithium_intt,
-    dilithium_ntt,
-    dilithium_polymul,
-)
-from repro.crypto.he import (
-    DepthRecord,
-    HECiphertext,
-    HEContext,
-    HEKeyPair,
-    RelinKey,
-    default_relin_base,
-    depth_profile,
-    format_depth_table,
-    relin_digit_count,
-)
-from repro.crypto.kyber import (
-    KYBER_N,
-    KYBER_Q,
-    kyber_basemul,
-    kyber_intt,
-    kyber_ntt,
-    kyber_polymul,
-)
-from repro.crypto.rlwe import RLWECiphertext, RLWEKeyPair, RLWEScheme
+from repro.registry import lazy_exports
 
-__all__ = [
-    "DILITHIUM_Q",
-    "DepthRecord",
-    "HECiphertext",
-    "HEContext",
-    "HEKeyPair",
-    "RelinKey",
-    "default_relin_base",
-    "depth_profile",
-    "format_depth_table",
-    "relin_digit_count",
-    "dilithium_intt",
-    "dilithium_ntt",
-    "dilithium_polymul",
-    "KYBER_N",
-    "KYBER_Q",
-    "kyber_basemul",
-    "kyber_intt",
-    "kyber_ntt",
-    "kyber_polymul",
-    "RLWECiphertext",
-    "RLWEKeyPair",
-    "RLWEScheme",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".dilithium": ("DILITHIUM_Q", "dilithium_intt", "dilithium_ntt", "dilithium_polymul"),
+    ".he": ("DepthRecord", "HECiphertext", "HEContext", "HEKeyPair", "RelinKey",
+            "default_relin_base", "depth_profile", "format_depth_table",
+            "relin_digit_count"),
+    ".kyber": ("KYBER_N", "KYBER_Q", "kyber_basemul", "kyber_intt", "kyber_ntt",
+               "kyber_polymul"),
+    ".rlwe": ("RLWECiphertext", "RLWEKeyPair", "RLWEScheme"),
+})

@@ -37,33 +37,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ParameterError
+from repro.ntt.modmath import default_relin_base, relin_digit_count
 from repro.ntt.params import NTTParams
 from repro.ntt.polynomial import Polynomial
 from repro.ntt.transform import polymul_negacyclic
 from repro.utils.primes import find_ntt_prime
-
-
-def default_relin_base(q: int) -> int:
-    """The default base-T of the relinearization decomposition for ``q``.
-
-    ``2^ceil(bits/3)`` keeps the decomposition at three digits for any
-    modulus, balancing evaluation-key size (more digits = more keys and
-    more products per relinearization) against noise (a larger base
-    means larger digits multiplying the key noise).
-    """
-    return 1 << -(-q.bit_length() // 3)
-
-
-def relin_digit_count(q: int, base: int) -> int:
-    """Digits needed to represent a canonical Z_q coefficient in base-T."""
-    if base < 2:
-        raise ParameterError(f"decomposition base must be >= 2, got {base}")
-    digits = 1
-    span = base
-    while span < q:
-        span *= base
-        digits += 1
-    return digits
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.errors import ParameterError
+from repro.mont import safe_modulus_bound
 from repro.mont.csa import carry_save_add, half_add, resolve_carry
 
 
@@ -36,25 +37,6 @@ def montgomery_expected(a: int, b: int, modulus: int, width: int) -> int:
     """The contract Algorithm 2 must meet: ``a * b * 2^-width mod M``."""
     r_inv = pow(2, -width, modulus)
     return (a * b * r_inv) % modulus
-
-
-def safe_modulus_bound(width: int) -> int:
-    """Largest modulus provably safe for the n-column optimization.
-
-    The paper states Observation 1 ("the highest bit of Carry is always
-    0") unconditionally for any ``M < 2^n``.  Exhaustive simulation in
-    this reproduction shows it actually fails once ``M`` exceeds roughly
-    ``0.62 * 2^n`` (e.g. first failure at M=29 for n=5, M=49 for n=6);
-    ``M < 2^(n-1)`` is provably safe: the accumulator invariant
-    ``P = Sum + 2*Carry <= 2M - 1`` gives ``Carry <= M - 1 < 2^(n-1)``,
-    so the left shift of line 7 never overflows the n columns.
-
-    Practical consequence (recorded in EXPERIMENTS.md): a 14-bit modulus
-    like 12289 needs a 15-bit container, or the n+1-column *vanilla*
-    variant (:func:`bp_modmul_vanilla`), matching the paper's own
-    throughput discussion of the 33-column fallback.
-    """
-    return (1 << (width - 1)) - 1
 
 
 def _validate(a: int, b: int, modulus: int, width: int, allow_tight: bool) -> None:

@@ -10,46 +10,13 @@ Everything in :mod:`repro.core` (the in-SRAM engine) is verified against
 this package in the test suite.
 """
 
-from repro.ntt.modmath import (
-    BarrettReducer,
-    mod_add,
-    mod_inv,
-    mod_mul,
-    mod_pow,
-    mod_sub,
-)
-from repro.ntt.params import (
-    NTTParams,
-    STANDARD_PARAMS,
-    get_params,
-    list_param_names,
-)
-from repro.ntt.polynomial import Polynomial
-from repro.ntt.transform import (
-    intt,
-    intt_negacyclic,
-    ntt,
-    ntt_negacyclic,
-    polymul_negacyclic,
-)
-from repro.ntt.twiddles import TwiddleTable
+from repro.registry import lazy_exports
 
-__all__ = [
-    "BarrettReducer",
-    "mod_add",
-    "mod_inv",
-    "mod_mul",
-    "mod_pow",
-    "mod_sub",
-    "NTTParams",
-    "STANDARD_PARAMS",
-    "get_params",
-    "list_param_names",
-    "Polynomial",
-    "TwiddleTable",
-    "intt",
-    "intt_negacyclic",
-    "ntt",
-    "ntt_negacyclic",
-    "polymul_negacyclic",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".modmath": ("BarrettReducer", "mod_add", "mod_inv", "mod_mul", "mod_pow", "mod_sub"),
+    ".params": ("NTTParams", "STANDARD_PARAMS", "get_params", "list_param_names"),
+    ".polynomial": ("Polynomial",),
+    ".transform": ("intt", "intt_negacyclic", "ntt", "ntt_negacyclic",
+                   "polymul_negacyclic"),
+    ".twiddles": ("TwiddleTable",),
+})

@@ -7,6 +7,11 @@ baseline for the roofline analysis and to document the contrast with
 the paper's Montgomery-based in-SRAM approach (Barrett needs a wide
 multiply, which bitline logic cannot do cheaply; Montgomery needs only
 conditional adds and shifts — the heart of Algorithm 2).
+
+:func:`default_relin_base` and :func:`relin_digit_count` size the
+base-T digit decomposition of Z_q coefficients that BFV-lite
+relinearization (:mod:`repro.crypto.he`) and the ``he-mul`` serving
+scenario both use.
 """
 
 from __future__ import annotations
@@ -63,6 +68,29 @@ def mod_inv(a: int, q: int) -> int:
     if old_r != 1:
         raise ParameterError(f"{a} is not invertible mod {q} (gcd={old_r})")
     return old_s % q
+
+
+def default_relin_base(q: int) -> int:
+    """The default base-T of the relinearization decomposition for ``q``.
+
+    ``2^ceil(bits/3)`` keeps the decomposition at three digits for any
+    modulus, balancing evaluation-key size (more digits = more keys and
+    more products per relinearization) against noise (a larger base
+    means larger digits multiplying the key noise).
+    """
+    return 1 << -(-q.bit_length() // 3)
+
+
+def relin_digit_count(q: int, base: int) -> int:
+    """Digits needed to represent a canonical Z_q coefficient in base-T."""
+    if base < 2:
+        raise ParameterError(f"decomposition base must be >= 2, got {base}")
+    digits = 1
+    span = base
+    while span < q:
+        span *= base
+        digits += 1
+    return digits
 
 
 class BarrettReducer:

@@ -33,98 +33,26 @@ package makes those decisions *observable* without perturbing them:
 The disassembly/trace utilities of :mod:`repro.sram.tracer`
 (:func:`disassemble`, :class:`TracingExecutor`) are re-exported here so
 program-level and request-level tracing share one import surface.
+
+Every name resolves on first use (:func:`repro.registry.lazy_exports`):
+``import repro.obs`` imports none of the modules above, and a replay
+loads only :mod:`~repro.obs.tracer` and :mod:`~repro.obs.registry`.
+``from repro.obs import SLOPolicy`` imports :mod:`~repro.obs.slo` (and
+what it needs) and nothing else.
 """
 
-from repro.obs.exporters import (
-    JsonlExporter,
-    chrome_trace,
-    format_prometheus,
-    read_jsonl,
-    to_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-    write_prometheus,
-)
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.sampling import SamplingTracer, format_sampling_stats
-from repro.obs.slo import (
-    Alert,
-    BurnRateRule,
-    SLOPolicy,
-    SLOTracer,
-    format_alerts,
-)
-from repro.obs.stream import (
-    QuantileSketch,
-    StageStats,
-    TenantFrame,
-    WindowedAggregator,
-    WindowFrame,
-    WindowSpec,
-    format_watch_table,
-)
-from repro.obs.summary import (
-    STAGES,
-    RequestTimeline,
-    load_timelines,
-    summarize_trace,
-)
-from repro.obs.tracer import (
-    AUX_PHASES,
-    LIFECYCLE_PHASES,
-    NULL_TRACER,
-    NullTracer,
-    RecordingTracer,
-    TraceEvent,
-    Tracer,
-    program_events,
-)
-from repro.sram.tracer import TracingExecutor, disassemble
+from repro.registry import lazy_exports
 
-__all__ = [
-    "AUX_PHASES",
-    "Alert",
-    "BurnRateRule",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "JsonlExporter",
-    "LIFECYCLE_PHASES",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
-    "QuantileSketch",
-    "RecordingTracer",
-    "RequestTimeline",
-    "SLOPolicy",
-    "SLOTracer",
-    "STAGES",
-    "SamplingTracer",
-    "StageStats",
-    "TenantFrame",
-    "TraceEvent",
-    "Tracer",
-    "TracingExecutor",
-    "WindowFrame",
-    "WindowSpec",
-    "WindowedAggregator",
-    "chrome_trace",
-    "disassemble",
-    "format_alerts",
-    "format_prometheus",
-    "format_sampling_stats",
-    "format_watch_table",
-    "load_timelines",
-    "program_events",
-    "read_jsonl",
-    "summarize_trace",
-    "to_jsonl",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_prometheus",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".exporters": ("JsonlExporter", "chrome_trace", "format_prometheus", "read_jsonl",
+                   "to_jsonl", "write_chrome_trace", "write_jsonl", "write_prometheus"),
+    ".registry": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    ".sampling": ("SamplingTracer", "format_sampling_stats"),
+    ".slo": ("Alert", "BurnRateRule", "SLOPolicy", "SLOTracer", "format_alerts"),
+    ".stream": ("QuantileSketch", "StageStats", "TenantFrame", "WindowedAggregator",
+                "WindowFrame", "WindowSpec", "format_watch_table"),
+    ".summary": ("STAGES", "RequestTimeline", "load_timelines", "summarize_trace"),
+    ".tracer": ("AUX_PHASES", "LIFECYCLE_PHASES", "NULL_TRACER", "NullTracer",
+                "RecordingTracer", "TraceEvent", "Tracer", "program_events"),
+    "repro.sram.tracer": ("TracingExecutor", "disassemble"),
+})

@@ -8,12 +8,56 @@ name listing the CLI derives its choices from.  This module holds the
 one implementation both wrap, parameterized by the kind of thing being
 registered and the error class to raise, so a fix to spec resolution
 or validation reaches every seam.
+
+Package namespaces resolve on first use the same way, through
+:func:`lazy_exports`: a package ``__init__`` that only re-exports its
+submodules' names lists them in a table instead of importing them, as
+``repro.obs`` does::
+
+    __getattr__, __dir__, __all__ = lazy_exports(__name__, {
+        ".registry": ("Counter", "MetricsRegistry"),
+        "repro.sram.tracer": ("disassemble",),
+    })
+
+Importing the package then imports none of its submodules.  The first
+read of a public name (``pkg.Counter``, ``from pkg import Counter``,
+``from pkg import *``) imports the one module that defines it (PEP 562)
+and binds the name in the package, so later reads are plain attribute
+lookups.  To add a public name, add it to its module's entry in the
+table; ``__all__`` and ``dir()`` follow.
 """
 
 from __future__ import annotations
 
 import importlib
-from typing import Callable, Dict, Tuple, Type, Union
+import sys
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple, Type, Union
+
+
+def lazy_exports(package: str, table: Mapping[str, Sequence[str]]) -> Tuple[
+        Callable[[str], Any], Callable[[], List[str]], List[str]]:
+    """``(__getattr__, __dir__, __all__)`` for ``package`` re-exporting ``table``.
+
+    ``table`` maps a module name for :func:`importlib.import_module`
+    (relative to ``package`` when it starts with a dot) to the public
+    names it defines.  Any other missing name raises
+    :class:`AttributeError`.
+    """
+    owners = {name: module for module, names in table.items() for name in names}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str) -> Any:
+        module = owners.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module, package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(namespace.keys() | owners.keys())
+
+    return __getattr__, __dir__, list(owners)
 
 
 class FactoryRegistry:

@@ -44,6 +44,7 @@ indexes' tops.
 from __future__ import annotations
 
 import itertools
+import math
 from heapq import heappop, heappush
 from typing import Dict, List, Mapping, Optional
 
@@ -73,13 +74,15 @@ class SLOScheduler(BatchingScheduler):
             )
         if queue_limit < 1:
             raise SchedulerError(f"queue_limit must be >= 1, got {queue_limit}")
-        if quantum <= 0:
-            raise SchedulerError(f"quantum must be > 0, got {quantum}")
+        # ``not 0 < x < inf`` also rejects NaN, which every comparison fails.
+        if not 0 < quantum < math.inf:
+            raise SchedulerError(f"quantum must be finite and > 0, got {quantum}")
         self.tenant_weights = dict(tenant_weights or {})
         for tenant, weight in self.tenant_weights.items():
-            if weight <= 0:
+            if not 0 < weight < math.inf:
                 raise SchedulerError(
-                    f"tenant {tenant!r} weight must be > 0, got {weight}"
+                    f"tenant {tenant!r} weight must be finite and > 0, "
+                    f"got {weight}"
                 )
         super().__init__(
             pool, policy, backend=backend, shared_lanes=True,

@@ -146,6 +146,10 @@ class ReplayConfig:
                 require_count(name, getattr(self, name))
         require_count("pool_size", self.pool_size)
         require_count("subarrays", self.subarrays)
+        for name in ("scheduler_options", "router_options"):
+            if not isinstance(getattr(self, name), Mapping):
+                raise ParameterError(
+                    f"{name} must be a mapping, got {getattr(self, name)!r}")
         self.batch_policy()  # its own check of max_wait_ms
         # Names are looked up here, with the errors a replay would raise
         # on them; the lookups resolve no lazy factory spec.

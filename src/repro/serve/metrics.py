@@ -31,14 +31,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import add, attrgetter, eq, mul, sub
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ParameterError
 from repro.obs.registry import Histogram, MetricsRegistry, SequenceView
-from repro.obs.slo import Alert, format_alerts
 from repro.serve.pool import BatchResults
 from repro.serve.request import Request, Response, ResultSlot
 from repro.utils import jsonout
+
+if TYPE_CHECKING:
+    from repro.obs.slo import Alert
 
 
 @dataclass(frozen=True, slots=True)
@@ -629,6 +631,8 @@ def format_serve_report(report: ServeReport) -> str:
                 f"{_fmt_stat(t.energy_per_request_nj, 10, 2)}"
             )
     if report.alerts:
+        from repro.obs.slo import format_alerts
+
         active = sum(1 for a in report.alerts if a.active)
         lines.append("")
         lines.append(

@@ -30,12 +30,14 @@ from __future__ import annotations
 import struct
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.backends.base import KERNEL_OPS
-from repro.crypto.he import HECiphertext, HEContext, RelinKey
 from repro.errors import ParameterError
 from repro.ntt.params import NTTParams, get_params
+
+if TYPE_CHECKING:
+    from repro.crypto.he import HECiphertext, HEContext, RelinKey
 
 __all__ = ["KERNEL_OPS", "BatchKey", "Request", "Response", "ResultSlot",
            "gold_result", "kyber_polymul_request", "dilithium_ntt_request",

@@ -60,8 +60,8 @@ from functools import partial
 from itertools import islice
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.crypto.he import default_relin_base, relin_digit_count
 from repro.errors import ParameterError
+from repro.ntt.modmath import default_relin_base, relin_digit_count
 from repro.ntt.params import get_params
 from repro.registry import FactoryRegistry
 from repro.serve.request import Request, pack_words, record_drawn, unpack_words

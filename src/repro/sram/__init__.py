@@ -19,48 +19,15 @@ Layering:
 - :mod:`repro.sram.energy`    — 45 nm technology constants, area model.
 """
 
-from repro.sram.bitmatrix import BitMatrix
-from repro.sram.energy import TechnologyModel, TECH_45NM
-from repro.sram.executor import ExecutionStats, Executor
-from repro.sram.isa import (
-    BinaryOp,
-    BinaryPair,
-    CarryStep,
-    Check,
-    CheckCarry,
-    CopyGated,
-    Instruction,
-    LogicBinary,
-    SetFlags,
-    SetLatch,
-    ShiftDirection,
-    ShiftRow,
-    Unary,
-    UnaryOp,
-)
-from repro.sram.program import Program
-from repro.sram.subarray import SRAMSubarray
+from repro.registry import lazy_exports
 
-__all__ = [
-    "BitMatrix",
-    "TechnologyModel",
-    "TECH_45NM",
-    "ExecutionStats",
-    "Executor",
-    "BinaryOp",
-    "BinaryPair",
-    "CarryStep",
-    "Check",
-    "CheckCarry",
-    "CopyGated",
-    "Instruction",
-    "LogicBinary",
-    "SetFlags",
-    "SetLatch",
-    "ShiftDirection",
-    "ShiftRow",
-    "Unary",
-    "UnaryOp",
-    "Program",
-    "SRAMSubarray",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".bitmatrix": ("BitMatrix",),
+    ".energy": ("TechnologyModel", "TECH_45NM"),
+    ".executor": ("ExecutionStats", "Executor"),
+    ".isa": ("BinaryOp", "BinaryPair", "CarryStep", "Check", "CheckCarry", "CopyGated",
+             "Instruction", "LogicBinary", "SetFlags", "SetLatch", "ShiftDirection",
+             "ShiftRow", "Unary", "UnaryOp"),
+    ".program": ("Program",),
+    ".subarray": ("SRAMSubarray",),
+})

@@ -20,12 +20,14 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
 from operator import add
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.sram.energy import TECH_45NM, TechnologyModel
-from repro.sram.program import Program
 from repro.sram.subarray import SRAMSubarray
+
+if TYPE_CHECKING:
+    from repro.sram.program import Program
 
 
 @dataclass

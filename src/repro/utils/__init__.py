@@ -1,39 +1,11 @@
 """Low-level utilities shared by every substrate in the library."""
 
-from repro.utils.bitops import (
-    bit_length,
-    bit_reverse,
-    bit_reverse_permutation,
-    bits_to_int,
-    int_to_bits,
-    is_power_of_two,
-    mask,
-    popcount,
-    rotate_left,
-    rotate_right,
-)
-from repro.utils.primes import (
-    find_ntt_prime,
-    is_prime,
-    is_primitive_root,
-    primitive_nth_root,
-    primitive_root,
-)
+from repro.registry import lazy_exports
 
-__all__ = [
-    "bit_length",
-    "bit_reverse",
-    "bit_reverse_permutation",
-    "bits_to_int",
-    "int_to_bits",
-    "is_power_of_two",
-    "mask",
-    "popcount",
-    "rotate_left",
-    "rotate_right",
-    "find_ntt_prime",
-    "is_prime",
-    "is_primitive_root",
-    "primitive_nth_root",
-    "primitive_root",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".bitops": ("bit_length", "bit_reverse", "bit_reverse_permutation", "bits_to_int",
+                "int_to_bits", "is_power_of_two", "mask", "popcount", "rotate_left",
+                "rotate_right"),
+    ".primes": ("find_ntt_prime", "is_prime", "is_primitive_root", "primitive_nth_root",
+                "primitive_root"),
+})

@@ -7,13 +7,14 @@
 scalar loop otherwise.  These tests hold both paths to the scalar
 transforms at every registered ring size, and pin the fallbacks: wide
 moduli, no numpy, unreduced coefficients, and a tiny ring that must
-never import numpy.  The lazy butterflies of the
-batched kernels are also held to the scalar loops at the edge of their
-int64 bound: 29- to 31-bit moduli with all-``q-1``, alternating and
-"ladder" payloads and raw pointwise products, where a bound one stage
-off would wrap silently.
+never import numpy, nor any module a replay never runs.  The lazy
+butterflies of the batched kernels are also held to the scalar loops at
+the edge of their int64 bound: 29- to 31-bit moduli with all-``q-1``,
+alternating and "ladder" payloads and raw pointwise products, where a
+bound one stage off would wrap silently.
 """
 
+import json
 import os
 import random
 import subprocess
@@ -307,13 +308,29 @@ class TestInputHandling:
             ntt_negacyclic_batch([[0] * 64], wide)
 
 
+#: Modules a replay and its report never run, so must never import: the
+#: crypto schemes, the obs modules past tracing and the registry, the
+#: program-level tracer, the program type (the model backend prices
+#: schedules and builds no program), and the offline analysis and check
+#: tooling.
+COLD_PATH_MODULES = (
+    "repro.crypto", "repro.obs.stream", "repro.obs.slo", "repro.obs.sampling",
+    "repro.obs.summary", "repro.obs.exporters", "repro.sram.tracer",
+    "repro.sram.program", "repro.analysis", "repro.check", "repro.baselines",
+)
+
+
 def test_tiny_ring_replay_never_imports_numpy():
     """Importing numpy would raise a tiny ring's peak memory by a fifth,
-    so the scalar path must keep it out of the process."""
+    so the scalar path must keep it out of the process; and a replay and
+    its report import none of :data:`COLD_PATH_MODULES` (or their
+    submodules)."""
     script = """
+import json
 import sys
 from repro.ntt.params import STANDARD_PARAMS, NTTParams
 from repro.serve import BatchPolicy, EnginePool, PoolConfig, Request, ServingSimulator
+from repro.serve import serialize_report
 
 STANDARD_PARAMS["numpy-free-ring"] = NTTParams(n=16, q=97)
 operand = tuple(range(16))
@@ -330,10 +347,15 @@ simulator = ServingSimulator(
     scheduler_options={"chips": 4, "router": "affinity"})
 report = simulator.replay(trace)
 assert len(report.responses) == len(trace), report
-print("numpy" in sys.modules)
+serialize_report(report)
+print(json.dumps(sorted(sys.modules)))
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    loaded = json.loads(done.stdout)
+    assert "numpy" not in loaded
+    assert [name for name in loaded
+            if any(name == cold or name.startswith(cold + ".")
+                   for cold in COLD_PATH_MODULES)] == []

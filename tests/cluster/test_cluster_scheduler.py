@@ -194,6 +194,10 @@ class TestAffinityRouter:
     def test_replicate_counts_validated(self):
         with pytest.raises(SchedulerError, match="ints >= 1"):
             AffinityRouter(4, replicate={"hot": 0})
+        # True is an int: like a bool ``chips``, it is not a count of 1.
+        for replicate in (True, {"hot": True}):
+            with pytest.raises(SchedulerError, match="ints >= 1"):
+                AffinityRouter(4, replicate=replicate)
 
 
 class TestRouterRegistry:

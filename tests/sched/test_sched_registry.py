@@ -104,6 +104,14 @@ class TestOptionValidation:
         with pytest.raises(SchedulerError, match="weight"):
             create_scheduler("slo", tiny_pool, BatchPolicy(),
                              tenant_weights={"a": -1.0})
+        # NaN passes ``weight <= 0``; it used to surface mid-replay as a
+        # bare ValueError from the share rounding.
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(SchedulerError, match="weight must be finite"):
+                create_scheduler("slo", tiny_pool, BatchPolicy(),
+                                 tenant_weights={"a": bad})
+            with pytest.raises(SchedulerError, match="quantum must be finite"):
+                create_scheduler("slo", tiny_pool, BatchPolicy(), quantum=bad)
 
     def test_adaptive_validates_config(self, tiny_pool):
         with pytest.raises(SchedulerError, match="min_wait_s"):

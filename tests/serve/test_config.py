@@ -127,6 +127,9 @@ class TestValidation:
                              slo_ms=True),
         lambda: ReplayConfig(scenario="kyber", rate=2000.0, duration=0.01,
                              max_wait_ms=True),
+        lambda: ReplayConfig(scheduler_options=None),
+        lambda: ReplayConfig(scheduler_options=[("queue_limit", 8)]),
+        lambda: ReplayConfig(router_options="replicate=3"),
     ], ids=["rate-inf", "rate-nan", "duration-inf", "duration-nan",
             "pool_size-float", "pool_size-bool", "subarrays-float",
             "chips-bool", "pool-config-size-float", "pool-config-size-bool",
@@ -135,15 +138,18 @@ class TestValidation:
             "max-wait-nan", "slo_ms-nan", "slo_ms-inf", "max_batch-float",
             "queue_limit-float", "seed-str", "seed-float", "seed-bool",
             "rate-bool", "duration-bool", "max_wait_ms-nan",
-            "max_wait_ms-negative", "slo_ms-bool", "max_wait_ms-bool"])
+            "max_wait_ms-negative", "slo_ms-bool", "max_wait_ms-bool",
+            "scheduler_options-none", "scheduler_options-pairs",
+            "router_options-str"])
     def test_boundary_inputs_raise_at_construction(self, build):
         """An infinite rate or duration would never end the arrival
         loop, a ``nan`` one would build an empty trace, a ``nan`` wait
         would never end the replay, a ``nan`` or infinite SLO would
         give every request a deadline nothing can meet or miss, a
         float or bool count would surface deep inside a replay, a
-        ``bool`` SLO or wait would pass for 1 ms, and a str, float or
-        bool seed would draw some other trace."""
+        ``bool`` SLO or wait would pass for 1 ms, a str, float or bool
+        seed would draw some other trace, and non-mapping options raised
+        a bare ``TypeError`` or ``ValueError`` from ``dict()``."""
         with pytest.raises(ParameterError):
             build()
 
